@@ -16,7 +16,6 @@ node-level relational GNN over the expanded graph.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -24,11 +23,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..autodiff import (
-    Tape,
     Tensor,
     activation,
     affine,
-    backward,
     bce_loss,
     scale,
     stack_rows,
@@ -37,7 +34,7 @@ from ..autodiff import (
 from ..graph import N_CLASSES, HeteroGraph, ExpandedGraph, Relation
 from ..sampling import row_mean_normalize
 from .core import cast_params, glorot, rgcn_layer
-from .train import TrainConfig, TrainingDiverged, _make_stepper, _named_grads
+from .train import TrainConfig, fit
 
 __all__ = [
     "naive_fill_seller_features",
@@ -216,20 +213,13 @@ def train_expanded_rgcn(
     if eg.labels is None or eg.n_offers == 0:
         raise ValueError("expanded graph has no labeled offers")
     params = init_expanded_rgcn_params(cfg, tc.seed)
-    step = _make_stepper(params, tc)
     targets = eg.labels.astype(np.float32)
-    losses = []
-    for epoch in range(tc.epochs):
-        with Tape() as tape:
-            probs = expanded_rgcn_forward(eg, params, cfg)
-            loss = scale(bce_loss(probs, targets), cfg.n_classes)
-        loss_val = loss.item()
-        if not math.isfinite(loss_val):
-            raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
-        grads = backward(tape, loss)
-        step(_named_grads(params, grads))
-        losses.append(loss_val)
-    return params, losses
+
+    def loss_fn(full_graph):
+        probs = expanded_rgcn_forward(full_graph, params, cfg)
+        return scale(bce_loss(probs, targets), cfg.n_classes)
+
+    return params, fit(params, lambda: (eg,), loss_fn, tc)
 
 
 def score_expanded_rgcn(

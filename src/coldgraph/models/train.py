@@ -1,16 +1,21 @@
-"""Training loops.
+"""Training: one loop, three callers.
 
-One epoch visits every labeled offer exactly once, in a seeded shuffled
-order, in batches of ``batch_size``.  The multi-task model trains a single
-parameter set against the summed per-class loss; nine-binary mode trains
-nine independent single-head models on the same batch schedule.
+``fit(params, batches, loss_fn, tc)`` owns the optimizer state, the tape,
+the non-finite-loss check, backward, the step and the per-epoch mean loss.
+Callers supply ``batches()``, one epoch's batches, and ``loss_fn(batch)``:
+
+- ``train_edge_gnn``: each epoch visits every labeled offer once, in sorted
+  batches of a seeded shuffle; multi-task mode trains one parameter set on
+  the summed per-class loss, nine-binary mode nine single-head models.
+- ``train_mlp_heads``: one binary MLP per class over a row-per-offer table.
+- ``baselines.train_expanded_rgcn``: one full batch per epoch.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -28,7 +33,7 @@ from ..autodiff import (
 )
 from ..graph import HeteroGraph
 from ..sampling import OfferBatch, extract_ego_network
-from .core import EdgeGnnConfig, cast_params, edge_gnn_forward, init_edge_gnn_params
+from .core import EdgeGnnConfig, cast_params, edge_gnn_forward, glorot, init_edge_gnn_params
 
 __all__ = [
     "TrainConfig",
@@ -59,19 +64,49 @@ class TrainConfig:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("epochs must be >= 0 and batch_size >= 1")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr!r}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay!r}")
 
 
-def _make_stepper(params: dict, tc: TrainConfig):
+def fit(params: dict, batches: Callable[[], Iterable], loss_fn: Callable,
+        tc: TrainConfig) -> list:
+    """Train ``params`` in place for ``tc.epochs`` epochs; returns the
+    per-epoch mean loss.  ``batches()`` yields one epoch's batches and
+    ``loss_fn(batch)`` builds that batch's scalar loss on the tape."""
     if tc.optimizer == "adam":
         state = AdamState(lr=tc.lr, weight_decay=tc.weight_decay)
-        return lambda grads: adam_step(params, grads, state)
-    return lambda grads: sgd_step(params, grads, tc.lr, tc.weight_decay)
+        step = lambda grads: adam_step(params, grads, state)
+    else:
+        step = lambda grads: sgd_step(params, grads, tc.lr, tc.weight_decay)
+    history = []
+    for epoch in range(tc.epochs):
+        total, n_batches = 0.0, 0
+        for batch in batches():
+            with Tape() as tape:
+                loss = loss_fn(batch)
+            loss_val = loss.item()
+            if not math.isfinite(loss_val):
+                raise TrainingDiverged(
+                    f"non-finite loss {loss_val} at epoch {epoch}, batch {n_batches}"
+                )
+            grads = backward(tape, loss)
+            step({name: grads[p] for name, p in params.items() if p in grads})
+            total += loss_val
+            n_batches += 1
+        history.append(total / max(n_batches, 1))
+    return history
 
 
-def _named_grads(params: dict, grads_by_tensor: dict) -> dict:
-    return {
-        name: grads_by_tensor[p] for name, p in params.items() if p in grads_by_tensor
-    }
+def _fit_head(head: Optional[int], params: dict, batches, loss_fn, tc: TrainConfig) -> list:
+    """``fit`` for one of several heads; a divergence also names the head."""
+    try:
+        return fit(params, batches, loss_fn, tc)
+    except TrainingDiverged as exc:
+        if head is None:
+            raise
+        raise TrainingDiverged(f"{exc}, head {head}") from None
 
 
 def _epoch_batches(m: int, batch_size: int, rng: np.random.Generator):
@@ -120,34 +155,24 @@ def train_edge_gnn(g: HeteroGraph, cfg: EdgeGnnConfig, tc: TrainConfig) -> EdgeG
     groups, history = [], []
     for head_class, targets in head_specs:
         params = init_edge_gnn_params(cfg, tc.seed, head_class=head_class)
-        step = _make_stepper(params, tc)
         rng = np.random.default_rng(tc.seed)
         dropout_rng = np.random.default_rng([tc.seed, 1]) if cfg.dropout > 0 else None
-        losses = []
-        for epoch in range(tc.epochs):
-            total, batches = 0.0, 0
+
+        def batches():
             for idx in _epoch_batches(m, tc.batch_size, rng):
-                batch = OfferBatch(np.sort(idx))
-                ego = extract_ego_network(g, batch, hops=cfg.gnn_layers)
-                with Tape() as tape:
-                    probs = edge_gnn_forward(g, batch, params, cfg, ego=ego, rng=dropout_rng)
-                    loss = bce_loss(probs, targets[batch.offers])
-                    if cfg.mode == "multi_task":
-                        # mean over elements -> sum of the nine per-class means
-                        loss = scale(loss, cfg.n_classes)
-                loss_val = loss.item()
-                if not math.isfinite(loss_val):
-                    raise TrainingDiverged(
-                        f"non-finite loss {loss_val} at epoch {epoch}, batch {batches}"
-                        + ("" if head_class is None else f", head {head_class}")
-                    )
-                grads = backward(tape, loss)
-                step(_named_grads(params, grads))
-                total += loss_val
-                batches += 1
-            losses.append(total / max(batches, 1))
+                yield OfferBatch(np.sort(idx))
+
+        def loss_fn(batch):
+            ego = extract_ego_network(g, batch, hops=cfg.gnn_layers)
+            probs = edge_gnn_forward(g, batch, params, cfg, ego=ego, rng=dropout_rng)
+            loss = bce_loss(probs, targets[batch.offers])
+            if cfg.mode == "multi_task":
+                # mean over elements -> sum of the nine per-class means
+                loss = scale(loss, cfg.n_classes)
+            return loss
+
+        history.append(_fit_head(head_class, params, batches, loss_fn, tc))
         groups.append(params)
-        history.append(losses)
     return EdgeGnnModel(cfg=cfg, param_groups=groups, history=history)
 
 
@@ -156,8 +181,6 @@ def train_edge_gnn(g: HeteroGraph, cfg: EdgeGnnConfig, tc: TrainConfig) -> EdgeG
 
 
 def init_mlp_head(rng: np.random.Generator, d_in: int, hidden: int) -> dict:
-    from .core import glorot
-
     return {
         "w0": Tensor(glorot(rng, d_in, hidden), requires_grad=True),
         "b0": Tensor(np.zeros(hidden, dtype=np.float32), requires_grad=True),
@@ -186,31 +209,19 @@ def train_mlp_heads(
         raise ValueError("labels must align with table rows")
     n_classes = labels.shape[1] if n_classes is None else n_classes
     m = table.shape[0]
+    labels = labels.astype(np.float32)
     heads, history = [], []
     for k in range(n_classes):
         rng = np.random.default_rng([tc.seed, k])
         params = init_mlp_head(rng, table.shape[1], hidden)
-        step = _make_stepper(params, tc)
-        target = labels[:, k:k + 1].astype(np.float32)
-        losses = []
-        for epoch in range(tc.epochs):
-            total, batches = 0.0, 0
-            for idx in _epoch_batches(m, tc.batch_size, rng):
-                with Tape() as tape:
-                    probs = mlp_head_forward(Tensor(table[idx]), params)
-                    loss = bce_loss(probs, target[idx])
-                loss_val = loss.item()
-                if not math.isfinite(loss_val):
-                    raise TrainingDiverged(
-                        f"non-finite loss at epoch {epoch}, batch {batches}, head {k}"
-                    )
-                grads = backward(tape, loss)
-                step(_named_grads(params, grads))
-                total += loss_val
-                batches += 1
-            losses.append(total / max(batches, 1))
+
+        def loss_fn(idx):
+            return bce_loss(mlp_head_forward(Tensor(table[idx]), params), labels[idx, k:k + 1])
+
+        history.append(
+            _fit_head(k, params, lambda: _epoch_batches(m, tc.batch_size, rng), loss_fn, tc)
+        )
         heads.append(params)
-        history.append(losses)
     return heads, history
 
 

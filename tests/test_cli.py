@@ -94,6 +94,18 @@ def test_train_writes_loadable_checkpoint(tabular_ckpt):
     assert arch["d_s"] == 5 and len(groups) == 9
 
 
+def test_train_rejects_nonpositive_lr(ws, tmp_path, capsys):
+    out = tmp_path / "bad.ckpt"
+    rc = main([
+        "train", "--config", str(ws["config"]), "--graph", str(ws["graph"]),
+        "--model", "tabular", "--lr", "-1", "--out", str(out),
+    ])
+    cap = capsys.readouterr()
+    assert rc == 2
+    assert "error: lr must be finite and > 0" in cap.err
+    assert not out.exists()
+
+
 def test_score_rows_match_scenario_eval_set(ws, ns_scores):
     spec = load_scenario(ws["scen"] / "scenario_new_seller.json")
     ids, scores = read_scores_csv(ns_scores)

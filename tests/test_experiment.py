@@ -11,6 +11,7 @@ from coldgraph.experiment import (
     train_model,
     write_scores_csv,
 )
+from coldgraph.models import load_checkpoint, train_mlp_heads
 from coldgraph.simulate import GeneratorConfig, apply_scenario, generate_synthetic_graph, make_scenario
 from coldgraph.storage import load_graph
 
@@ -215,6 +216,30 @@ def test_run_repro_writes_all_artifacts(tmp_path):
     assert set(manifest["reports"]) == {
         (s, m) for s in cfg.scenarios for m in cfg.models
     }
+
+
+@pytest.mark.parametrize("models", [("tabular", "naive"), ("naive", "tabular")])
+def test_run_repro_trains_shared_heads_once(tmp_path, monkeypatch, models):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return train_mlp_heads(*args, **kwargs)
+
+    monkeypatch.setattr("coldgraph.experiment.train_mlp_heads", counting)
+    events = []
+    cfg = tiny_config(out_dir=str(tmp_path / "run"), models=models, scenarios=("new_seller",))
+    out = run_repro(cfg, log=events.append)["out_dir"]
+    assert len(calls) == 1
+    assert [e["model"] for e in events if e["event"] == "trained"] == list(models)
+    (_, arch_t, tabular), (_, arch_n, naive) = (
+        load_checkpoint(out / f"{kind}.ckpt") for kind in ("tabular", "naive")
+    )
+    assert arch_t == arch_n and len(tabular) == len(naive) == 9
+    for pt, pn in zip(tabular, naive):
+        assert pt.keys() == pn.keys()
+        for name in pt:
+            assert pt[name].data.tobytes() == pn[name].data.tobytes()
 
 
 def test_run_repro_is_deterministic(tmp_path):

@@ -16,6 +16,7 @@ from coldgraph.models import (
     EdgeGnnConfig,
     ExpandedRgcnConfig,
     TrainConfig,
+    TrainingDiverged,
     build_listing_table,
     cast_params,
     edge_embedder_forward,
@@ -350,6 +351,37 @@ def test_mlp_heads_learn_and_score():
     scores = score_mlp_heads(heads, x)
     acc = ((scores[:, 0] > 0.5) == (y[:, 0] == 1)).mean()
     assert acc > 0.9
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lr", float("nan")), ("lr", float("inf")), ("lr", -1.0), ("lr", 0.0),
+    ("weight_decay", float("nan")), ("weight_decay", float("inf")), ("weight_decay", -1.0),
+])
+def test_train_config_rejects_bad_lr_and_weight_decay(field, value):
+    with pytest.raises(ValueError, match=rf"^{field} must be finite"):
+        TrainConfig(**{field: value})
+
+
+@pytest.mark.parametrize("trainer", ["edge_gnn", "edge_gnn_nine_binary", "mlp_heads", "expanded_rgcn"])
+def test_nan_feature_row_raises_training_diverged(trainer):
+    g = make_random_graph(seed=35, n_sellers=12, n_products=6)
+    offers = g.offer_features.copy()
+    offers[3] = np.nan
+    g = g.copy_with_features(g.seller_features, g.product_features, offers)
+    tc = TrainConfig(epochs=2, batch_size=g.n_offers, seed=0)
+    per_head = trainer in ("edge_gnn_nine_binary", "mlp_heads")
+    with pytest.raises(TrainingDiverged) as info:
+        if trainer == "mlp_heads":
+            train_mlp_heads(build_listing_table(g), g.labels, tc, hidden=8)
+        elif trainer == "expanded_rgcn":
+            eg = build_expanded_graph(g)
+            cfg = ExpandedRgcnConfig(d_s=g.d_s, d_p=g.d_p, d_o=g.d_o, hidden=8, layers=2)
+            train_expanded_rgcn(eg, cfg, tc)
+        else:
+            mode = "nine_binary" if per_head else "multi_task"
+            train_edge_gnn(g, small_cfg(g, mode=mode), tc)
+    want = "non-finite loss nan at epoch 0, batch 0" + (", head 0" if per_head else "")
+    assert str(info.value) == want
 
 
 # ---------------------------------------------------------------------------
