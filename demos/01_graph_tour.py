@@ -34,8 +34,10 @@ for o in range(g.n_offers):
     print(f"  offer {o}: seller {g.offer_seller[o]} -> product {g.offer_product[o]}")
 
 # siblings: offers sharing this offer's seller or product, itself excluded
-same_seller, same_product = g.incident_offer_sets(1)
-print("offer 1 siblings via seller:", same_seller, "via product:", same_product)
+others = np.arange(g.n_offers) != 1
+same_seller = np.flatnonzero(others & (g.offer_seller == g.offer_seller[1]))
+same_product = np.flatnonzero(others & (g.offer_product == g.offer_product[1]))
+print("offer 1 siblings via seller:", same_seller.tolist(), "via product:", same_product.tolist())
 
 # the offers-as-nodes form has one seller link and one product link per offer
 eg = build_expanded_graph(g)

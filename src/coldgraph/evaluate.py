@@ -271,9 +271,11 @@ def scaling_benchmark(
 
     ``task`` is "train_epoch", "inference", or a callable ``task(graph) ->
     thunk`` for injecting a custom workload (the no-op control in tests).
-    Each size gets one warm-up call, then the minimum over ``repeats``
-    timed calls.  A size whose timing cannot be resolved by the clock is
-    rejected.
+    Every size's graph and thunk are built and warmed up first; then each
+    of the ``repeats`` passes times every size once, so a slow stretch of
+    the host spreads over all sizes instead of landing on one.  A size
+    keeps its minimum over the passes; one whose timing cannot be resolved
+    by the clock is rejected.
     """
     sizes = [int(s) for s in sizes]
     if len(sizes) < 4:
@@ -293,28 +295,29 @@ def scaling_benchmark(
 
     resolution = time.get_clock_info("perf_counter").resolution
     floor = max(50.0 * resolution, 5e-7)
-    measured, seconds = [], []
-    for size in sorted(sizes):
-        g = generate_synthetic_graph(bench_config_for_edges(size, seed))
-        thunk = make_thunk(g)
+    sizes = sorted(sizes)
+    graphs = [generate_synthetic_graph(bench_config_for_edges(size, seed)) for size in sizes]
+    thunks = [make_thunk(g) for g in graphs]
+    for thunk in thunks:
         thunk()  # warm-up
-        best = math.inf
-        for _ in range(max(1, repeats)):
+    best = [math.inf] * len(thunks)
+    for _ in range(max(1, repeats)):
+        for i, thunk in enumerate(thunks):
             t0 = time.perf_counter()
             thunk()
-            best = min(best, time.perf_counter() - t0)
-        if best < floor:
+            best[i] = min(best[i], time.perf_counter() - t0)
+    for size, took in zip(sizes, best):
+        if took < floor:
             raise ValueError(
-                f"timer resolution insufficient for size {size} ({best:.2e}s)"
+                f"timer resolution insufficient for size {size} ({took:.2e}s)"
             )
-        measured.append(g.n_edges)
-        seconds.append(best)
+    measured = [g.n_edges for g in graphs]
     x = np.array(measured, dtype=np.float64)
-    y = np.array(seconds, dtype=np.float64)
+    y = np.array(best, dtype=np.float64)
     slope, intercept, r2 = _ols(x, y)
     return BenchmarkResult(
         task=task_name,
-        target_edges=tuple(sorted(sizes)),
+        target_edges=tuple(sizes),
         measured_edges=tuple(int(v) for v in measured),
         seconds=tuple(float(v) for v in y),
         slope=slope,

@@ -288,17 +288,36 @@ def write_scores_csv(path, offer_ids: np.ndarray, scores: np.ndarray) -> None:
 
 
 def read_scores_csv(path) -> tuple:
+    """Offer ids and per-class probabilities from a scores file.
+
+    Rejects, naming the path and line, a bad header or field count, an
+    offer id that does not parse, is negative or repeats, and a
+    probability that is not a finite value in [0, 1].
+    """
     lines = Path(path).read_text().strip().split("\n")
     header = lines[0].split(",")
     if header != ["offer_idx"] + list(CLASS_NAMES):
         raise ValueError(f"unexpected score file header in {path}")
-    ids, rows = [], []
+    ids, rows, seen = [], [], set()
     for ln, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
         if len(parts) != 1 + N_CLASSES:
             raise ValueError(f"{path}:{ln}: expected {1 + N_CLASSES} fields")
-        ids.append(int(parts[0]))
-        rows.append([float(v) for v in parts[1:]])
+        try:
+            k = int(parts[0])
+            row = [float(v) for v in parts[1:]]
+        except ValueError as exc:
+            raise ValueError(f"{path}:{ln}: {exc}") from None
+        if k < 0:
+            raise ValueError(f"{path}:{ln}: negative offer id {k}")
+        if k in seen:
+            raise ValueError(f"{path}:{ln}: duplicate offer id {k}")
+        bad = [v for v in row if not 0.0 <= v <= 1.0]  # also catches nan
+        if bad:
+            raise ValueError(f"{path}:{ln}: probability {bad[0]} is not a finite value in [0, 1]")
+        seen.add(k)
+        ids.append(k)
+        rows.append(row)
     return np.array(ids, dtype=np.int64), np.array(rows, dtype=np.float64)
 
 

@@ -7,14 +7,19 @@ nine-class binary label row.  An alternative "expanded" form turns each
 offer edge into a node of its own; it exists only to feed the node-level
 GNN baseline.
 
-Graphs are mutable while being assembled (``add_node`` / ``add_edge``)
-and are treated as immutable afterwards; derived adjacency matrices are
-cached and invalidated on mutation.  Feature matrices are float32.
+A graph is immutable.  Its only storage is read-only numpy arrays: three
+float32 feature matrices, the int64 offer endpoints ``offer_seller`` and
+``offer_product``, one sorted ``(k, 2)`` int64 edge array per
+seller-seller relation, and optional uint8 labels.
+``HeteroGraph.from_arrays`` checks and freezes them; ``GraphBuilder``
+assembles small graphs edge by edge and ends in ``from_arrays``.  The
+per-relation CSR adjacency is derived on first use and cached, and
+copies that keep the topology share that cache.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+import copy
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Optional, Sequence
@@ -26,8 +31,8 @@ __all__ = [
     "NodeType",
     "Relation",
     "NodeRef",
-    "Listing",
     "HeteroGraph",
+    "GraphBuilder",
     "ExpandedGraph",
     "build_expanded_graph",
     "validate",
@@ -77,42 +82,88 @@ class NodeRef:
     index: int
 
 
-@dataclass(frozen=True)
-class Listing:
-    """One offer edge: a seller listing a product."""
+def _frozen(a, dtype) -> np.ndarray:
+    """Read-only C-contiguous array of ``a``; copies unless ``a`` already is one."""
+    a = np.asarray(a, dtype=dtype)
+    if a.flags.writeable or not a.flags.c_contiguous:
+        a = np.array(a, dtype=dtype, order="C")
+        a.flags.writeable = False
+    return a
 
-    seller: NodeRef
-    offer: int
-    product: NodeRef
+
+def _canonical_edges(edges) -> np.ndarray:
+    """Read-only rows ``(min, max)`` sorted lexicographically; duplicates are kept."""
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    lo, hi = e.min(axis=1), e.max(axis=1)
+    order = np.lexsort((hi, lo))
+    out = np.stack([lo[order], hi[order]], axis=1)
+    out.flags.writeable = False
+    return out
+
+
+def _topology_error(
+    n_sellers: int,
+    n_products: int,
+    offer_seller: np.ndarray,
+    offer_product: np.ndarray,
+    ss_edges: Sequence[np.ndarray],
+    labels: Optional[np.ndarray],
+) -> Optional[str]:
+    """First violation in a graph's index arrays, or None.
+
+    ``ss_edges`` holds one canonical array per seller-seller relation (see
+    ``_canonical_edges``).  Shared by :meth:`HeteroGraph.from_arrays` and
+    :func:`validate`.
+    """
+    m = offer_seller.shape[0]
+    for ids, count, what in (
+        (offer_seller, n_sellers, "seller"),
+        (offer_product, n_products, "product"),
+    ):
+        bad = np.flatnonzero((ids < 0) | (ids >= count))
+        if bad.size:
+            k = int(bad[0])
+            return f"offer {k} references unknown {what} {int(ids[k])}"
+    _, first = np.unique(offer_seller * n_products + offer_product, return_index=True)
+    if first.size != m:
+        k = int(np.setdiff1d(np.arange(m), first)[0])
+        return (f"duplicate offer edge: offer {k} repeats seller {int(offer_seller[k])}, "
+                f"product {int(offer_product[k])}")
+
+    if len(ss_edges) != N_RELATIONS - 1:
+        return f"expected {N_RELATIONS - 1} seller-seller edge arrays, got {len(ss_edges)}"
+    for r, e in zip(Relation.seller_seller(), ss_edges):
+        if not e.size:
+            continue
+        bad = np.flatnonzero((e[:, 0] < 0) | (e[:, 1] >= n_sellers))
+        if bad.size:
+            a, b = e[bad[0]].tolist()
+            return f"relation {r.name} edge ({a}, {b}) references unknown seller"
+        same = np.flatnonzero(e[:, 0] == e[:, 1])
+        if same.size:
+            return f"relation {r.name} has self edge at seller {int(e[same[0], 0])}"
+        dup = np.flatnonzero((e[1:] == e[:-1]).all(axis=1))
+        if dup.size:
+            a, b = e[dup[0]].tolist()
+            return f"relation {r.name} has duplicate edge ({a}, {b})"
+
+    if labels is not None:
+        if labels.shape != (m, N_CLASSES):
+            return f"labels must have shape ({m}, {N_CLASSES}), got {labels.shape}"
+        if not np.isin(labels, (0, 1)).all():
+            return "labels must be binary (values in {0, 1})"
+    return None
 
 
 class HeteroGraph:
-    def __init__(self, d_s: int, d_p: int, d_o: int):
-        if min(d_s, d_p, d_o) < 1:
-            raise ValueError("feature dimensions must be positive")
-        self.d_s = int(d_s)
-        self.d_p = int(d_p)
-        self.d_o = int(d_o)
-        self._seller_rows: list = []
-        self._product_rows: list = []
-        self._offer_rows: list = []
-        self._offer_seller: list = []
-        self._offer_product: list = []
-        self._labels: Optional[np.ndarray] = None
-        # seller-seller adjacency: per relation, seller index -> sorted neighbor list
-        self._ss_adj = [dict() for _ in range(N_RELATIONS - 1)]
-        self._ss_edges: list = [[] for _ in range(N_RELATIONS - 1)]  # canonical (a, b), a < b
-        # offer adjacency, both directions, values sorted
-        self._seller_products: dict = {}
-        self._product_sellers: dict = {}
-        # per-entity offer lists (offer indices are appended in increasing order)
-        self._seller_offers: dict = {}
-        self._product_offers: dict = {}
-        self._offer_of_pair: dict = {}
-        self._version = 0
-        self._cache: dict = {}
+    """One seller-product graph as read-only arrays.
 
-    # -- construction -------------------------------------------------------
+    Build it with :meth:`from_arrays` (or :class:`GraphBuilder` for small
+    hand-made graphs).  ``seller_features``, ``product_features`` and
+    ``offer_features`` are float32 matrices; offer ``k`` joins seller
+    ``offer_seller[k]`` to product ``offer_product[k]``; ``labels`` is an
+    optional ``(n_offers, 9)`` uint8 matrix.
+    """
 
     @classmethod
     def from_arrays(
@@ -125,256 +176,82 @@ class HeteroGraph:
         ss_edges: Sequence[np.ndarray],
         labels: Optional[np.ndarray] = None,
     ) -> "HeteroGraph":
-        """Bulk constructor; performs the same checks as the incremental API."""
-        seller_features = np.ascontiguousarray(seller_features, dtype=np.float32)
-        product_features = np.ascontiguousarray(product_features, dtype=np.float32)
-        offer_features = np.ascontiguousarray(offer_features, dtype=np.float32)
-        if seller_features.ndim != 2 or product_features.ndim != 2 or offer_features.ndim != 2:
+        """Check and freeze the arrays of a graph; the only constructor.
+
+        ``ss_edges`` holds one ``(k, 2)`` seller index array per
+        seller-seller relation, in either orientation.  Raises ValueError
+        naming the first malformed input.
+        """
+        sf, pf, of = (
+            _frozen(x, np.float32) for x in (seller_features, product_features, offer_features)
+        )
+        if sf.ndim != 2 or pf.ndim != 2 or of.ndim != 2:
             raise ValueError("feature arrays must be matrices")
-        g = cls(seller_features.shape[1], product_features.shape[1], offer_features.shape[1])
-        n_s, n_p = seller_features.shape[0], product_features.shape[0]
-        m = offer_features.shape[0]
-        g._seller_rows = list(seller_features)
-        g._product_rows = list(product_features)
-        offer_seller = np.asarray(offer_seller, dtype=np.int64)
-        offer_product = np.asarray(offer_product, dtype=np.int64)
-        if offer_seller.shape != (m,) or offer_product.shape != (m,):
+        if min(sf.shape[1], pf.shape[1], of.shape[1]) < 1:
+            raise ValueError("feature dimensions must be positive")
+        os_, op_ = _frozen(offer_seller, np.int64), _frozen(offer_product, np.int64)
+        if os_.shape != (of.shape[0],) or op_.shape != (of.shape[0],):
             raise ValueError("offer endpoint arrays must match the offer feature rows")
-        if m:
-            if offer_seller.min() < 0 or offer_seller.max() >= n_s:
-                raise ValueError("offer seller index out of range")
-            if offer_product.min() < 0 or offer_product.max() >= n_p:
-                raise ValueError("offer product index out of range")
-        pairs = set(zip(offer_seller.tolist(), offer_product.tolist()))
-        if len(pairs) != m:
-            raise ValueError("duplicate offer edge (same seller and product)")
-        g._offer_rows = list(offer_features)
-        g._offer_seller = offer_seller.tolist()
-        g._offer_product = offer_product.tolist()
-        g._offer_of_pair = {
-            (int(s), int(p)): k
-            for k, (s, p) in enumerate(zip(g._offer_seller, g._offer_product))
-        }
-        for k, (s, p) in enumerate(zip(g._offer_seller, g._offer_product)):
-            g._seller_offers.setdefault(s, []).append(k)
-            g._product_offers.setdefault(p, []).append(k)
-            insort(g._seller_products.setdefault(s, []), p)
-            insort(g._product_sellers.setdefault(p, []), s)
-
-        if len(ss_edges) != N_RELATIONS - 1:
-            raise ValueError(f"expected {N_RELATIONS - 1} seller-seller edge arrays")
-        for r, edges in enumerate(ss_edges):
-            edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-            if edges.size:
-                if edges.min() < 0 or edges.max() >= n_s:
-                    raise ValueError(f"seller index out of range in relation {r}")
-                if (edges[:, 0] == edges[:, 1]).any():
-                    raise ValueError(f"self edge in relation {r}")
-            lo = np.minimum(edges[:, 0], edges[:, 1])
-            hi = np.maximum(edges[:, 0], edges[:, 1])
-            canon = np.stack([lo, hi], axis=1)
-            if len(np.unique(canon, axis=0)) != len(canon):
-                raise ValueError(f"duplicate seller-seller edge in relation {r}")
-            g._ss_edges[r] = [tuple(e) for e in canon.tolist()]
-            adj = g._ss_adj[r]
-            for a, b in g._ss_edges[r]:
-                insort(adj.setdefault(a, []), b)
-                insort(adj.setdefault(b, []), a)
+        ss = [_canonical_edges(e) for e in ss_edges]
         if labels is not None:
-            g.set_labels(labels)
-        g._version += 1
+            labels = np.asarray(labels)
+        msg = _topology_error(sf.shape[0], pf.shape[0], os_, op_, ss, labels)
+        if msg:
+            raise ValueError(msg)
+
+        g = cls.__new__(cls)
+        g.seller_features, g.product_features, g.offer_features = sf, pf, of
+        g.offer_seller, g.offer_product = os_, op_
+        g._ss_edges = tuple(ss)
+        g.labels = None if labels is None else _frozen(labels, np.uint8)
+        g._csr = {}  # relation -> unified CSR; shared by copy_with_features
         return g
-
-    def add_node(self, node_type: NodeType, features) -> NodeRef:
-        row = np.asarray(features, dtype=np.float32).reshape(-1)
-        want = self.d_s if node_type == NodeType.SELLER else self.d_p
-        if row.shape[0] != want:
-            raise ValueError(
-                f"{NodeType(node_type).name.lower()} features must have length {want}, got {row.shape[0]}"
-            )
-        rows = self._seller_rows if node_type == NodeType.SELLER else self._product_rows
-        rows.append(row)
-        self._version += 1
-        return NodeRef(NodeType(node_type), len(rows) - 1)
-
-    def add_edge(
-        self,
-        relation: Relation,
-        src: NodeRef,
-        dst: NodeRef,
-        offer_features=None,
-    ) -> int:
-        """Add one edge; returns the offer index for offer edges, else the
-        edge's position within its relation."""
-        relation = Relation(relation)
-        self._check_ref(src)
-        self._check_ref(dst)
-        if relation.is_offer:
-            if offer_features is None:
-                raise ValueError("offer edges require offer_features")
-            if {src.node_type, dst.node_type} != {NodeType.SELLER, NodeType.PRODUCT}:
-                raise ValueError("offer edges connect a seller and a product")
-            s, p = (src, dst) if src.node_type == NodeType.SELLER else (dst, src)
-            key = (s.index, p.index)
-            if key in self._offer_of_pair:
-                raise ValueError(f"duplicate offer edge for seller {s.index}, product {p.index}")
-            row = np.asarray(offer_features, dtype=np.float32).reshape(-1)
-            if row.shape[0] != self.d_o:
-                raise ValueError(f"offer features must have length {self.d_o}, got {row.shape[0]}")
-            if self._labels is not None:
-                raise ValueError("cannot add offers after labels are set")
-            k = len(self._offer_rows)
-            self._offer_rows.append(row)
-            self._offer_seller.append(s.index)
-            self._offer_product.append(p.index)
-            self._offer_of_pair[key] = k
-            self._seller_offers.setdefault(s.index, []).append(k)
-            self._product_offers.setdefault(p.index, []).append(k)
-            insort(self._seller_products.setdefault(s.index, []), p.index)
-            insort(self._product_sellers.setdefault(p.index, []), s.index)
-            self._version += 1
-            return k
-        if offer_features is not None:
-            raise ValueError("only offer edges carry features")
-        if src.node_type != NodeType.SELLER or dst.node_type != NodeType.SELLER:
-            raise ValueError(f"relation {relation.name} connects sellers")
-        if src.index == dst.index:
-            raise ValueError("self edges are not allowed")
-        a, b = sorted((src.index, dst.index))
-        adj = self._ss_adj[relation]
-        held = adj.get(a, [])
-        pos = bisect_left(held, b)
-        if pos < len(held) and held[pos] == b:
-            raise ValueError(f"duplicate edge ({a}, {b}) in relation {relation.name}")
-        insort(adj.setdefault(a, []), b)
-        insort(adj.setdefault(b, []), a)
-        self._ss_edges[relation].append((a, b))
-        self._version += 1
-        return len(self._ss_edges[relation]) - 1
-
-    def set_labels(self, labels: np.ndarray) -> None:
-        labels = np.ascontiguousarray(labels, dtype=np.uint8)
-        if labels.shape != (self.n_offers, N_CLASSES):
-            raise ValueError(
-                f"labels must have shape ({self.n_offers}, {N_CLASSES}), got {labels.shape}"
-            )
-        if not np.isin(labels, (0, 1)).all():
-            raise ValueError("labels must be binary")
-        self._labels = labels
-        self._version += 1
-
-    def _check_ref(self, ref: NodeRef) -> None:
-        count = self.n_sellers if ref.node_type == NodeType.SELLER else self.n_products
-        if not 0 <= ref.index < count:
-            raise ValueError(f"unknown node {ref}")
 
     # -- basic queries -------------------------------------------------------
 
     @property
     def n_sellers(self) -> int:
-        return len(self._seller_rows)
+        return self.seller_features.shape[0]
 
     @property
     def n_products(self) -> int:
-        return len(self._product_rows)
+        return self.product_features.shape[0]
 
     @property
     def n_offers(self) -> int:
-        return len(self._offer_rows)
+        return self.offer_features.shape[0]
 
     @property
     def n_nodes(self) -> int:
         return self.n_sellers + self.n_products
 
     @property
-    def labels(self) -> Optional[np.ndarray]:
-        return self._labels
+    def d_s(self) -> int:
+        return self.seller_features.shape[1]
+
+    @property
+    def d_p(self) -> int:
+        return self.product_features.shape[1]
+
+    @property
+    def d_o(self) -> int:
+        return self.offer_features.shape[1]
+
+    def ss_edges(self, relation: Relation) -> np.ndarray:
+        """Edges of one seller-seller relation as a read-only ``(k, 2)`` int64
+        array; each row is ``(a, b)`` with ``a < b``, rows sorted."""
+        relation = Relation(relation)
+        if relation.is_offer:
+            raise ValueError("ss_edges takes a seller-seller relation")
+        return self._ss_edges[relation]
 
     def ss_edge_count(self, relation: Relation) -> int:
-        return len(self._ss_edges[Relation(relation)])
+        return self.ss_edges(relation).shape[0]
 
     @property
     def n_edges(self) -> int:
         """Total edge count across all nine relations."""
-        return sum(len(e) for e in self._ss_edges) + self.n_offers
-
-    def _cached(self, key, build):
-        held = self._cache.get(key)
-        if held is not None and held[0] == self._version:
-            return held[1]
-        value = build()
-        self._cache[key] = (self._version, value)
-        return value
-
-    @property
-    def seller_features(self) -> np.ndarray:
-        return self._cached(
-            "sf",
-            lambda: np.array(self._seller_rows, dtype=np.float32).reshape(-1, self.d_s),
-        )
-
-    @property
-    def product_features(self) -> np.ndarray:
-        return self._cached(
-            "pf",
-            lambda: np.array(self._product_rows, dtype=np.float32).reshape(-1, self.d_p),
-        )
-
-    @property
-    def offer_features(self) -> np.ndarray:
-        return self._cached(
-            "of",
-            lambda: np.array(self._offer_rows, dtype=np.float32).reshape(-1, self.d_o),
-        )
-
-    @property
-    def offer_seller(self) -> np.ndarray:
-        return self._cached("os", lambda: np.asarray(self._offer_seller, dtype=np.int64))
-
-    @property
-    def offer_product(self) -> np.ndarray:
-        return self._cached("op", lambda: np.asarray(self._offer_product, dtype=np.int64))
-
-    def listing(self, offer_idx: int) -> Listing:
-        if not 0 <= offer_idx < self.n_offers:
-            raise ValueError(f"unknown offer {offer_idx}")
-        return Listing(
-            seller=NodeRef(NodeType.SELLER, self._offer_seller[offer_idx]),
-            offer=offer_idx,
-            product=NodeRef(NodeType.PRODUCT, self._offer_product[offer_idx]),
-        )
-
-    def neighbors(self, v: NodeRef, relation: Relation) -> list:
-        """Neighbors of ``v`` under one relation, sorted by index."""
-        relation = Relation(relation)
-        self._check_ref(v)
-        if relation.is_offer:
-            if v.node_type == NodeType.SELLER:
-                return [
-                    NodeRef(NodeType.PRODUCT, j)
-                    for j in self._seller_products.get(v.index, [])
-                ]
-            return [
-                NodeRef(NodeType.SELLER, i)
-                for i in self._product_sellers.get(v.index, [])
-            ]
-        if v.node_type != NodeType.SELLER:
-            return []
-        return [
-            NodeRef(NodeType.SELLER, i)
-            for i in self._ss_adj[relation].get(v.index, [])
-        ]
-
-    def incident_offer_sets(self, offer_idx: int) -> tuple:
-        """Offers sharing this offer's seller and product, excluding itself.
-
-        Returns two sorted index lists (same-seller offers, same-product
-        offers).
-        """
-        lst = self.listing(offer_idx)
-        same_seller = [k for k in self._seller_offers.get(lst.seller.index, []) if k != offer_idx]
-        same_product = [k for k in self._product_offers.get(lst.product.index, []) if k != offer_idx]
-        return same_seller, same_product
+        return sum(e.shape[0] for e in self._ss_edges) + self.n_offers
 
     # -- derived matrices ----------------------------------------------------
 
@@ -382,27 +259,27 @@ class HeteroGraph:
         """Symmetric binary adjacency over the unified node space.
 
         Sellers occupy rows [0, n_sellers); products the rest.  Offer edges
-        appear in both directions like the seller-seller relations.
+        appear in both directions like the seller-seller relations.  Built
+        once per topology; the returned matrix is read-only.
         """
         relation = Relation(relation)
-
-        def build():
-            n = self.n_nodes
-            if relation.is_offer:
-                s = self.offer_seller
-                p = self.offer_product + self.n_sellers
-                rows = np.concatenate([s, p])
-                cols = np.concatenate([p, s])
-            else:
-                e = np.asarray(self._ss_edges[relation], dtype=np.int64).reshape(-1, 2)
-                rows = np.concatenate([e[:, 0], e[:, 1]])
-                cols = np.concatenate([e[:, 1], e[:, 0]])
-            data = np.ones(rows.shape[0], dtype=np.float32)
-            mat = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
-            mat.sort_indices()
+        mat = self._csr.get(relation)
+        if mat is not None:
             return mat
-
-        return self._cached(("csr", int(relation)), build)
+        if relation.is_offer:
+            a, b = self.offer_seller, self.offer_product + self.n_sellers
+        else:
+            e = self._ss_edges[relation]
+            a, b = e[:, 0], e[:, 1]
+        rows = np.concatenate([a, b])
+        cols = np.concatenate([b, a])
+        n = self.n_nodes
+        mat = sp.csr_matrix((np.ones(rows.shape[0], dtype=np.float32), (rows, cols)), shape=(n, n))
+        mat.sort_indices()
+        for arr in (mat.data, mat.indices, mat.indptr):
+            arr.flags.writeable = False
+        self._csr[relation] = mat
+        return mat
 
     def copy_with_features(
         self,
@@ -410,15 +287,89 @@ class HeteroGraph:
         product_features: np.ndarray,
         offer_features: np.ndarray,
     ) -> "HeteroGraph":
-        """Same topology and labels, different feature matrices."""
+        """Same topology and labels, different feature matrices.
+
+        The copy shares this graph's index arrays, labels and CSR cache;
+        only the new matrices' shapes are checked.
+        """
+        g = copy.copy(self)
+        new = []
+        for x, old, what in (
+            (seller_features, self.seller_features, "seller"),
+            (product_features, self.product_features, "product"),
+            (offer_features, self.offer_features, "offer"),
+        ):
+            x = _frozen(x, np.float32)
+            if x.shape != old.shape:
+                raise ValueError(f"{what} features must have shape {old.shape}, got {x.shape}")
+            new.append(x)
+        g.seller_features, g.product_features, g.offer_features = new
+        return g
+
+
+class GraphBuilder:
+    """Assembles a small graph node by node and edge by edge.
+
+    Checks that need only the new node or edge run as it is added; the
+    rest (duplicate and self edges, labels) run once in :meth:`build`,
+    which hands everything to :meth:`HeteroGraph.from_arrays`.
+    """
+
+    def __init__(self, d_s: int, d_p: int, d_o: int):
+        self._dims = {NodeType.SELLER: int(d_s), NodeType.PRODUCT: int(d_p)}
+        self._d_o = int(d_o)
+        self._rows = {NodeType.SELLER: [], NodeType.PRODUCT: []}
+        self._offers: list = []  # (seller, product, feature row)
+        self._ss: list = [[] for _ in range(N_RELATIONS - 1)]
+
+    def add_node(self, node_type: NodeType, features) -> NodeRef:
+        node_type = NodeType(node_type)
+        row = np.asarray(features, dtype=np.float32).reshape(-1)
+        want = self._dims[node_type]
+        if row.shape[0] != want:
+            raise ValueError(
+                f"{node_type.name.lower()} features must have length {want}, got {row.shape[0]}"
+            )
+        self._rows[node_type].append(row)
+        return NodeRef(node_type, len(self._rows[node_type]) - 1)
+
+    def add_edge(self, relation: Relation, src: NodeRef, dst: NodeRef, offer_features=None) -> int:
+        """Add one edge; returns the offer index for offer edges, else the
+        edge's position within its relation."""
+        relation = Relation(relation)
+        for ref in (src, dst):
+            if not 0 <= ref.index < len(self._rows[ref.node_type]):
+                raise ValueError(f"unknown node {ref}")
+        if relation.is_offer:
+            if offer_features is None:
+                raise ValueError("offer edges require offer_features")
+            if {src.node_type, dst.node_type} != {NodeType.SELLER, NodeType.PRODUCT}:
+                raise ValueError("offer edges connect a seller and a product")
+            s, p = (src, dst) if src.node_type == NodeType.SELLER else (dst, src)
+            row = np.asarray(offer_features, dtype=np.float32).reshape(-1)
+            if row.shape[0] != self._d_o:
+                raise ValueError(f"offer features must have length {self._d_o}, got {row.shape[0]}")
+            self._offers.append((s.index, p.index, row))
+            return len(self._offers) - 1
+        if offer_features is not None:
+            raise ValueError("only offer edges carry features")
+        if src.node_type != NodeType.SELLER or dst.node_type != NodeType.SELLER:
+            raise ValueError(f"relation {relation.name} connects sellers")
+        self._ss[relation].append((src.index, dst.index))
+        return len(self._ss[relation]) - 1
+
+    def build(self, labels: Optional[np.ndarray] = None) -> HeteroGraph:
+        def matrix(rows, width):
+            return np.array(rows, dtype=np.float32).reshape(-1, width)
+
         return HeteroGraph.from_arrays(
-            seller_features,
-            product_features,
-            self.offer_seller,
-            self.offer_product,
-            offer_features,
-            [np.asarray(e, dtype=np.int64).reshape(-1, 2) for e in self._ss_edges],
-            labels=None if self._labels is None else self._labels.copy(),
+            matrix(self._rows[NodeType.SELLER], self._dims[NodeType.SELLER]),
+            matrix(self._rows[NodeType.PRODUCT], self._dims[NodeType.PRODUCT]),
+            np.array([o[0] for o in self._offers], dtype=np.int64),
+            np.array([o[1] for o in self._offers], dtype=np.int64),
+            matrix([o[2] for o in self._offers], self._d_o),
+            self._ss,
+            labels=labels,
         )
 
 
@@ -517,13 +468,13 @@ def build_expanded_graph(g: HeteroGraph) -> ExpandedGraph:
     edges.
     """
     return ExpandedGraph(
-        seller_features=g.seller_features.copy(),
-        product_features=g.product_features.copy(),
-        offer_features=g.offer_features.copy(),
-        offer_seller=g.offer_seller.copy(),
-        offer_product=g.offer_product.copy(),
-        ss_edges=[np.asarray(e, dtype=np.int64).reshape(-1, 2) for e in g._ss_edges],
-        labels=None if g.labels is None else g.labels.copy(),
+        seller_features=g.seller_features,
+        product_features=g.product_features,
+        offer_features=g.offer_features,
+        offer_seller=g.offer_seller,
+        offer_product=g.offer_product,
+        ss_edges=[g.ss_edges(r) for r in Relation.seller_seller()],
+        labels=g.labels,
     )
 
 
@@ -540,8 +491,12 @@ def _first_nonfinite(matrix: np.ndarray, what: str) -> Optional[str]:
 
 
 def validate(g: HeteroGraph) -> Optional[str]:
-    """Full structural check; returns None if the graph is sound, else a
-    message locating the first violation."""
+    """Full check; returns None if the graph is sound, else a message
+    locating the first violation.
+
+    Runs the checks of ``HeteroGraph.from_arrays`` again and adds one it
+    leaves out: every feature value must be finite.
+    """
     for matrix, what in (
         (g.seller_features, "seller features"),
         (g.product_features, "product features"),
@@ -550,39 +505,7 @@ def validate(g: HeteroGraph) -> Optional[str]:
         msg = _first_nonfinite(matrix, what)
         if msg:
             return msg
-
-    n_s, n_p = g.n_sellers, g.n_products
-    seen_pairs = set()
-    for k, (s, p) in enumerate(zip(g._offer_seller, g._offer_product)):
-        if not 0 <= s < n_s:
-            return f"offer {k} references unknown seller {s}"
-        if not 0 <= p < n_p:
-            return f"offer {k} references unknown product {p}"
-        if (s, p) in seen_pairs:
-            return f"offer {k} duplicates seller {s}, product {p}"
-        seen_pairs.add((s, p))
-
-    for r in Relation.seller_seller():
-        seen = set()
-        for a, b in g._ss_edges[r]:
-            if not (0 <= a < n_s and 0 <= b < n_s):
-                return f"relation {r.name} edge ({a}, {b}) references unknown seller"
-            if a == b:
-                return f"relation {r.name} has self edge at seller {a}"
-            if (a, b) in seen:
-                return f"relation {r.name} has duplicate edge ({a}, {b})"
-            seen.add((a, b))
-        adj = g._ss_adj[r]
-        for v, nbrs in adj.items():
-            for u in nbrs:
-                back = adj.get(u, [])
-                pos = bisect_left(back, v)
-                if pos >= len(back) or back[pos] != v:
-                    return f"relation {r.name} adjacency is asymmetric between {v} and {u}"
-
-    if g.labels is not None:
-        if g.labels.shape != (g.n_offers, N_CLASSES):
-            return f"labels have shape {g.labels.shape}, expected ({g.n_offers}, {N_CLASSES})"
-        if not np.isin(g.labels, (0, 1)).all():
-            return "labels contain values outside {0, 1}"
-    return None
+    return _topology_error(
+        g.n_sellers, g.n_products, g.offer_seller, g.offer_product,
+        [g.ss_edges(r) for r in Relation.seller_seller()], g.labels,
+    )

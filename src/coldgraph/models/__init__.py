@@ -11,7 +11,6 @@ from .core import (  # noqa: F401
     project_node_features,
     rgcn_layer,
     sibling_offer_summaries,
-    summarize_neighbor_offers,
 )
 from .train import (  # noqa: F401
     EdgeGnnModel,

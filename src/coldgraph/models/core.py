@@ -49,7 +49,6 @@ __all__ = [
     "project_node_features",
     "rgcn_layer",
     "node_embedder_forward",
-    "summarize_neighbor_offers",
     "sibling_offer_summaries",
     "edge_embedder_forward",
     "classifier_forward",
@@ -224,16 +223,14 @@ def node_embedder_forward(
 # module 2: edge embedder
 
 
-def sibling_offer_summaries(
-    g: HeteroGraph, offer_ids: np.ndarray, offer_features: Optional[np.ndarray] = None
-) -> tuple:
+def sibling_offer_summaries(g: HeteroGraph, offer_ids: np.ndarray) -> tuple:
     """Mean feature rows of same-seller and same-product sibling offers.
 
     The target offer is excluded from both means; an offer with no sibling
     on one side gets a zero vector there.  Computed with grouped sums over
     the full offer table, so cost is linear in the number of offers.
     """
-    feats = g.offer_features if offer_features is None else offer_features
+    feats = g.offer_features
     feats64 = feats.astype(np.float64, copy=False)
     offer_ids = np.asarray(offer_ids, dtype=np.int64)
 
@@ -252,12 +249,6 @@ def sibling_offer_summaries(
         mean[has] = (sums[own[has]] - feats64[offer_ids[has]]) / (k[has] - 1)[:, None]
         out.append(mean.astype(feats.dtype, copy=False))
     return out[0], out[1]
-
-
-def summarize_neighbor_offers(g: HeteroGraph, offer_idx: int) -> tuple:
-    """Sibling means for a single offer (row pair of the batched form)."""
-    o_s, o_p = sibling_offer_summaries(g, np.array([offer_idx]))
-    return o_s[0], o_p[0]
 
 
 def edge_embedder_forward(

@@ -34,10 +34,7 @@ __all__ = [
 
 def row_mean_normalize(mat: sp.csr_matrix) -> sp.csr_matrix:
     """Scale each nonempty row of a binary adjacency by 1/degree."""
-    return _row_mean_normalize(mat.tocsr())
-
-
-def _row_mean_normalize(sub: sp.csr_matrix) -> sp.csr_matrix:
+    sub = mat.tocsr()
     deg = np.diff(sub.indptr)
     if sub.nnz:
         data = (sub.data / np.repeat(deg, deg)).astype(np.float32)
@@ -187,7 +184,7 @@ def extract_ego_network(
     local_of = np.full(n, -1, dtype=np.int64)
     local_of[included] = np.arange(included.shape[0])
 
-    rel_adj = [_row_mean_normalize(mat[included][:, included].tocsr()) for mat in mats]
+    rel_adj = [row_mean_normalize(mat[included][:, included]) for mat in mats]
 
     return EgoNetwork(
         hops=hops,

@@ -104,12 +104,10 @@ def save_graph(g: HeteroGraph, path) -> None:
         w = csv.writer(fh)
         w.writerow(["relation_id", "src_type", "src_idx", "dst_type", "dst_idx"])
         for r in Relation.seller_seller():
-            for a, b in sorted(g._ss_edges[r]):
+            for a, b in g.ss_edges(r).tolist():
                 w.writerow([int(r), "seller", a, "seller", b])
-        for k in range(g.n_offers):
-            w.writerow(
-                [int(Relation.OFFER), "seller", g._offer_seller[k], "product", g._offer_product[k]]
-            )
+        for s, p in zip(g.offer_seller.tolist(), g.offer_product.tolist()):
+            w.writerow([int(Relation.OFFER), "seller", s, "product", p])
 
     if g.labels is not None:
         with open(out / "labels.csv", "w", newline="") as fh:

@@ -1,0 +1,31 @@
+"""Each demo script runs to completion as its own process.
+
+``05_scaling.py`` is a timing run and is left out.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted(p.name for p in (ROOT / "demos").glob("0[1-4]_*.py"))
+
+
+def test_demo_set_is_complete():
+    assert len(DEMOS) == 4
+
+
+@pytest.mark.parametrize("name", DEMOS)
+def test_demo_exits_cleanly(name, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / name)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -187,6 +189,25 @@ def test_scores_csv_rejects_malformed(tmp_path):
 
     path.write_text("offer_idx," + ",".join(CLASS_NAMES) + "\n1,0.5\n")
     with pytest.raises(ValueError, match="fields"):
+        read_scores_csv(path)
+
+
+@pytest.mark.parametrize("bad_line, message", [
+    ("-1," + ",".join(["0.5"] * 9), "negative offer id -1"),
+    ("4," + ",".join(["0.5"] * 9), "duplicate offer id 4"),
+    ("5," + ",".join(["0.5"] * 8 + ["nan"]), r"probability nan is not a finite value in \[0, 1\]"),
+    ("5," + ",".join(["inf"] + ["0.5"] * 8), "probability inf is not"),
+    ("5," + ",".join(["0.5"] * 4 + ["-0.25"] + ["0.5"] * 4), "probability -0.25 is not"),
+    ("5," + ",".join(["1.5"] + ["0.5"] * 8), "probability 1.5 is not"),
+    ("x5," + ",".join(["0.5"] * 9), "invalid literal"),
+], ids=["negative_id", "duplicate_id", "nan", "inf", "below_zero", "above_one", "bad_id"])
+def test_scores_csv_rejects_bad_ids_and_probabilities(tmp_path, bad_line, message):
+    from coldgraph.graph import CLASS_NAMES
+
+    path = tmp_path / "scores.csv"
+    good = "4," + ",".join(["0.0"] * 4 + ["1.0"] * 5)
+    path.write_text("offer_idx," + ",".join(CLASS_NAMES) + f"\n{good}\n{bad_line}\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:3: {message}"):
         read_scores_csv(path)
 
 

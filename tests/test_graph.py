@@ -5,6 +5,7 @@ from _helpers import make_random_graph
 from coldgraph.graph import (
     CLASS_NAMES,
     N_CLASSES,
+    GraphBuilder,
     HeteroGraph,
     NodeRef,
     NodeType,
@@ -14,8 +15,8 @@ from coldgraph.graph import (
 )
 
 
-def tiny_graph():
-    g = HeteroGraph(d_s=2, d_p=2, d_o=3)
+def tiny_builder():
+    g = GraphBuilder(d_s=2, d_p=2, d_o=3)
     s0 = g.add_node(NodeType.SELLER, [1.0, 0.0])
     s1 = g.add_node(NodeType.SELLER, [0.0, 1.0])
     s2 = g.add_node(NodeType.SELLER, [1.0, 1.0])
@@ -27,6 +28,32 @@ def tiny_graph():
     g.add_edge(Relation.OFFER, s1, p0, offer_features=[4.0, 5.0, 6.0])
     g.add_edge(Relation.OFFER, p1, s1, offer_features=[7.0, 8.0, 9.0])
     return g
+
+
+def tiny_graph():
+    return tiny_builder().build()
+
+
+def csr_row(g, relation, node):
+    mat = g.unified_csr(relation)
+    return mat.indices[mat.indptr[node]:mat.indptr[node + 1]].tolist()
+
+
+def neighbor_oracle(g, relation, node):
+    """Sorted unified-space neighbors of one node, enumerated from the arrays."""
+    relation = Relation(relation)
+    n_s = g.n_sellers
+    if relation.is_offer:
+        pairs = zip(g.offer_seller.tolist(), (g.offer_product + n_s).tolist())
+    else:
+        pairs = map(tuple, g.ss_edges(relation).tolist())
+    found = set()
+    for a, b in pairs:
+        if a == node:
+            found.add(b)
+        if b == node:
+            found.add(a)
+    return sorted(found)
 
 
 def test_relation_tags():
@@ -45,67 +72,65 @@ def test_counts_and_features():
 
 def test_neighbors_sorted_and_typed():
     g = tiny_graph()
-    s0 = NodeRef(NodeType.SELLER, 0)
-    p0 = NodeRef(NodeType.PRODUCT, 0)
-    assert [n.index for n in g.neighbors(s0, Relation.SS0)] == [1]
-    assert [n.index for n in g.neighbors(s0, Relation.SS3)] == [2]
-    assert g.neighbors(s0, Relation.SS5) == []
-    assert [n.index for n in g.neighbors(p0, Relation.OFFER)] == [0, 1]
-    assert all(n.node_type == NodeType.SELLER for n in g.neighbors(p0, Relation.OFFER))
+    n_s = g.n_sellers
+    p0 = n_s + 0  # product 0 in the unified node space
+    assert csr_row(g, Relation.SS0, 0) == [1]
+    assert csr_row(g, Relation.SS3, 0) == [2]
+    assert csr_row(g, Relation.SS5, 0) == []
+    # product 0's offer neighbors are sellers 0 and 1, in index order
+    assert csr_row(g, Relation.OFFER, p0) == [0, 1]
+    assert all(j < n_s for j in csr_row(g, Relation.OFFER, p0))
     # products have no seller-seller neighbors
-    assert g.neighbors(p0, Relation.SS0) == []
+    assert csr_row(g, Relation.SS0, p0) == []
+    # each relation's edge array is canonical: a < b, rows sorted
+    assert g.ss_edges(Relation.SS3).tolist() == [[0, 2]]
 
 
 def test_add_edge_errors():
-    g = tiny_graph()
     s0 = NodeRef(NodeType.SELLER, 0)
     s1 = NodeRef(NodeType.SELLER, 1)
     p0 = NodeRef(NodeType.PRODUCT, 0)
+    # duplicate and self edges are found when the builder hands its arrays
+    # to from_arrays; the other errors when the edge is added
+    g = tiny_builder()
+    g.add_edge(Relation.SS0, s1, s0)
     with pytest.raises(ValueError, match="duplicate"):
-        g.add_edge(Relation.SS0, s1, s0)
+        g.build()
+    g = tiny_builder()
+    g.add_edge(Relation.OFFER, s0, p0, offer_features=[0.0, 0.0, 0.0])
     with pytest.raises(ValueError, match="duplicate"):
-        g.add_edge(Relation.OFFER, s0, p0, offer_features=[0.0, 0.0, 0.0])
+        g.build()
+    g = tiny_builder()
     with pytest.raises(ValueError, match="seller and a product"):
         g.add_edge(Relation.OFFER, s0, s1, offer_features=[0.0, 0.0, 0.0])
     with pytest.raises(ValueError, match="connects sellers"):
         g.add_edge(Relation.SS1, s0, p0)
     with pytest.raises(ValueError, match="require offer_features"):
         g.add_edge(Relation.OFFER, s0, p0)
+    g.add_edge(Relation.SS2, s0, s0)
     with pytest.raises(ValueError, match="self edge"):
-        g.add_edge(Relation.SS2, s0, s0)
+        g.build()
     with pytest.raises(ValueError, match="unknown node"):
         g.add_edge(Relation.SS0, s0, NodeRef(NodeType.SELLER, 99))
 
 
 def test_add_node_dimension_mismatch():
-    g = HeteroGraph(d_s=2, d_p=2, d_o=3)
+    g = GraphBuilder(d_s=2, d_p=2, d_o=3)
     with pytest.raises(ValueError, match="length 2"):
         g.add_node(NodeType.SELLER, [1.0, 2.0, 3.0])
 
 
-def test_incident_offer_sets_against_enumeration():
-    g = make_random_graph(seed=4, n_sellers=12, n_products=6)
-    sellers = g.offer_seller
-    products = g.offer_product
-    for k in range(g.n_offers):
-        same_s, same_p = g.incident_offer_sets(k)
-        want_s = [j for j in range(g.n_offers) if sellers[j] == sellers[k] and j != k]
-        want_p = [j for j in range(g.n_offers) if products[j] == products[k] and j != k]
-        assert same_s == want_s
-        assert same_p == want_p
-
-
 def test_labels_validation():
-    g = tiny_graph()
+    b = tiny_builder()
     with pytest.raises(ValueError, match="shape"):
-        g.set_labels(np.zeros((2, N_CLASSES)))
+        b.build(labels=np.zeros((2, N_CLASSES)))
     bad = np.zeros((3, N_CLASSES))
     bad[0, 0] = 2
     with pytest.raises(ValueError, match="binary"):
-        g.set_labels(bad)
+        b.build(labels=bad)
     ok = np.zeros((3, N_CLASSES), dtype=np.uint8)
     ok[:, 8] = 1
-    g.set_labels(ok)
+    g = b.build(labels=ok)
     assert g.labels.shape == (3, N_CLASSES)
 
 
@@ -119,14 +144,8 @@ def test_unified_csr_matches_neighbor_lists():
     for r in Relation:
         mat = g.unified_csr(r)
         assert (mat != mat.T).nnz == 0  # symmetric
-        for i in range(g.n_sellers):
-            nbrs = g.neighbors(NodeRef(NodeType.SELLER, i), r)
-            row = mat.indices[mat.indptr[i]:mat.indptr[i + 1]]
-            if r.is_offer:
-                want = [n.index + g.n_sellers for n in nbrs]
-            else:
-                want = [n.index for n in nbrs]
-            assert row.tolist() == want
+        for v in range(g.n_nodes):
+            assert csr_row(g, r, v) == neighbor_oracle(g, r, v)
 
 
 def test_expanded_graph_doubles_offer_incident_edges():
@@ -154,24 +173,21 @@ def test_expanded_graph_doubles_offer_incident_edges():
 def test_validate_ok_and_nan_location():
     g = make_random_graph(seed=2)
     assert validate(g) is None
-    g._seller_rows[3][1] = np.nan
-    g._version += 1
-    msg = validate(g)
+    sf = g.seller_features.copy()
+    sf[3, 1] = np.nan
+    msg = validate(g.copy_with_features(sf, g.product_features, g.offer_features))
     assert msg is not None and "row 3" in msg and "column 1" in msg
 
 
-def test_validate_catches_asymmetric_adjacency():
+def test_from_arrays_rejects_dangling_offer():
     g = tiny_graph()
-    g._ss_adj[0][0].remove(1)
-    msg = validate(g)
-    assert msg is not None and "asymmetric" in msg
-
-
-def test_validate_catches_dangling_offer():
-    g = tiny_graph()
-    g._offer_product[0] = 99
-    msg = validate(g)
-    assert msg is not None and "unknown product" in msg
+    offer_product = g.offer_product.copy()
+    offer_product[0] = 99
+    with pytest.raises(ValueError, match="offer 0 references unknown product 99"):
+        HeteroGraph.from_arrays(
+            g.seller_features, g.product_features, g.offer_seller, offer_product,
+            g.offer_features, [g.ss_edges(r) for r in Relation.seller_seller()],
+        )
 
 
 def test_copy_with_features_shares_topology():
@@ -185,3 +201,16 @@ def test_copy_with_features_shares_topology():
     np.testing.assert_array_equal(g2.labels, g.labels)
     assert g2.seller_features.sum() == 0.0
     np.testing.assert_array_equal(g2.offer_seller, g.offer_seller)
+    # the copy shares the topology arrays and the CSR cache
+    assert g2.offer_seller is g.offer_seller
+    assert g2.unified_csr(Relation.SS1) is g.unified_csr(Relation.SS1)
+    with pytest.raises(ValueError, match="seller features must have shape"):
+        g.copy_with_features(g.seller_features[:-1], g.product_features, g.offer_features)
+
+
+def test_graph_arrays_are_read_only():
+    g = make_random_graph(seed=3)
+    for arr in (g.seller_features, g.offer_features, g.offer_seller, g.labels,
+                g.ss_edges(Relation.SS0), g.unified_csr(Relation.OFFER).data):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0

@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from _helpers import make_random_graph
 from coldgraph.autodiff import Tape, Tensor, backward, bce_loss, finite_diff_check, scale
 from coldgraph.graph import (
+    GraphBuilder,
     HeteroGraph,
     NodeType,
     Relation,
@@ -31,7 +32,6 @@ from coldgraph.models import (
     sibling_offer_summaries,
     sign_features,
     sign_listing_table,
-    summarize_neighbor_offers,
     train_edge_gnn,
     train_expanded_rgcn,
     train_mlp_heads,
@@ -99,8 +99,10 @@ def test_sibling_summaries_match_enumeration():
     feats = g.offer_features.astype(np.float64)
     all_ids = np.arange(g.n_offers)
     o_s, o_p = sibling_offer_summaries(g, all_ids)
+    sellers, products = g.offer_seller, g.offer_product
     for k in range(g.n_offers):
-        same_s, same_p = g.incident_offer_sets(k)
+        same_s = [j for j in range(g.n_offers) if sellers[j] == sellers[k] and j != k]
+        same_p = [j for j in range(g.n_offers) if products[j] == products[k] and j != k]
         want_s = feats[same_s].mean(axis=0) if same_s else np.zeros(g.d_o)
         want_p = feats[same_p].mean(axis=0) if same_p else np.zeros(g.d_o)
         np.testing.assert_allclose(o_s[k], want_s, atol=1e-6)
@@ -111,14 +113,14 @@ def test_summarize_single_matches_batch():
     g = make_random_graph(seed=14)
     o_s_all, o_p_all = sibling_offer_summaries(g, np.arange(g.n_offers))
     for k in (0, 3, g.n_offers - 1):
-        o_s, o_p = summarize_neighbor_offers(g, k)
-        np.testing.assert_array_equal(o_s, o_s_all[k])
-        np.testing.assert_array_equal(o_p, o_p_all[k])
+        o_s, o_p = sibling_offer_summaries(g, np.array([k]))
+        np.testing.assert_array_equal(o_s[0], o_s_all[k])
+        np.testing.assert_array_equal(o_p[0], o_p_all[k])
 
 
 def lone_offer_graph():
     """Offer 0 has no sibling on either side; offers 1 and 2 share everything."""
-    g = HeteroGraph(d_s=2, d_p=2, d_o=3)
+    g = GraphBuilder(d_s=2, d_p=2, d_o=3)
     s0 = g.add_node(NodeType.SELLER, [1.0, 0.0])
     s1 = g.add_node(NodeType.SELLER, [0.0, 1.0])
     s2 = g.add_node(NodeType.SELLER, [1.0, 1.0])
@@ -129,18 +131,16 @@ def lone_offer_graph():
     g.add_edge(Relation.OFFER, s2, p1, offer_features=[3.0, 3.0, 3.0])
     labels = np.zeros((3, 9), dtype=np.uint8)
     labels[:, 8] = 1
-    g.set_labels(labels)
-    return g
+    return g.build(labels=labels)
 
 
 def test_no_sibling_offer_gets_zero_summaries():
     g = lone_offer_graph()
-    o_s, o_p = summarize_neighbor_offers(g, 0)
-    np.testing.assert_array_equal(o_s, np.zeros(3))
-    np.testing.assert_array_equal(o_p, np.zeros(3))
+    o_s, o_p = sibling_offer_summaries(g, np.array([0, 1]))
+    np.testing.assert_array_equal(o_s[0], np.zeros(3))
+    np.testing.assert_array_equal(o_p[0], np.zeros(3))
     # offers 1 and 2 share product 1
-    _, o_p1 = summarize_neighbor_offers(g, 1)
-    np.testing.assert_allclose(o_p1, [3.0, 3.0, 3.0])
+    np.testing.assert_allclose(o_p[1], [3.0, 3.0, 3.0])
 
 
 def test_edge_embedder_concat_order_and_bypass():
@@ -166,12 +166,12 @@ def test_lone_offer_embedding_ignores_other_offers():
     feats2 = g.offer_features.copy()
     feats2[1:] += 50.0
     g2 = g.copy_with_features(g.seller_features, g.product_features, feats2)
-    o_s1, o_p1 = summarize_neighbor_offers(g, 0)
-    o_s2, o_p2 = summarize_neighbor_offers(g2, 0)
+    o_s1, o_p1 = sibling_offer_summaries(g, np.array([0]))
+    o_s2, o_p2 = sibling_offer_summaries(g2, np.array([0]))
     np.testing.assert_array_equal(o_s1, o_s2)
     np.testing.assert_array_equal(o_p1, o_p2)
-    e1 = edge_embedder_forward(g.offer_features[:1], o_s1[None], o_p1[None], params)
-    e2 = edge_embedder_forward(g2.offer_features[:1], o_s2[None], o_p2[None], params)
+    e1 = edge_embedder_forward(g.offer_features[:1], o_s1, o_p1, params)
+    e2 = edge_embedder_forward(g2.offer_features[:1], o_s2, o_p2, params)
     np.testing.assert_array_equal(e1.data, e2.data)
 
 
@@ -279,7 +279,7 @@ def test_scores_invariant_under_node_relabeling():
         g.offer_features,
         [
             np.stack([inv_s[e[:, 0]], inv_s[e[:, 1]]], axis=1) if len(e) else e
-            for e in (np.asarray(g._ss_edges[r], dtype=np.int64).reshape(-1, 2) for r in range(8))
+            for e in (g.ss_edges(r) for r in Relation.seller_seller())
         ],
         labels=g.labels,
     )
@@ -389,14 +389,15 @@ def test_nan_feature_row_raises_training_diverged(trainer):
 
 
 def test_naive_fill_union_of_distinct_neighbors():
-    g = HeteroGraph(d_s=2, d_p=1, d_o=1)
-    s = [g.add_node(NodeType.SELLER, f) for f in ([0.0, 0.0], [2.0, 0.0], [0.0, 4.0], [6.0, 6.0])]
-    p = g.add_node(NodeType.PRODUCT, [0.0])
+    b = GraphBuilder(d_s=2, d_p=1, d_o=1)
+    s = [b.add_node(NodeType.SELLER, f) for f in ([0.0, 0.0], [2.0, 0.0], [0.0, 4.0], [6.0, 6.0])]
+    p = b.add_node(NodeType.PRODUCT, [0.0])
     # seller 0 linked to 1 under two relations (counted once) and to 2 under one
-    g.add_edge(Relation.SS0, s[0], s[1])
-    g.add_edge(Relation.SS1, s[0], s[1])
-    g.add_edge(Relation.SS2, s[0], s[2])
-    g.add_edge(Relation.OFFER, s[0], p, offer_features=[1.0])
+    b.add_edge(Relation.SS0, s[0], s[1])
+    b.add_edge(Relation.SS1, s[0], s[1])
+    b.add_edge(Relation.SS2, s[0], s[2])
+    b.add_edge(Relation.OFFER, s[0], p, offer_features=[1.0])
+    g = b.build()
     filled = naive_fill_seller_features(g, np.array([0, 3]))
     np.testing.assert_allclose(filled[0], [1.0, 2.0])  # mean of rows 1 and 2
     np.testing.assert_allclose(filled[3], [6.0, 6.0])  # isolated: unchanged
@@ -434,11 +435,12 @@ def test_sign_zero_hops_is_padded_features():
 
 
 def test_sign_single_edge_copies_neighbor():
-    g = HeteroGraph(d_s=2, d_p=2, d_o=1)
-    s0 = g.add_node(NodeType.SELLER, [1.0, 2.0])
-    s1 = g.add_node(NodeType.SELLER, [5.0, 7.0])
-    g.add_node(NodeType.PRODUCT, [9.0, 9.0])
-    g.add_edge(Relation.SS4, s0, s1)
+    b = GraphBuilder(d_s=2, d_p=2, d_o=1)
+    s0 = b.add_node(NodeType.SELLER, [1.0, 2.0])
+    s1 = b.add_node(NodeType.SELLER, [5.0, 7.0])
+    b.add_node(NodeType.PRODUCT, [9.0, 9.0])
+    b.add_edge(Relation.SS4, s0, s1)
+    g = b.build()
     aug = sign_features(g, hops=1)
     d = g.d_s + g.d_p
     np.testing.assert_allclose(aug[0, d:d + 2], [5.0, 7.0])

@@ -2,37 +2,36 @@ import numpy as np
 import pytest
 
 from _helpers import make_random_graph
-from coldgraph.graph import HeteroGraph, NodeRef, NodeType, Relation
+from coldgraph.graph import GraphBuilder, NodeType, Relation
 from coldgraph.sampling import OfferBatch, extract_ego_network, sample_offer_batch
 
 
 def bfs_oracle(g, offer_ids, hops):
-    """Reference BFS over neighbor lists; endpoints of batch offers sit at hop 0."""
-    dist = {}
+    """Reference BFS over edge lists read from the graph's arrays; nodes are
+    unified ids (sellers, then products) and batch endpoints sit at hop 0."""
+    n_s = g.n_sellers
+    adj = {v: set() for v in range(g.n_nodes)}
+    pairs = list(zip(g.offer_seller.tolist(), (g.offer_product + n_s).tolist()))
+    for r in Relation.seller_seller():
+        pairs += [tuple(e) for e in g.ss_edges(r).tolist()]
+    for a, b in pairs:
+        adj[a].add(b)
+        adj[b].add(a)
     frontier = set()
     for k in offer_ids:
-        lst = g.listing(int(k))
-        frontier.add((lst.seller.node_type, lst.seller.index))
-        frontier.add((lst.product.node_type, lst.product.index))
-    for node in frontier:
-        dist[node] = 0
+        frontier |= {int(g.offer_seller[k]), int(g.offer_product[k]) + n_s}
+    dist = {v: 0 for v in frontier}
     for depth in range(1, hops + 1):
-        nxt = set()
-        for t, i in frontier:
-            for r in Relation:
-                for nb in g.neighbors(NodeRef(t, i), r):
-                    key = (nb.node_type, nb.index)
-                    if key not in dist:
-                        nxt.add(key)
-        for node in nxt:
-            dist[node] = depth
+        nxt = {u for v in frontier for u in adj[v] if u not in dist}
+        for v in nxt:
+            dist[v] = depth
         frontier = nxt
     return dist
 
 
 def path_graph():
     """s1 - offer - p1, s1 - s2 (seller link), s2 - offer - p2."""
-    g = HeteroGraph(d_s=1, d_p=1, d_o=1)
+    g = GraphBuilder(d_s=1, d_p=1, d_o=1)
     s1 = g.add_node(NodeType.SELLER, [1.0])
     s2 = g.add_node(NodeType.SELLER, [2.0])
     p1 = g.add_node(NodeType.PRODUCT, [1.0])
@@ -42,8 +41,7 @@ def path_graph():
     g.add_edge(Relation.OFFER, s2, p2, offer_features=[0.7])
     labels = np.zeros((2, 9), dtype=np.uint8)
     labels[:, 8] = 1
-    g.set_labels(labels)
-    return g
+    return g.build(labels=labels)
 
 
 def test_path_graph_hop_growth():
@@ -72,15 +70,10 @@ def test_ego_matches_bfs_oracle():
         for hops in (1, 2, 3):
             ego = extract_ego_network(g, batch, hops)
             want = bfs_oracle(g, batch.offers, hops)
-            got = {(NodeType.SELLER, int(i)) for i in ego.seller_globals} | {
-                (NodeType.PRODUCT, int(j)) for j in ego.product_globals
-            }
-            assert got == set(want)
-            for local, (t, i) in enumerate(
-                [(NodeType.SELLER, int(i)) for i in ego.seller_globals]
-                + [(NodeType.PRODUCT, int(j)) for j in ego.product_globals]
-            ):
-                assert ego.hop[local] == want[(t, i)]
+            # local order is sellers, then products, as unified ids
+            got = ego.seller_globals.tolist() + (ego.product_globals + g.n_sellers).tolist()
+            assert set(got) == set(want)
+            assert ego.hop.tolist() == [want[v] for v in got]
 
 
 def test_ego_monotone_in_hops():
@@ -173,16 +166,16 @@ def test_extract_errors():
 
 
 def test_fanout_cap_bounds_expansion():
-    g = HeteroGraph(d_s=1, d_p=1, d_o=1)
-    hub = g.add_node(NodeType.SELLER, [0.0])
-    spokes = [g.add_node(NodeType.SELLER, [float(i)]) for i in range(40)]
-    prod = g.add_node(NodeType.PRODUCT, [0.0])
+    b = GraphBuilder(d_s=1, d_p=1, d_o=1)
+    hub = b.add_node(NodeType.SELLER, [0.0])
+    spokes = [b.add_node(NodeType.SELLER, [float(i)]) for i in range(40)]
+    prod = b.add_node(NodeType.PRODUCT, [0.0])
     for s in spokes:
-        g.add_edge(Relation.SS0, hub, s)
-    g.add_edge(Relation.OFFER, hub, prod, offer_features=[1.0])
+        b.add_edge(Relation.SS0, hub, s)
+    b.add_edge(Relation.OFFER, hub, prod, offer_features=[1.0])
     labels = np.zeros((1, 9), dtype=np.uint8)
     labels[:, 8] = 1
-    g.set_labels(labels)
+    g = b.build(labels=labels)
     batch = OfferBatch(np.array([0]))
     full = extract_ego_network(g, batch, hops=1)
     assert full.n_local == 42

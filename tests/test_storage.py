@@ -26,7 +26,7 @@ def test_round_trip_bit_identical(tmp_path):
     np.testing.assert_array_equal(g2.offer_product, g.offer_product)
     np.testing.assert_array_equal(g2.labels, g.labels)
     for r in range(8):
-        assert sorted(g2._ss_edges[r]) == sorted(g._ss_edges[r])
+        np.testing.assert_array_equal(g2.ss_edges(r), g.ss_edges(r))
 
 
 def test_round_trip_unlabeled(tmp_path):
