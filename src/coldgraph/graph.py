@@ -4,8 +4,8 @@ Two node types (sellers, products) and nine relations: eight undirected
 seller-seller association types plus the offer relation, whose edges
 connect a seller to a product and carry a feature row and, optionally, a
 nine-class binary label row.  An alternative "expanded" form turns each
-offer edge into a node of its own; it exists only to feed the node-level
-GNN baseline.
+offer edge into a node of its own; it is a view over the graph that exists
+only to feed the node-level GNN baseline.
 
 A graph is immutable.  Its only storage is read-only numpy arrays: three
 float32 feature matrices, the int64 offer endpoints ``offer_seller`` and
@@ -13,8 +13,9 @@ float32 feature matrices, the int64 offer endpoints ``offer_seller`` and
 seller-seller relation, and optional uint8 labels.
 ``HeteroGraph.from_arrays`` checks and freezes them; ``GraphBuilder``
 assembles small graphs edge by edge and ends in ``from_arrays``.  The
-per-relation CSR adjacency is derived on first use and cached, and
-copies that keep the topology share that cache.
+per-relation CSR adjacency, and the expanded form's matrices, are derived
+on first use and cached, and copies that keep the topology share that
+cache.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ __all__ = [
     "GraphBuilder",
     "ExpandedGraph",
     "build_expanded_graph",
+    "row_mean_normalize",
     "validate",
     "N_RELATIONS",
     "N_CLASSES",
@@ -99,6 +101,33 @@ def _canonical_edges(edges) -> np.ndarray:
     out = np.stack([lo[order], hi[order]], axis=1)
     out.flags.writeable = False
     return out
+
+
+def _symmetric_csr(a: np.ndarray, b: np.ndarray, n: int) -> sp.csr_matrix:
+    """Read-only binary ``n x n`` CSR with an entry at ``(a, b)`` and ``(b, a)``
+    for each index pair; column indices sorted within rows."""
+    rows = np.concatenate([a, b])
+    cols = np.concatenate([b, a])
+    mat = sp.csr_matrix((np.ones(rows.shape[0], dtype=np.float32), (rows, cols)), shape=(n, n))
+    mat.sort_indices()
+    return _freeze_csr(mat)
+
+
+def _freeze_csr(mat: sp.csr_matrix) -> sp.csr_matrix:
+    for arr in (mat.data, mat.indices, mat.indptr):
+        arr.flags.writeable = False
+    return mat
+
+
+def row_mean_normalize(mat: sp.csr_matrix) -> sp.csr_matrix:
+    """Scale each nonempty row of a binary adjacency by 1/degree."""
+    sub = mat.tocsr()
+    deg = np.diff(sub.indptr)
+    if sub.nnz:
+        data = (sub.data / np.repeat(deg, deg)).astype(np.float32)
+    else:
+        data = sub.data.astype(np.float32)
+    return sp.csr_matrix((data, sub.indices, sub.indptr), shape=sub.shape)
 
 
 def _topology_error(
@@ -204,7 +233,7 @@ class HeteroGraph:
         g.offer_seller, g.offer_product = os_, op_
         g._ss_edges = tuple(ss)
         g.labels = None if labels is None else _frozen(labels, np.uint8)
-        g._csr = {}  # relation -> unified CSR; shared by copy_with_features
+        g._csr = {}  # matrices derived from the topology; shared by copy_with_features
         return g
 
     # -- basic queries -------------------------------------------------------
@@ -264,21 +293,12 @@ class HeteroGraph:
         """
         relation = Relation(relation)
         mat = self._csr.get(relation)
-        if mat is not None:
-            return mat
-        if relation.is_offer:
-            a, b = self.offer_seller, self.offer_product + self.n_sellers
-        else:
-            e = self._ss_edges[relation]
-            a, b = e[:, 0], e[:, 1]
-        rows = np.concatenate([a, b])
-        cols = np.concatenate([b, a])
-        n = self.n_nodes
-        mat = sp.csr_matrix((np.ones(rows.shape[0], dtype=np.float32), (rows, cols)), shape=(n, n))
-        mat.sort_indices()
-        for arr in (mat.data, mat.indices, mat.indptr):
-            arr.flags.writeable = False
-        self._csr[relation] = mat
+        if mat is None:
+            if relation.is_offer:
+                a, b = self.offer_seller, self.offer_product + self.n_sellers
+            else:
+                a, b = self._ss_edges[relation].T
+            mat = self._csr[relation] = _symmetric_csr(a, b, self.n_nodes)
         return mat
 
     def copy_with_features(
@@ -378,104 +398,73 @@ class GraphBuilder:
 
 
 class ExpandedGraph:
-    """Offer edges lifted to nodes: three node types, ten relations.
+    """Offer edges of ``g`` lifted to nodes: three node types, ten relations.
 
-    Unified node order: sellers, then products, then offer nodes.  The ten
-    relations are the eight seller-seller ones plus seller-offer and
-    offer-product incidence.
+    A view that stores only ``g``; features, endpoints and labels are read
+    through it.  Unified node order: sellers, then products, then offer
+    nodes.  The ten relations are the eight seller-seller ones plus
+    seller-offer and offer-product incidence.
     """
 
     N_RELATIONS = 10
 
-    def __init__(
-        self,
-        seller_features: np.ndarray,
-        product_features: np.ndarray,
-        offer_features: np.ndarray,
-        offer_seller: np.ndarray,
-        offer_product: np.ndarray,
-        ss_edges: Sequence[np.ndarray],
-        labels: Optional[np.ndarray],
-    ):
-        self.seller_features = seller_features
-        self.product_features = product_features
-        self.offer_features = offer_features
-        self.offer_seller = offer_seller
-        self.offer_product = offer_product
-        self.ss_edges = [np.asarray(e, dtype=np.int64).reshape(-1, 2) for e in ss_edges]
-        self.labels = labels
-        self._cache: dict = {}
-
-    @property
-    def n_sellers(self) -> int:
-        return self.seller_features.shape[0]
-
-    @property
-    def n_products(self) -> int:
-        return self.product_features.shape[0]
-
-    @property
-    def n_offers(self) -> int:
-        return self.offer_features.shape[0]
+    def __init__(self, g: HeteroGraph):
+        self.g = g
 
     @property
     def n_nodes(self) -> int:
-        return self.n_sellers + self.n_products + self.n_offers
+        return self.g.n_nodes + self.g.n_offers
 
     @property
     def n_offer_incident_edges(self) -> int:
         """Edges touching offer nodes: one to the seller plus one to the product."""
-        return 2 * self.n_offers
+        return 2 * self.g.n_offers
 
     def offer_node_ids(self) -> np.ndarray:
-        base = self.n_sellers + self.n_products
-        return np.arange(base, base + self.n_offers, dtype=np.int64)
+        return np.arange(self.g.n_nodes, self.n_nodes, dtype=np.int64)
 
-    def relation_csrs(self) -> list:
-        """Ten symmetric binary adjacency matrices over the unified space."""
-        held = self._cache.get("csrs")
-        if held is not None:
-            return held
-        n = self.n_nodes
-        mats = []
-        for e in self.ss_edges:
-            rows = np.concatenate([e[:, 0], e[:, 1]])
-            cols = np.concatenate([e[:, 1], e[:, 0]])
-            mats.append(self._sym(rows, cols, n))
-        offer_ids = self.offer_node_ids()
-        s = self.offer_seller
-        mats.append(self._sym(np.concatenate([s, offer_ids]), np.concatenate([offer_ids, s]), n))
-        p = self.offer_product + self.n_sellers
-        mats.append(self._sym(np.concatenate([offer_ids, p]), np.concatenate([p, offer_ids]), n))
-        self._cache["csrs"] = mats
+    def relation_csrs(self) -> tuple:
+        """Ten symmetric binary adjacency matrices over the unified space.
+
+        Built once per topology into ``g``'s CSR cache, so every copy of
+        ``g`` that keeps its topology shares them; the matrices are
+        read-only.  The seller-seller matrices reuse the ``data`` and
+        ``indices`` of ``g.unified_csr(r)``, with ``indptr`` padded for the
+        offer rows.
+        """
+        g, n = self.g, self.n_nodes
+        mats = g._csr.get("expanded")
+        if mats is None:
+            mats = []
+            for r in Relation.seller_seller():
+                base = g.unified_csr(r)
+                indptr = np.concatenate([base.indptr, np.full(g.n_offers, base.indptr[-1])])
+                mats.append(_freeze_csr(sp.csr_matrix((base.data, base.indices, indptr), shape=(n, n))))
+            offer_ids = self.offer_node_ids()
+            mats.append(_symmetric_csr(g.offer_seller, offer_ids, n))
+            mats.append(_symmetric_csr(offer_ids, g.offer_product + g.n_sellers, n))
+            mats = g._csr["expanded"] = tuple(mats)
         return mats
 
-    @staticmethod
-    def _sym(rows, cols, n) -> sp.csr_matrix:
-        mat = sp.csr_matrix(
-            (np.ones(len(rows), dtype=np.float32), (rows, cols)), shape=(n, n)
-        )
-        mat.sort_indices()
-        return mat
+    def normalized_csrs(self) -> tuple:
+        """``relation_csrs()`` with each nonempty row scaled by 1/degree;
+        cached and shared the same way."""
+        mats = self.g._csr.get("expanded_normalized")
+        if mats is None:
+            mats = tuple(_freeze_csr(row_mean_normalize(m)) for m in self.relation_csrs())
+            self.g._csr["expanded_normalized"] = mats
+        return mats
 
 
 def build_expanded_graph(g: HeteroGraph) -> ExpandedGraph:
     """Lift each offer edge of ``g`` to a node.
 
-    Seller-seller relations are copied unchanged; each offer contributes
+    Seller-seller relations are shared unchanged; each offer contributes
     exactly two incident edges (to its seller and to its product), so the
     expanded form has twice as many offer-incident edges as ``g`` has offer
     edges.
     """
-    return ExpandedGraph(
-        seller_features=g.seller_features,
-        product_features=g.product_features,
-        offer_features=g.offer_features,
-        offer_seller=g.offer_seller,
-        offer_product=g.offer_product,
-        ss_edges=[g.ss_edges(r) for r in Relation.seller_seller()],
-        labels=g.labels,
-    )
+    return ExpandedGraph(g)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ from .core import (  # noqa: F401
     edge_embedder_forward,
     edge_gnn_forward,
     init_edge_gnn_params,
+    init_relational_encoder,
     node_embedder_forward,
-    project_node_features,
+    relational_encoder_forward,
     rgcn_layer,
     sibling_offer_summaries,
 )

@@ -28,12 +28,10 @@ from ..autodiff import (
     affine,
     bce_loss,
     scale,
-    stack_rows,
     take_rows,
 )
-from ..graph import N_CLASSES, HeteroGraph, ExpandedGraph, Relation
-from ..sampling import row_mean_normalize
-from .core import cast_params, glorot, rgcn_layer
+from ..graph import N_CLASSES, HeteroGraph, ExpandedGraph, Relation, row_mean_normalize
+from .core import cast_params, glorot, init_relational_encoder, relational_encoder_forward
 from .train import TrainConfig, fit
 
 __all__ = [
@@ -159,19 +157,10 @@ class ExpandedRgcnConfig:
 def init_expanded_rgcn_params(cfg: ExpandedRgcnConfig, seed: int) -> dict:
     rng = np.random.default_rng(seed)
     h = cfg.hidden
-    params = {
-        "proj_seller_w": Tensor(glorot(rng, cfg.d_s, h), requires_grad=True),
-        "proj_seller_b": Tensor(np.zeros(h, dtype=np.float32), requires_grad=True),
-        "proj_product_w": Tensor(glorot(rng, cfg.d_p, h), requires_grad=True),
-        "proj_product_b": Tensor(np.zeros(h, dtype=np.float32), requires_grad=True),
-        "proj_offer_w": Tensor(glorot(rng, cfg.d_o, h), requires_grad=True),
-        "proj_offer_b": Tensor(np.zeros(h, dtype=np.float32), requires_grad=True),
-    }
-    for layer in range(cfg.layers):
-        for r in range(ExpandedGraph.N_RELATIONS):
-            params[f"gnn{layer}_rel{r}_w"] = Tensor(glorot(rng, h, h), requires_grad=True)
-        params[f"gnn{layer}_self_w"] = Tensor(glorot(rng, h, h), requires_grad=True)
-        params[f"gnn{layer}_self_b"] = Tensor(np.zeros(h, dtype=np.float32), requires_grad=True)
+    params = init_relational_encoder(
+        rng, {"seller": cfg.d_s, "product": cfg.d_p, "offer": cfg.d_o},
+        h, cfg.layers, ExpandedGraph.N_RELATIONS,
+    )
     params["head_w"] = Tensor(glorot(rng, h, cfg.n_classes), requires_grad=True)
     params["head_b"] = Tensor(np.zeros(cfg.n_classes, dtype=np.float32), requires_grad=True)
     return params
@@ -179,29 +168,10 @@ def init_expanded_rgcn_params(cfg: ExpandedRgcnConfig, seed: int) -> dict:
 
 def expanded_rgcn_forward(eg: ExpandedGraph, params: dict, cfg: ExpandedRgcnConfig) -> Tensor:
     """Class probabilities for every offer node (full batch)."""
-    dtype = params["proj_seller_w"].dtype
-    h_s = activation(
-        affine(Tensor(eg.seller_features.astype(dtype)), params["proj_seller_w"], params["proj_seller_b"]),
-        "relu",
-    )
-    h_p = activation(
-        affine(Tensor(eg.product_features.astype(dtype)), params["proj_product_w"], params["proj_product_b"]),
-        "relu",
-    )
-    h_o = activation(
-        affine(Tensor(eg.offer_features.astype(dtype)), params["proj_offer_w"], params["proj_offer_b"]),
-        "relu",
-    )
-    h = stack_rows([h_s, h_p, h_o])
-    norm_adj = [row_mean_normalize(mat) for mat in eg.relation_csrs()]
-    for layer in range(cfg.layers):
-        h = rgcn_layer(
-            norm_adj,
-            h,
-            [params[f"gnn{layer}_rel{r}_w"] for r in range(ExpandedGraph.N_RELATIONS)],
-            params[f"gnn{layer}_self_w"],
-            params[f"gnn{layer}_self_b"],
-        )
+    g = eg.g
+    inputs = {"seller": g.seller_features, "product": g.product_features,
+              "offer": g.offer_features}
+    h = relational_encoder_forward(inputs, eg.normalized_csrs(), params, cfg.layers)
     offers = take_rows(h, eg.offer_node_ids())
     return activation(affine(offers, params["head_w"], params["head_b"]), "sigmoid")
 
@@ -210,10 +180,10 @@ def train_expanded_rgcn(
     eg: ExpandedGraph, cfg: ExpandedRgcnConfig, tc: TrainConfig
 ) -> tuple:
     """Full-batch training on all labeled offer nodes; returns (params, history)."""
-    if eg.labels is None or eg.n_offers == 0:
+    if eg.g.labels is None or eg.g.n_offers == 0:
         raise ValueError("expanded graph has no labeled offers")
     params = init_expanded_rgcn_params(cfg, tc.seed)
-    targets = eg.labels.astype(np.float32)
+    targets = eg.g.labels.astype(np.float32)
 
     def loss_fn(full_graph):
         probs = expanded_rgcn_forward(full_graph, params, cfg)

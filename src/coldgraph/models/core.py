@@ -22,7 +22,7 @@ modes produce identical per-class losses given the same seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from ..autodiff import (
     const_matmul,
     dropout,
     matmul,
-    mean_rows,
     stack_rows,
     take_rows,
 )
@@ -46,7 +45,8 @@ __all__ = [
     "EdgeGnnConfig",
     "init_edge_gnn_params",
     "cast_params",
-    "project_node_features",
+    "init_relational_encoder",
+    "relational_encoder_forward",
     "rgcn_layer",
     "node_embedder_forward",
     "sibling_offer_summaries",
@@ -110,16 +110,9 @@ def init_edge_gnn_params(
         raise ValueError(f"head_class out of range: {head_class}")
     rng = np.random.default_rng(seed)
     h = cfg.hidden
-    params: dict = {}
-    params["proj_seller_w"] = Tensor(glorot(rng, cfg.d_s, h), requires_grad=True)
-    params["proj_seller_b"] = Tensor(np.zeros(h, dtype=np.float32), requires_grad=True)
-    params["proj_product_w"] = Tensor(glorot(rng, cfg.d_p, h), requires_grad=True)
-    params["proj_product_b"] = Tensor(np.zeros(h, dtype=np.float32), requires_grad=True)
-    for layer in range(cfg.gnn_layers):
-        for r in range(N_RELATIONS):
-            params[f"gnn{layer}_rel{r}_w"] = Tensor(glorot(rng, h, h), requires_grad=True)
-        params[f"gnn{layer}_self_w"] = Tensor(glorot(rng, h, h), requires_grad=True)
-        params[f"gnn{layer}_self_b"] = Tensor(np.zeros(h, dtype=np.float32), requires_grad=True)
+    params = init_relational_encoder(
+        rng, {"seller": cfg.d_s, "product": cfg.d_p}, h, cfg.gnn_layers, N_RELATIONS
+    )
     params["edge0_w"] = Tensor(glorot(rng, 3 * cfg.d_o, cfg.edge_hidden), requires_grad=True)
     params["edge0_b"] = Tensor(np.zeros(cfg.edge_hidden, dtype=np.float32), requires_grad=True)
     params["edge1_w"] = Tensor(glorot(rng, cfg.edge_hidden, cfg.edge_hidden), requires_grad=True)
@@ -147,20 +140,30 @@ def cast_params(params: dict, dtype) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# module 1: node embedder
+# relational encoder, shared by the node embedder and the expanded RGCN
 
 
-def project_node_features(
-    seller_x: np.ndarray, product_x: np.ndarray, params: dict, act: str = "relu"
-) -> tuple:
-    """Per-type input projections into the shared hidden space."""
-    h_s = activation(
-        affine(Tensor(seller_x), params["proj_seller_w"], params["proj_seller_b"]), act
-    )
-    h_p = activation(
-        affine(Tensor(product_x), params["proj_product_w"], params["proj_product_b"]), act
-    )
-    return h_s, h_p
+def init_relational_encoder(
+    rng: np.random.Generator, in_dims: dict, hidden: int, layers: int, n_relations: int
+) -> dict:
+    """Parameters of a relational encoder, drawn from ``rng`` in a fixed order.
+
+    First one input projection ``proj_{type}_w``/``_b`` per node type, in
+    the order of ``in_dims`` (type name -> feature width); then, per layer,
+    the ``n_relations`` relation weights ``gnn{layer}_rel{r}_w`` and the
+    self weight ``gnn{layer}_self_w`` with bias ``gnn{layer}_self_b``.
+    Biases start at zero and take no draw.
+    """
+    params: dict = {}
+    for name, width in in_dims.items():
+        params[f"proj_{name}_w"] = Tensor(glorot(rng, width, hidden), requires_grad=True)
+        params[f"proj_{name}_b"] = Tensor(np.zeros(hidden, dtype=np.float32), requires_grad=True)
+    for layer in range(layers):
+        for r in range(n_relations):
+            params[f"gnn{layer}_rel{r}_w"] = Tensor(glorot(rng, hidden, hidden), requires_grad=True)
+        params[f"gnn{layer}_self_w"] = Tensor(glorot(rng, hidden, hidden), requires_grad=True)
+        params[f"gnn{layer}_self_b"] = Tensor(np.zeros(hidden, dtype=np.float32), requires_grad=True)
+    return params
 
 
 def rgcn_layer(
@@ -187,6 +190,48 @@ def rgcn_layer(
     return activation(add_n(terms), act)
 
 
+def relational_encoder_forward(
+    inputs: dict,
+    rel_adj: Sequence,
+    params: dict,
+    layers: int,
+    dropout_p: float = 0.0,
+    rng: Optional[np.random.Generator] = None,
+) -> Tensor:
+    """Hidden states of every node after ``layers`` relational convolutions.
+
+    ``inputs`` maps each node type to its feature rows, in unified node
+    order; each block goes through its relu input projection and the blocks
+    are stacked.  ``rel_adj`` holds the row-mean-normalized adjacency per
+    relation over that order.  Dropout follows each layer when
+    ``dropout_p > 0`` and ``rng`` is given (training only).
+    """
+    dtype = params[f"proj_{next(iter(inputs))}_w"].dtype
+    h = stack_rows([
+        activation(
+            affine(Tensor(x.astype(dtype, copy=False)), params[f"proj_{name}_w"],
+                   params[f"proj_{name}_b"]),
+            "relu",
+        )
+        for name, x in inputs.items()
+    ])
+    for layer in range(layers):
+        h = rgcn_layer(
+            rel_adj,
+            h,
+            [params[f"gnn{layer}_rel{r}_w"] for r in range(len(rel_adj))],
+            params[f"gnn{layer}_self_w"],
+            params[f"gnn{layer}_self_b"],
+        )
+        if dropout_p > 0.0 and rng is not None:
+            h = dropout(h, dropout_p, rng)
+    return h
+
+
+# ---------------------------------------------------------------------------
+# module 1: node embedder
+
+
 def node_embedder_forward(
     g: HeteroGraph,
     ego: EgoNetwork,
@@ -199,21 +244,13 @@ def node_embedder_forward(
         raise ValueError(
             f"ego network of depth {ego.hops} is too shallow for {cfg.gnn_layers} layers"
         )
-    dtype = params["proj_seller_w"].dtype
-    seller_x = g.seller_features[ego.seller_globals].astype(dtype, copy=False)
-    product_x = g.product_features[ego.product_globals].astype(dtype, copy=False)
-    h_s, h_p = project_node_features(seller_x, product_x, params)
-    h = stack_rows([h_s, h_p])
-    for layer in range(cfg.gnn_layers):
-        h = rgcn_layer(
-            ego.rel_adj,
-            h,
-            [params[f"gnn{layer}_rel{r}_w"] for r in range(N_RELATIONS)],
-            params[f"gnn{layer}_self_w"],
-            params[f"gnn{layer}_self_b"],
-        )
-        if cfg.dropout > 0.0 and rng is not None:
-            h = dropout(h, cfg.dropout, rng)
+    inputs = {
+        "seller": g.seller_features[ego.seller_globals],
+        "product": g.product_features[ego.product_globals],
+    }
+    h = relational_encoder_forward(
+        inputs, ego.rel_adj, params, cfg.gnn_layers, cfg.dropout, rng
+    )
     emb_s = take_rows(h, ego.batch_seller_local)
     emb_p = take_rows(h, ego.batch_product_local)
     return emb_s, emb_p

@@ -132,11 +132,9 @@ class EdgeGnnModel:
         """
         batch = OfferBatch(np.asarray(offers, dtype=np.int64))
         ego = extract_ego_network(g, batch, hops=self.cfg.gnn_layers)
-        groups = [cast_params(p, dtype) for p in self.param_groups]
-        if self.cfg.mode == "multi_task":
-            return edge_gnn_forward(g, batch, groups[0], self.cfg, ego=ego).data
         cols = [
-            edge_gnn_forward(g, batch, grp, self.cfg, ego=ego).data for grp in groups
+            edge_gnn_forward(g, batch, cast_params(p, dtype), self.cfg, ego=ego).data
+            for p in self.param_groups
         ]
         return np.concatenate(cols, axis=1)
 

@@ -19,28 +19,15 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
-from .graph import N_RELATIONS, HeteroGraph, Relation
+from .graph import HeteroGraph, Relation, row_mean_normalize
 
 __all__ = [
     "OfferBatch",
     "EgoNetwork",
     "sample_offer_batch",
     "extract_ego_network",
-    "row_mean_normalize",
 ]
-
-
-def row_mean_normalize(mat: sp.csr_matrix) -> sp.csr_matrix:
-    """Scale each nonempty row of a binary adjacency by 1/degree."""
-    sub = mat.tocsr()
-    deg = np.diff(sub.indptr)
-    if sub.nnz:
-        data = (sub.data / np.repeat(deg, deg)).astype(np.float32)
-    else:
-        data = sub.data.astype(np.float32)
-    return sp.csr_matrix((data, sub.indices, sub.indptr), shape=sub.shape)
 
 
 @dataclass(frozen=True)
@@ -104,44 +91,15 @@ class EgoNetwork:
     def n_local_sellers(self) -> int:
         return self.seller_globals.shape[0]
 
-    def local_of_seller(self, idx) -> np.ndarray:
-        return _lookup(self.seller_globals, idx, "seller")
 
-    def local_of_product(self, idx) -> np.ndarray:
-        return _lookup(self.product_globals, idx, "product") + self.n_local_sellers
-
-
-def _lookup(sorted_globals: np.ndarray, idx, what: str) -> np.ndarray:
-    idx = np.asarray(idx)
-    pos = np.searchsorted(sorted_globals, idx)
-    safe = np.minimum(pos, max(sorted_globals.shape[0] - 1, 0))
-    if sorted_globals.shape[0] == 0 or np.any(sorted_globals[safe] != idx):
-        raise KeyError(f"{what} {idx} not in ego network")
-    return pos
-
-
-def extract_ego_network(
-    g: HeteroGraph,
-    batch: OfferBatch,
-    hops: int,
-    fanout_cap: Optional[int] = None,
-    rng: Optional[np.random.Generator] = None,
-) -> EgoNetwork:
-    """Breadth-first closure of the batch endpoints over all nine relations.
-
-    ``fanout_cap``, when set, bounds how many neighbors a frontier node may
-    add per relation per expansion (sampled; pathological hubs otherwise
-    pull in entire graphs).  Capping trades the sufficiency guarantee for
-    bounded ego size, so it is off by default.
-    """
+def extract_ego_network(g: HeteroGraph, batch: OfferBatch, hops: int) -> EgoNetwork:
+    """Breadth-first closure of the batch endpoints over all nine relations."""
     if hops < 1:
         raise ValueError("hops must be at least 1")
     if len(batch) == 0:
         raise ValueError("empty batch")
     if batch.offers.max() >= g.n_offers:
         raise ValueError("batch references unknown offers")
-    if fanout_cap is not None and rng is None:
-        rng = np.random.default_rng(0)
 
     n_s = g.n_sellers
     n = g.n_nodes
@@ -158,18 +116,9 @@ def extract_ego_network(
         found = []
         for mat in mats:
             indptr, indices = mat.indptr, mat.indices
-            starts, ends = indptr[frontier], indptr[frontier + 1]
-            if fanout_cap is None:
-                for a, b in zip(starts, ends):
-                    if b > a:
-                        found.append(indices[a:b])
-            else:
-                for a, b in zip(starts, ends):
-                    if b - a <= fanout_cap:
-                        if b > a:
-                            found.append(indices[a:b])
-                    else:
-                        found.append(rng.choice(indices[a:b], size=fanout_cap, replace=False))
+            for a, b in zip(indptr[frontier], indptr[frontier + 1]):
+                if b > a:
+                    found.append(indices[a:b])
         if not found:
             break
         cand = np.unique(np.concatenate(found))

@@ -231,13 +231,21 @@ def load_graph(path) -> HeteroGraph:
             for lineno, row in enumerate(reader, start=2):
                 if len(row) != 1 + N_CLASSES:
                     raise GraphFormatError(f"labels.csv line {lineno}: wrong field count")
-                k = int(row[0])
+                try:
+                    k = int(row[0])
+                    values = [int(v) for v in row[1:]]
+                except ValueError as exc:
+                    raise GraphFormatError(f"labels.csv line {lineno}: {exc}") from exc
                 if not 0 <= k < offers.shape[0]:
                     raise GraphFormatError(f"labels.csv line {lineno}: unknown offer {k}")
                 if seen[k]:
                     raise GraphFormatError(f"labels.csv line {lineno}: duplicate offer {k}")
+                if not set(values) <= {0, 1}:
+                    raise GraphFormatError(
+                        f"labels.csv line {lineno}: labels must be 0 or 1, got {row[1:]}"
+                    )
                 seen[k] = True
-                labels[k] = [int(v) for v in row[1:]]
+                labels[k] = values
         if not seen.all():
             raise GraphFormatError("labels.csv: some offers have no label row")
 

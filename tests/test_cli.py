@@ -7,6 +7,8 @@ workspace; cheap commands rerun per test where stdout matters.
 """
 
 import json
+import shutil
+import zlib
 
 import numpy as np
 import pytest
@@ -281,3 +283,24 @@ def test_bench_small_sizes(tmp_path, capsys):
         assert (tmp_path / "out" / f"bench_{task}.csv").exists()
         assert summary[task]["slope"] > 0
     assert (tmp_path / "out" / "bench_summary.json").exists()
+
+
+def test_eval_rejects_malformed_label_cell(ws, ns_scores, tmp_path, capsys):
+    bundle = tmp_path / "graph"
+    shutil.copytree(ws["graph"], bundle)
+    labels = bundle / "labels.csv"
+    lines = labels.read_text().split("\n")
+    cells = lines[1].split(",")
+    cells[1] = "-1"
+    lines[1] = ",".join(cells)
+    labels.write_text("\n".join(lines))
+    meta = json.loads((bundle / "meta.json").read_text())
+    meta["checksums"]["labels.csv"] = zlib.crc32(labels.read_bytes()) & 0xFFFFFFFF
+    (bundle / "meta.json").write_text(json.dumps(meta))
+    rc = main([
+        "eval", "--scores", str(ns_scores), "--graph", str(bundle),
+        "--out-prefix", str(tmp_path / "r"),
+    ])
+    cap = capsys.readouterr()
+    assert rc == 2
+    assert "labels.csv line 2" in cap.err

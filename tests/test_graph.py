@@ -5,14 +5,17 @@ from _helpers import make_random_graph
 from coldgraph.graph import (
     CLASS_NAMES,
     N_CLASSES,
+    ExpandedGraph,
     GraphBuilder,
     HeteroGraph,
     NodeRef,
     NodeType,
     Relation,
     build_expanded_graph,
+    row_mean_normalize,
     validate,
 )
+from coldgraph.simulate import SCENARIOS, apply_scenario, make_scenario
 
 
 def tiny_builder():
@@ -168,6 +171,28 @@ def test_expanded_graph_doubles_offer_incident_edges():
         # count actual offer-incident edges in the two incidence relations
         incident = sum(int(mat.nnz) for mat in mats[8:]) // 2
         assert incident == eg.n_offer_incident_edges
+
+
+def test_expanded_matrices_built_once_per_topology():
+    g = make_random_graph(seed=3)
+    ref = build_expanded_graph(g)
+    binary, normalized = ref.relation_csrs(), ref.normalized_csrs()
+    for name in SCENARIOS:
+        masked, _ = apply_scenario(g, make_scenario(g, name, seed=1))
+        eg = build_expanded_graph(masked)
+        for r in range(ExpandedGraph.N_RELATIONS):
+            assert eg.relation_csrs()[r] is binary[r]
+            assert eg.normalized_csrs()[r] is normalized[r]
+    for r in range(ExpandedGraph.N_RELATIONS):
+        want = row_mean_normalize(binary[r])
+        assert (normalized[r] != want).nnz == 0
+        for mat in (binary[r], normalized[r]):
+            assert not any(a.flags.writeable for a in (mat.data, mat.indices, mat.indptr))
+    for r in Relation.seller_seller():
+        unified = g.unified_csr(r)
+        assert np.shares_memory(binary[r].indices, unified.indices)
+        assert np.shares_memory(binary[r].data, unified.data)
+        assert binary[r].indptr[g.n_nodes:].tolist() == [unified.nnz] * (g.n_offers + 1)
 
 
 def test_validate_ok_and_nan_location():

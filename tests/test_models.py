@@ -26,6 +26,7 @@ from coldgraph.models import (
     init_edge_gnn_params,
     init_expanded_rgcn_params,
     naive_fill_seller_features,
+    relational_encoder_forward,
     rgcn_layer,
     score_expanded_rgcn,
     score_mlp_heads,
@@ -36,7 +37,6 @@ from coldgraph.models import (
     train_expanded_rgcn,
     train_mlp_heads,
 )
-from coldgraph.models.core import project_node_features
 from coldgraph.models.train import mlp_head_forward
 from coldgraph.sampling import OfferBatch, extract_ego_network
 
@@ -79,15 +79,83 @@ def test_rgcn_layer_empty_relation_contributes_nothing():
 
 
 def test_projection_identity_case():
-    x = np.array([[1.5, -2.0], [0.25, 3.0]], dtype=np.float32)
+    # with zero layers the encoder is the relu input projections, stacked in
+    # type order; identity weights and non-negative input pass rows through
+    x = np.array([[1.5, 2.0], [0.25, 3.0]], dtype=np.float32)
+    y = np.array([[0.5, 0.0]], dtype=np.float32)
     params = {
         "proj_seller_w": Tensor(np.eye(2)),
         "proj_seller_b": Tensor(np.zeros(2)),
         "proj_product_w": Tensor(np.eye(2)),
         "proj_product_b": Tensor(np.zeros(2)),
     }
-    h_s, _ = project_node_features(x, x, params, act="identity")
-    np.testing.assert_array_equal(h_s.data, x)
+    h = relational_encoder_forward({"seller": x, "product": y}, [], params, layers=0)
+    np.testing.assert_array_equal(h.data, np.concatenate([x, y]))
+
+
+def reference_draws(rng, spec):
+    """Re-draw a parameter dict from its documented order.
+
+    ``spec`` lists ``(name, rows, cols)`` for glorot-uniform weights and
+    ``(name, width)`` for zero biases, which take no draw.
+    """
+    out = {}
+    for name, *shape in spec:
+        if len(shape) == 1:
+            out[name] = np.zeros(shape[0], dtype=np.float32)
+        else:
+            rows, cols = shape
+            limit = np.sqrt(6.0 / (rows + cols))
+            out[name] = rng.uniform(-limit, limit, size=(rows, cols)).astype(np.float32)
+    return out
+
+
+def encoder_spec(in_dims, h, layers, n_relations):
+    spec = []
+    for name, width in in_dims:
+        spec += [(f"proj_{name}_w", width, h), (f"proj_{name}_b", h)]
+    for layer in range(layers):
+        spec += [(f"gnn{layer}_rel{r}_w", h, h) for r in range(n_relations)]
+        spec += [(f"gnn{layer}_self_w", h, h), (f"gnn{layer}_self_b", h)]
+    return spec
+
+
+def assert_same_params(params, expected):
+    assert list(params) == list(expected)
+    for name, want in expected.items():
+        got = params[name].data
+        assert got.dtype == np.float32 and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+        assert params[name].requires_grad
+
+
+@pytest.mark.parametrize("head_class", [None, 4])
+def test_edge_gnn_init_matches_documented_draw_order(head_class):
+    cfg = EdgeGnnConfig(d_s=5, d_p=4, d_o=3, hidden=6, gnn_layers=2, edge_hidden=7,
+                        cls_hidden=8, mode="multi_task" if head_class is None else "nine_binary")
+    h = cfg.hidden
+    spec = encoder_spec([("seller", cfg.d_s), ("product", cfg.d_p)], h, cfg.gnn_layers, 9)
+    spec += [
+        ("edge0_w", 3 * cfg.d_o, cfg.edge_hidden), ("edge0_b", cfg.edge_hidden),
+        ("edge1_w", cfg.edge_hidden, cfg.edge_hidden), ("edge1_b", cfg.edge_hidden),
+        ("cls0_w", 2 * h + cfg.edge_hidden, cfg.cls_hidden), ("cls0_b", cfg.cls_hidden),
+        ("cls1_w", cfg.cls_hidden, 9), ("cls1_b", 9),
+    ]
+    expected = reference_draws(np.random.default_rng(11), spec)
+    if head_class is not None:
+        for name in ("cls1_w", "cls1_b"):
+            expected[name] = expected[name][..., head_class:head_class + 1].copy()
+    assert_same_params(init_edge_gnn_params(cfg, seed=11, head_class=head_class), expected)
+
+
+def test_expanded_rgcn_init_matches_documented_draw_order():
+    cfg = ExpandedRgcnConfig(d_s=5, d_p=4, d_o=3, hidden=6, layers=3)
+    spec = encoder_spec(
+        [("seller", cfg.d_s), ("product", cfg.d_p), ("offer", cfg.d_o)], cfg.hidden, cfg.layers, 10
+    )
+    spec += [("head_w", cfg.hidden, 9), ("head_b", 9)]
+    expected = reference_draws(np.random.default_rng(5), spec)
+    assert_same_params(init_expanded_rgcn_params(cfg, seed=5), expected)
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +543,7 @@ def test_expanded_rgcn_finite_diff():
     eg = build_expanded_graph(g)
     cfg = ExpandedRgcnConfig(d_s=2, d_p=2, d_o=2, hidden=3, layers=2)
     params = cast_params(init_expanded_rgcn_params(cfg, seed=1), np.float64)
-    z = eg.labels.astype(np.float64)
+    z = g.labels.astype(np.float64)
 
     def f():
         return scale(bce_loss(expanded_rgcn_forward(eg, params, cfg), z), 9)

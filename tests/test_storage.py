@@ -1,5 +1,6 @@
 import json
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -126,3 +127,35 @@ def test_count_mismatch_rejected(tmp_path):
 def test_missing_bundle_dir(tmp_path):
     with pytest.raises(GraphFormatError, match="meta.json"):
         load_graph(tmp_path / "nope")
+
+
+def _rewrite_label_cell(bundle, line: int, column: int, value: str) -> None:
+    """Replace one labels.csv cell and re-record its CRC, so only the cell is bad."""
+    path = bundle / "labels.csv"
+    lines = path.read_text().split("\n")
+    cells = lines[line - 1].split(",")
+    cells[column] = value
+    lines[line - 1] = ",".join(cells)
+    path.write_text("\n".join(lines))
+    meta_path = bundle / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta["checksums"]["labels.csv"] = zlib.crc32(path.read_bytes()) & 0xFFFFFFFF
+    meta_path.write_text(json.dumps(meta))
+
+
+@pytest.mark.parametrize(
+    "line, column, value, message",
+    [
+        (3, 2, "-1", r"labels\.csv line 3: labels must be 0 or 1"),
+        (2, 9, "2", r"labels\.csv line 2: labels must be 0 or 1"),
+        (4, 5, "yes", r"labels\.csv line 4: invalid literal"),
+        (2, 0, "first", r"labels\.csv line 2: invalid literal"),
+    ],
+    ids=["negative_label", "label_two", "unparsable_label", "unparsable_offer_id"],
+)
+def test_malformed_label_cell_rejected(tmp_path, line, column, value, message):
+    g = make_random_graph(seed=10)
+    save_graph(g, tmp_path / "b")
+    _rewrite_label_cell(tmp_path / "b", line, column, value)
+    with pytest.raises(GraphFormatError, match=message):
+        load_graph(tmp_path / "b")
