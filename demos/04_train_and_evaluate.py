@@ -9,8 +9,6 @@ reach the seller's neighborhood; the tabular model cannot, and the
 per-class AUC table shows the difference.
 """
 
-import numpy as np
-
 from coldgraph.evaluate import per_class_report
 from coldgraph.experiment import ModelConfig, score_model, train_model
 from coldgraph.graph import CLASS_NAMES

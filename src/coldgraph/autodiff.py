@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
     "Tensor",

@@ -37,7 +37,7 @@ from .experiment import (
     write_scores_csv,
 )
 from .models import CheckpointError, load_checkpoint, save_checkpoint
-from .simulate import SCENARIOS, apply_scenario, generate_synthetic_graph, load_scenario, make_scenario, save_scenario
+from .simulate import apply_scenario, generate_synthetic_graph, load_scenario, make_scenario, save_scenario
 from .storage import GraphFormatError, load_graph, save_graph
 
 DEFAULT_BENCH_SIZES = (10_000, 20_000, 40_000, 80_000)

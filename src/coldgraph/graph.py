@@ -12,10 +12,18 @@ float32 feature matrices, the int64 offer endpoints ``offer_seller`` and
 ``offer_product``, one sorted ``(k, 2)`` int64 edge array per
 seller-seller relation, and optional uint8 labels.
 ``HeteroGraph.from_arrays`` checks and freezes them; ``GraphBuilder``
-assembles small graphs edge by edge and ends in ``from_arrays``.  The
-per-relation CSR adjacency, and the expanded form's matrices, are derived
-on first use and cached, and copies that keep the topology share that
-cache.
+assembles small graphs edge by edge and ends in ``from_arrays``.
+
+Matrices derived from the topology are built on first use into one cache,
+which every copy that keeps the topology shares:
+
+- ``unified_csr(r)``: the symmetric binary adjacency of relation ``r``;
+- ``union_csr()``: the binary OR of the nine, which ego extraction walks
+  and whose seller block is the union of the seller-seller relations;
+- ``offers_of(node_type)``: the owner-by-offer incidence of sellers or
+  products, which gives sibling-offer sums and a cold entity's offers;
+- ``ExpandedGraph.relation_csrs()`` and ``normalized_csrs()``: the ten
+  matrices of the expanded form.
 """
 
 from __future__ import annotations
@@ -299,6 +307,30 @@ class HeteroGraph:
             else:
                 a, b = self._ss_edges[relation].T
             mat = self._csr[relation] = _symmetric_csr(a, b, self.n_nodes)
+        return mat
+
+    def union_csr(self) -> sp.csr_matrix:
+        """Binary OR of the nine ``unified_csr`` matrices; read-only, built
+        once per topology."""
+        mat = self._csr.get("union")
+        if mat is None:
+            mat = sum(self.unified_csr(r) for r in Relation)
+            mat.data[:] = 1.0
+            mat = self._csr["union"] = _freeze_csr(mat)
+        return mat
+
+    def offers_of(self, node_type: NodeType) -> sp.csr_matrix:
+        """Binary float64 ``(n_sellers or n_products, n_offers)`` incidence:
+        row ``i`` holds owner ``i``'s offers in ascending order.  Read-only,
+        built once per topology."""
+        node_type = NodeType(node_type)
+        key = f"offers_of_{node_type.name.lower()}"  # not node_type: SELLER == Relation.SS0
+        mat = self._csr.get(key)
+        if mat is None:
+            owner = (self.offer_seller, self.offer_product)[node_type]
+            n, m = (self.n_sellers, self.n_products)[node_type], self.n_offers
+            mat = sp.csr_matrix((np.ones(m), (owner, np.arange(m))), shape=(n, m))
+            mat = self._csr[key] = _freeze_csr(mat)
         return mat
 
     def copy_with_features(

@@ -55,14 +55,12 @@ def naive_fill_seller_features(g: HeteroGraph, new_sellers: np.ndarray) -> np.nd
     filled = g.seller_features.copy()
     if new_sellers.size == 0:
         return filled
-    union = sp.csr_matrix((g.n_sellers, g.n_sellers), dtype=np.float32)
+    # offer edges only join sellers to products, so the union's seller
+    # block is the union of the eight seller-seller relations
     ns = g.n_sellers
-    for r in Relation.seller_seller():
-        union = union + g.unified_csr(r)[:ns, :ns]
-    union = (union > 0).astype(np.float64).tocsr()
-    deg = np.asarray(union.sum(axis=1)).ravel()
+    union = g.union_csr()[:ns, :ns]
     sums = union[new_sellers] @ g.seller_features.astype(np.float64)
-    k = deg[new_sellers]
+    k = np.diff(union.indptr)[new_sellers]
     has = k > 0
     filled[new_sellers[has]] = (sums[has] / k[has, None]).astype(np.float32)
     return filled

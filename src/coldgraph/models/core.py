@@ -38,7 +38,7 @@ from ..autodiff import (
     stack_rows,
     take_rows,
 )
-from ..graph import N_CLASSES, N_RELATIONS, HeteroGraph
+from ..graph import N_CLASSES, N_RELATIONS, HeteroGraph, NodeType
 from ..sampling import EgoNetwork, OfferBatch, extract_ego_network
 
 __all__ = [
@@ -264,26 +264,22 @@ def sibling_offer_summaries(g: HeteroGraph, offer_ids: np.ndarray) -> tuple:
     """Mean feature rows of same-seller and same-product sibling offers.
 
     The target offer is excluded from both means; an offer with no sibling
-    on one side gets a zero vector there.  Computed with grouped sums over
-    the full offer table, so cost is linear in the number of offers.
+    on one side gets a zero vector there.  Each owner's sum is its row of
+    the cached ``g.offers_of`` incidence times the feature table, so the
+    cost grows with the requested owners' offers, not with the table.
     """
     feats = g.offer_features
     feats64 = feats.astype(np.float64, copy=False)
     offer_ids = np.asarray(offer_ids, dtype=np.int64)
 
     out = []
-    for owner, count in (
-        (g.offer_seller, g.n_sellers),
-        (g.offer_product, g.n_products),
-    ):
-        sums = np.zeros((count, feats.shape[1]), dtype=np.float64)
-        np.add.at(sums, owner, feats64)
-        sizes = np.bincount(owner, minlength=count)
+    for node_type, owner in zip(NodeType, (g.offer_seller, g.offer_product)):
+        inc = g.offers_of(node_type)
         own = owner[offer_ids]
-        k = sizes[own]
+        k = np.diff(inc.indptr)[own]
         mean = np.zeros((offer_ids.shape[0], feats.shape[1]), dtype=np.float64)
         has = k > 1
-        mean[has] = (sums[own[has]] - feats64[offer_ids[has]]) / (k[has] - 1)[:, None]
+        mean[has] = (inc[own[has]] @ feats64 - feats64[offer_ids[has]]) / (k[has] - 1)[:, None]
         out.append(mean.astype(feats.dtype, copy=False))
     return out[0], out[1]
 

@@ -8,6 +8,10 @@ layer l of a node only reads nodes l edges away, and all such nodes and
 the edges among them are present, with their full-graph degrees intact
 for every node shallower than the boundary.
 
+The breadth-first search is vectorised: each hop is one row gather from
+the graph's cached union adjacency (``HeteroGraph.union_csr``) and one
+``np.unique``, with no loop over frontier nodes or relations.
+
 Local node order is all included sellers in ascending index, then all
 included products; adjacency is re-indexed into that order and row-mean
 normalized per relation.
@@ -98,12 +102,12 @@ def extract_ego_network(g: HeteroGraph, batch: OfferBatch, hops: int) -> EgoNetw
         raise ValueError("hops must be at least 1")
     if len(batch) == 0:
         raise ValueError("empty batch")
-    if batch.offers.max() >= g.n_offers:
+    if batch.offers.min() < 0 or batch.offers.max() >= g.n_offers:
         raise ValueError("batch references unknown offers")
 
     n_s = g.n_sellers
     n = g.n_nodes
-    mats = [g.unified_csr(r) for r in Relation]
+    union = g.union_csr()
 
     hop = np.full(n, -1, dtype=np.int32)
     batch_sellers = g.offer_seller[batch.offers]
@@ -111,17 +115,7 @@ def extract_ego_network(g: HeteroGraph, batch: OfferBatch, hops: int) -> EgoNetw
     frontier = np.unique(np.concatenate([batch_sellers, batch_products]))
     hop[frontier] = 0
     for depth in range(1, hops + 1):
-        if frontier.size == 0:
-            break
-        found = []
-        for mat in mats:
-            indptr, indices = mat.indptr, mat.indices
-            for a, b in zip(indptr[frontier], indptr[frontier + 1]):
-                if b > a:
-                    found.append(indices[a:b])
-        if not found:
-            break
-        cand = np.unique(np.concatenate(found))
+        cand = np.unique(union[frontier].indices)
         fresh = cand[hop[cand] < 0]
         hop[fresh] = depth
         frontier = fresh
@@ -133,7 +127,7 @@ def extract_ego_network(g: HeteroGraph, batch: OfferBatch, hops: int) -> EgoNetw
     local_of = np.full(n, -1, dtype=np.int64)
     local_of[included] = np.arange(included.shape[0])
 
-    rel_adj = [row_mean_normalize(mat[included][:, included]) for mat in mats]
+    rel_adj = [row_mean_normalize(g.unified_csr(r)[included][:, included]) for r in Relation]
 
     return EgoNetwork(
         hops=hops,

@@ -22,13 +22,13 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .graph import N_CLASSES, NORMAL_CLASS, HeteroGraph, N_RELATIONS
+from .graph import N_CLASSES, NORMAL_CLASS, HeteroGraph, N_RELATIONS, NodeType
 from .storage import default_column_names
 
 __all__ = [
@@ -404,19 +404,6 @@ class ScenarioSpec:
         return cls(**kw)
 
 
-def _offers_of_sellers(g: HeteroGraph, sellers) -> set:
-    out: set = set()
-    sellers = set(int(s) for s in sellers)
-    hits = np.flatnonzero(np.isin(g.offer_seller, list(sellers)))
-    out.update(hits.tolist())
-    return out
-
-
-def _offers_of_products(g: HeteroGraph, products) -> set:
-    hits = np.flatnonzero(np.isin(g.offer_product, list(set(int(p) for p in products))))
-    return set(hits.tolist())
-
-
 def make_scenario(
     g: HeteroGraph,
     scenario: str,
@@ -447,21 +434,23 @@ def make_scenario(
     base = sample_cold_entities(g, rng, minority_classes, minority_rate, other_rate)
     new_sellers: tuple = ()
     new_products: tuple = ()
-    if scenario == "new_offer":
-        eval_set = set(base.tolist())
-    else:
-        new_sellers = tuple(sorted(set(g.offer_seller[base].tolist())))
-        eval_set = _offers_of_sellers(g, new_sellers)
+    eval_offers = base
+    if scenario != "new_offer":
+        sellers = np.unique(g.offer_seller[base])
+        found = [g.offers_of(NodeType.SELLER)[sellers].indices]
+        new_sellers = tuple(sellers.tolist())
         if scenario == "new_seller_new_product":
-            new_products = tuple(sorted(set(g.offer_product[base].tolist())))
-            eval_set |= _offers_of_products(g, new_products)
+            products = np.unique(g.offer_product[base])
+            found.append(g.offers_of(NodeType.PRODUCT)[products].indices)
+            new_products = tuple(products.tolist())
+        eval_offers = np.unique(np.concatenate(found))
     return ScenarioSpec(
         scenario=scenario,
         seed=seed,
         base_offers=tuple(base.tolist()),
         new_sellers=new_sellers,
         new_products=new_products,
-        eval_offers=tuple(sorted(eval_set)),
+        eval_offers=tuple(eval_offers.tolist()),
     )
 
 
@@ -472,6 +461,14 @@ def _resolve_columns(names, available, kind: str) -> list:
             raise ValueError(f"unknown retained {kind} column {name!r}")
         idx.append(available.index(name))
     return idx
+
+
+def _checked_ids(ids, count: int, what: str) -> np.ndarray:
+    ids = np.asarray(ids, dtype=np.int64)
+    bad = ids[(ids < 0) | (ids >= count)]
+    if bad.size:
+        raise ValueError(f"scenario {what} index {int(bad[0])} out of range [0, {count})")
+    return ids
 
 
 def _mask_rows(features: np.ndarray, rows: np.ndarray, keep: list) -> np.ndarray:
@@ -497,11 +494,9 @@ def apply_scenario(
     """
     if column_names is None:
         column_names = default_column_names(g.d_s, g.d_p, g.d_o)
-    eval_offers = np.asarray(spec.eval_offers, dtype=np.int64)
-    if eval_offers.size and (
-        eval_offers.min() < 0 or eval_offers.max() >= g.n_offers
-    ):
-        raise ValueError("evaluation offer index out of range")
+    eval_offers = _checked_ids(spec.eval_offers, g.n_offers, "eval_offers")
+    new_sellers = _checked_ids(spec.new_sellers, g.n_sellers, "new_sellers")
+    new_products = _checked_ids(spec.new_products, g.n_products, "new_products")
     if spec.scenario == "full":
         return g.copy_with_features(
             g.seller_features, g.product_features, g.offer_features
@@ -511,16 +506,12 @@ def apply_scenario(
         spec.retained_offer_columns, list(column_names["offer"]), "offer"
     )
     of = _mask_rows(g.offer_features, eval_offers, keep_o)
-    sf = _mask_rows(
-        g.seller_features, np.asarray(spec.new_sellers, dtype=np.int64), []
-    )
-    if spec.new_products:
+    sf = _mask_rows(g.seller_features, new_sellers, [])
+    if new_products.size:
         keep_p = _resolve_columns(
             spec.retained_product_columns, list(column_names["product"]), "product"
         )
-        pf = _mask_rows(
-            g.product_features, np.asarray(spec.new_products, dtype=np.int64), keep_p
-        )
+        pf = _mask_rows(g.product_features, new_products, keep_p)
     else:
         pf = g.product_features.copy()
     return g.copy_with_features(sf, pf, of), eval_offers

@@ -1,8 +1,8 @@
-"""Small random graphs for tests that predate the full generator."""
+"""Shared test helpers: small random graphs and a reference breadth-first search."""
 
 import numpy as np
 
-from coldgraph.graph import N_CLASSES, HeteroGraph
+from coldgraph.graph import N_CLASSES, HeteroGraph, Relation
 
 
 def make_random_graph(
@@ -51,3 +51,26 @@ def make_random_graph(
         ss_edges,
         labels=labels,
     )
+
+
+def bfs_oracle(g, offer_ids, hops):
+    """Reference BFS over edge lists read from the graph's arrays; nodes are
+    unified ids (sellers, then products) and batch endpoints sit at hop 0."""
+    n_s = g.n_sellers
+    adj = {v: set() for v in range(g.n_nodes)}
+    pairs = list(zip(g.offer_seller.tolist(), (g.offer_product + n_s).tolist()))
+    for r in Relation.seller_seller():
+        pairs += [tuple(e) for e in g.ss_edges(r).tolist()]
+    for a, b in pairs:
+        adj[a].add(b)
+        adj[b].add(a)
+    frontier = set()
+    for k in offer_ids:
+        frontier |= {int(g.offer_seller[k]), int(g.offer_product[k]) + n_s}
+    dist = {v: 0 for v in frontier}
+    for depth in range(1, hops + 1):
+        nxt = {u for v in frontier for u in adj[v] if u not in dist}
+        for v in nxt:
+            dist[v] = depth
+        frontier = nxt
+    return dist

@@ -174,6 +174,23 @@ def test_eval_rejects_out_of_range_offer_ids(ws, tmp_path, capsys):
     assert "unknown offers" in cap.err
 
 
+@pytest.mark.parametrize("bad", [-1, 10 ** 6])
+def test_score_rejects_out_of_range_new_seller(ws, tabular_ckpt, tmp_path, capsys, bad):
+    spec = json.loads((ws["scen"] / "scenario_new_seller.json").read_text())
+    spec["new_sellers"] = [bad]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "s.csv"
+    rc = main([
+        "score", "--checkpoint", str(tabular_ckpt), "--graph", str(ws["graph"]),
+        "--scenario", str(path), "--out", str(out),
+    ])
+    cap = capsys.readouterr()
+    assert rc == 2
+    assert f"scenario new_sellers index {bad} out of range" in cap.err
+    assert not out.exists()
+
+
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"sed": 7}))

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from coldgraph.evaluate import (
     BenchmarkResult,
-    EvalReport,
     UndefinedAucError,
     bench_config_for_edges,
     geometric_mean_auc,

@@ -1,7 +1,10 @@
 """Property tests for the graph core over small random graphs.
 
 Generated graphs include isolated sellers and products, empty relations,
-sellers with a single offer and unlabeled graphs.
+sellers with a single offer and unlabeled graphs.  Besides construction,
+they check the matrices derived from the topology (``union_csr``,
+``offers_of``) and their users: ego extraction, sibling-offer summaries
+and scenario copies.
 """
 
 import re
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _helpers import bfs_oracle
 from coldgraph.graph import (
     N_CLASSES,
     GraphBuilder,
@@ -21,6 +25,9 @@ from coldgraph.graph import (
     Relation,
     validate,
 )
+from coldgraph.models import sibling_offer_summaries
+from coldgraph.sampling import OfferBatch, extract_ego_network
+from coldgraph.simulate import ScenarioSpec, apply_scenario
 from coldgraph.storage import load_graph, save_graph
 
 SS = Relation.seller_seller()
@@ -206,3 +213,111 @@ def test_from_arrays_rejects_non_binary_labels(kw, data):
     labels = labels.astype(np.float64)
     labels[labels != 0] = 0.5
     rejects(dict(kw, labels=labels), "^labels must be binary")
+
+
+# ---------------------------------------------------------------------------
+# derived topology
+
+
+def edge_set(mat):
+    coo = mat.tocoo()
+    return set(zip(coo.row.tolist(), coo.col.tolist()))
+
+
+@FAST
+@given(graph_arrays())
+def test_union_csr_is_binary_or_of_the_nine_relations(kw):
+    g = HeteroGraph.from_arrays(**kw)
+    union = g.union_csr()
+    assert union.shape == (g.n_nodes, g.n_nodes)
+    assert union.has_sorted_indices and not union.data.flags.writeable
+    assert (union.data == 1).all()
+    assert edge_set(union) == set().union(*(edge_set(g.unified_csr(r)) for r in Relation))
+    # offer edges join sellers to products, so the seller block is the
+    # union of the seller-seller relations alone
+    ns = g.n_sellers
+    pairs = {(a, b) for r in SS for a, b in g.ss_edges(r).tolist()}
+    assert edge_set(union[:ns, :ns]) == pairs | {(b, a) for a, b in pairs}
+    assert g.union_csr() is union
+
+
+@FAST
+@given(graph_arrays())
+def test_offers_of_rows_list_each_owners_offers(kw):
+    g = HeteroGraph.from_arrays(**kw)
+    for node_type, owner, n in ((NodeType.SELLER, g.offer_seller, g.n_sellers),
+                                (NodeType.PRODUCT, g.offer_product, g.n_products)):
+        inc = g.offers_of(node_type)
+        assert inc.shape == (n, g.n_offers) and inc.dtype == np.float64
+        assert not inc.indices.flags.writeable
+        assert (inc.data == 1).all()
+        for i in range(n):
+            row = inc.indices[inc.indptr[i]:inc.indptr[i + 1]]
+            np.testing.assert_array_equal(row, np.flatnonzero(owner == i))
+        assert g.offers_of(node_type) is inc
+
+
+@FAST
+@given(graph_arrays(), st.booleans())
+def test_derived_matrices_leave_relation_matrices_alone(kw, derived_first):
+    # NodeType.SELLER == Relation.SS0 as integers; the cache must not confuse them
+    g = HeteroGraph.from_arrays(**kw)
+    if derived_first:
+        g.union_csr()
+        for node_type in NodeType:
+            g.offers_of(node_type)
+    fresh = HeteroGraph.from_arrays(**kw)
+    for r in Relation:
+        a, b = g.unified_csr(r), fresh.unified_csr(r)
+        assert a.shape == b.shape and edge_set(a) == edge_set(b), r.name
+    assert g.offers_of(NodeType.SELLER).shape == (g.n_sellers, g.n_offers)
+    assert g.offers_of(NodeType.PRODUCT).shape == (g.n_products, g.n_offers)
+    assert g.union_csr().shape == (g.n_nodes, g.n_nodes)
+
+
+@FAST
+@given(graph_arrays(min_offers=1), st.data())
+def test_ego_network_matches_bfs_oracle(kw, data):
+    g = HeteroGraph.from_arrays(**kw)
+    offers = data.draw(st.lists(st.integers(0, g.n_offers - 1), min_size=1, unique=True))
+    for hops in (1, 2, 3):
+        ego = extract_ego_network(g, OfferBatch(np.array(offers)), hops)
+        got = dict(zip(
+            np.concatenate([ego.seller_globals, ego.product_globals + g.n_sellers]).tolist(),
+            ego.hop.tolist(),
+        ))
+        assert got == bfs_oracle(g, offers, hops)
+
+
+@FAST
+@given(graph_arrays(min_offers=1), st.data())
+def test_sibling_summaries_match_enumeration(kw, data):
+    g = HeteroGraph.from_arrays(**kw)
+    ids = data.draw(st.lists(st.integers(0, g.n_offers - 1), min_size=1))
+    o_s, o_p = sibling_offer_summaries(g, np.array(ids))
+    feats = g.offer_features.astype(np.float64)
+    for out, owner in ((o_s, g.offer_seller), (o_p, g.offer_product)):
+        assert out.dtype == np.float32 and out.shape == (len(ids), g.d_o)
+        for row, k in zip(out, ids):
+            sib = [j for j in range(g.n_offers) if owner[j] == owner[k] and j != k]
+            want = feats[sib].mean(axis=0) if sib else np.zeros(g.d_o)
+            np.testing.assert_allclose(row, want, rtol=1e-5, atol=1e-6)
+
+
+@FAST
+@given(graph_arrays(min_offers=1), st.data())
+def test_scenario_copies_share_derived_matrices(kw, data):
+    g = HeteroGraph.from_arrays(**kw)
+    spec = ScenarioSpec(
+        scenario="new_seller_new_product",
+        seed=0,
+        new_sellers=tuple(data.draw(st.lists(st.integers(0, g.n_sellers - 1), unique=True))),
+        new_products=tuple(data.draw(st.lists(st.integers(0, g.n_products - 1), unique=True))),
+        eval_offers=tuple(data.draw(st.lists(st.integers(0, g.n_offers - 1), unique=True))),
+    )
+    derived = (g.union_csr(), g.offers_of(NodeType.SELLER), g.offers_of(NodeType.PRODUCT))
+    masked, _ = apply_scenario(g, spec)
+    again, _ = apply_scenario(masked, spec)
+    for h in (masked, again):
+        got = (h.union_csr(), h.offers_of(NodeType.SELLER), h.offers_of(NodeType.PRODUCT))
+        assert all(a is b for a, b in zip(got, derived))

@@ -1,11 +1,9 @@
-import dataclasses
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from _helpers import make_random_graph
-from coldgraph.autodiff import Tape, Tensor, backward, bce_loss, finite_diff_check, scale
+from coldgraph.autodiff import Tensor, bce_loss, finite_diff_check, scale
 from coldgraph.graph import (
     GraphBuilder,
     HeteroGraph,
@@ -37,7 +35,6 @@ from coldgraph.models import (
     train_expanded_rgcn,
     train_mlp_heads,
 )
-from coldgraph.models.train import mlp_head_forward
 from coldgraph.sampling import OfferBatch, extract_ego_network
 
 

@@ -1,32 +1,9 @@
 import numpy as np
 import pytest
 
-from _helpers import make_random_graph
+from _helpers import bfs_oracle, make_random_graph
 from coldgraph.graph import GraphBuilder, NodeType, Relation
 from coldgraph.sampling import OfferBatch, extract_ego_network, sample_offer_batch
-
-
-def bfs_oracle(g, offer_ids, hops):
-    """Reference BFS over edge lists read from the graph's arrays; nodes are
-    unified ids (sellers, then products) and batch endpoints sit at hop 0."""
-    n_s = g.n_sellers
-    adj = {v: set() for v in range(g.n_nodes)}
-    pairs = list(zip(g.offer_seller.tolist(), (g.offer_product + n_s).tolist()))
-    for r in Relation.seller_seller():
-        pairs += [tuple(e) for e in g.ss_edges(r).tolist()]
-    for a, b in pairs:
-        adj[a].add(b)
-        adj[b].add(a)
-    frontier = set()
-    for k in offer_ids:
-        frontier |= {int(g.offer_seller[k]), int(g.offer_product[k]) + n_s}
-    dist = {v: 0 for v in frontier}
-    for depth in range(1, hops + 1):
-        nxt = {u for v in frontier for u in adj[v] if u not in dist}
-        for v in nxt:
-            dist[v] = depth
-        frontier = nxt
-    return dist
 
 
 def path_graph():
@@ -163,3 +140,5 @@ def test_extract_errors():
         extract_ego_network(g, batch, hops=0)
     with pytest.raises(ValueError, match="unknown offers"):
         extract_ego_network(g, OfferBatch(np.array([g.n_offers + 3])), hops=1)
+    with pytest.raises(ValueError, match="unknown offers"):
+        extract_ego_network(g, OfferBatch(np.array([0, -1])), hops=1)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -322,3 +324,15 @@ def test_scenario_dict_rejects_unknown_key(small_graph):
         ScenarioSpec.from_dict({**spec.to_dict(), "format_version": 99})
     with pytest.raises(ValueError, match="scenario"):
         ScenarioSpec(scenario="warm_start", seed=0)
+
+
+@pytest.mark.parametrize("field, count", [("new_sellers", "n_sellers"), ("new_products", "n_products")])
+def test_scenario_entity_ids_are_range_checked(small_graph, field, count):
+    g = small_graph
+    n = getattr(g, count)
+    spec = make_scenario(g, "new_seller_new_product", seed=0)
+    for bad in (-1, n, n + 7):
+        broken = ScenarioSpec.from_dict({**spec.to_dict(), field: [0, bad]})
+        want = re.escape(f"scenario {field} index {bad} out of range [0, {n})")
+        with pytest.raises(ValueError, match=f"^{want}$"):
+            apply_scenario(g, broken)
