@@ -229,10 +229,10 @@ def const_matmul(m, x: Tensor) -> Tensor:
     if m.shape[1] != x.shape[0]:
         raise ValueError(f"const_matmul shape mismatch: {m.shape} @ {x.shape}")
     out = Tensor(m @ x.data)
-    mT = m.T  # O(1) view for csr/csc and ndarray alike
 
     def bwd(g, needs):
-        return ((mT @ g) if needs[0] else None,)
+        # transposed only here: forward-only scoring never pays for it
+        return ((m.T @ g) if needs[0] else None,)
 
     return _maybe_record(out, (x,), bwd)
 

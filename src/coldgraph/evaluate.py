@@ -17,6 +17,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .graph import CLASS_NAMES, N_CLASSES
+from .records import Record
 from .simulate import GeneratorConfig, generate_synthetic_graph
 
 __all__ = [
@@ -158,16 +159,22 @@ def per_class_report(
     )
 
 
-def _fmt_auc(v: Optional[float]) -> str:
+def fmt_auc(v: Optional[float]) -> str:
+    """An AUC cell of the report and summary CSVs."""
     return "undefined" if v is None else f"{v:.6f}"
+
+
+def fmt_delta(v: Optional[float]) -> str:
+    """A pcp delta cell of the report and summary CSVs."""
+    return "" if v is None else f"{v:.1f}"
 
 
 def write_report_csv(path, report: EvalReport) -> None:
     lines = ["class,auc,delta_pcp"]
     for k in range(N_CLASSES):
-        delta = "" if report.delta_pcp[k] is None else f"{report.delta_pcp[k]:.1f}"
-        lines.append(f"{CLASS_NAMES[k]},{_fmt_auc(report.auc[k])},{delta}")
-    lines.append(f"geometric_mean,{_fmt_auc(report.geo_mean)},")
+        auc, delta = fmt_auc(report.auc[k]), fmt_delta(report.delta_pcp[k])
+        lines.append(f"{CLASS_NAMES[k]},{auc},{delta}")
+    lines.append(f"geometric_mean,{fmt_auc(report.geo_mean)},")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -180,25 +187,14 @@ def write_report_json(path, report: EvalReport) -> None:
 
 
 @dataclass(frozen=True)
-class BenchmarkResult:
+class BenchmarkResult(Record):
     task: str
-    target_edges: tuple
-    measured_edges: tuple
-    seconds: tuple
+    target_edges: tuple[int, ...]
+    measured_edges: tuple[int, ...]
+    seconds: tuple[float, ...]
     slope: float
     intercept: float
     r_squared: float
-
-    def to_dict(self) -> dict:
-        return {
-            "task": self.task,
-            "target_edges": list(self.target_edges),
-            "measured_edges": list(self.measured_edges),
-            "seconds": list(self.seconds),
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "r_squared": self.r_squared,
-        }
 
 
 _BENCH_SELLERS_PER_COMMUNITY = 50

@@ -10,7 +10,6 @@ times only ever go to the log callback.
 from __future__ import annotations
 
 import dataclasses
-import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .evaluate import per_class_report, write_report_csv, write_report_json
+from .evaluate import fmt_auc, fmt_delta, per_class_report, write_report_csv, write_report_json
 from .graph import CLASS_NAMES, N_CLASSES, HeteroGraph, build_expanded_graph
 from .models import (
     EdgeGnnConfig,
@@ -35,6 +34,7 @@ from .models import (
     train_expanded_rgcn,
     train_mlp_heads,
 )
+from .records import Record
 from .simulate import (
     SCENARIOS,
     GeneratorConfig,
@@ -64,15 +64,8 @@ MODEL_KINDS = ("edge_gnn", "tabular", "naive", "sign", "rgcn_expanded")
 EXPERIMENT_FORMAT_VERSION = 1
 
 
-def _reject_unknown(d: dict, cls, what: str) -> None:
-    known = {f.name for f in dataclasses.fields(cls)}
-    for key in d:
-        if key not in known:
-            raise ValueError(f"unknown {what} key {key!r}")
-
-
 @dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(Record):
     """Hyperparameters for all five model kinds; dims come from the graph."""
 
     mode: str = "multi_task"
@@ -94,17 +87,22 @@ class ModelConfig:
     expanded_epochs: int = 60
 
     def __post_init__(self):
-        if self.epochs < 0 or self.mlp_epochs < 0 or self.expanded_epochs < 0:
-            raise ValueError("epoch counts must be >= 0")
-        self.train_config(seed=0)  # fail at load on a bad lr, weight_decay or optimizer
+        for name, low in (("epochs", 0), ("mlp_epochs", 0), ("expanded_epochs", 0),
+                          ("sign_hops", 0), ("mlp_hidden", 1), ("expanded_hidden", 1),
+                          ("expanded_layers", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        # fail at load on a bad lr, weight_decay, optimizer, width, depth or dropout
+        self.train_config(seed=0)
+        self.edge_gnn_config(d_s=1, d_p=1, d_o=1)
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        _reject_unknown(d, cls, "model config")
-        return cls(**d)
+    def edge_gnn_config(self, d_s: int, d_p: int, d_o: int) -> EdgeGnnConfig:
+        return EdgeGnnConfig(
+            d_s=d_s, d_p=d_p, d_o=d_o,
+            hidden=self.hidden, gnn_layers=self.gnn_layers,
+            edge_hidden=self.edge_hidden, cls_hidden=self.cls_hidden,
+            mode=self.mode, dropout=self.dropout,
+        )
 
     def train_config(self, seed: int, epochs: Optional[int] = None) -> TrainConfig:
         return TrainConfig(
@@ -118,58 +116,26 @@ class ModelConfig:
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Record):
     version: int = EXPERIMENT_FORMAT_VERSION
     seed: int = 7
     out_dir: str = "runs/default"
     generator: GeneratorConfig = field(default_factory=GeneratorConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
-    models: tuple = MODEL_KINDS
-    scenarios: tuple = SCENARIOS
+    models: tuple[str, ...] = MODEL_KINDS
+    scenarios: tuple[str, ...] = SCENARIOS
 
     def __post_init__(self):
         if self.version != EXPERIMENT_FORMAT_VERSION:
             raise ValueError(f"unsupported config version {self.version}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for kind in self.models:
             if kind not in MODEL_KINDS:
                 raise ValueError(f"unknown model kind {kind!r}")
         for s in self.scenarios:
             if s not in SCENARIOS:
                 raise ValueError(f"unknown scenario {s!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "seed": self.seed,
-            "out_dir": self.out_dir,
-            "generator": self.generator.to_dict(),
-            "model": self.model.to_dict(),
-            "models": list(self.models),
-            "scenarios": list(self.scenarios),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        _reject_unknown(d, cls, "experiment config")
-        kw = dict(d)
-        if "generator" in kw:
-            kw["generator"] = GeneratorConfig.from_dict(kw["generator"])
-        if "model" in kw:
-            kw["model"] = ModelConfig.from_dict(kw["model"])
-        for name in ("models", "scenarios"):
-            if name in kw:
-                kw[name] = tuple(kw[name])
-        return cls(**kw)
-
-    @classmethod
-    def from_json_file(cls, path) -> "ExperimentConfig":
-        try:
-            blob = json.loads(Path(path).read_text())
-        except OSError as exc:
-            raise ValueError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"config {path} is not valid JSON: {exc}") from exc
-        return cls.from_dict(blob)
 
 
 @dataclass
@@ -178,15 +144,6 @@ class TrainedModel:
     arch: dict  # architecture descriptor persisted with the checkpoint
     param_groups: list
     history: list
-
-
-def _edge_gnn_config(g: HeteroGraph, mc: ModelConfig) -> EdgeGnnConfig:
-    return EdgeGnnConfig(
-        d_s=g.d_s, d_p=g.d_p, d_o=g.d_o,
-        hidden=mc.hidden, gnn_layers=mc.gnn_layers,
-        edge_hidden=mc.edge_hidden, cls_hidden=mc.cls_hidden,
-        mode=mc.mode, dropout=mc.dropout,
-    )
 
 
 def _expanded_config(g: HeteroGraph, mc: ModelConfig) -> ExpandedRgcnConfig:
@@ -213,7 +170,7 @@ def _table_arch(g: HeteroGraph, mc: ModelConfig, kind: str) -> dict:
 def train_model(g: HeteroGraph, kind: str, seed: int, mc: ModelConfig) -> TrainedModel:
     """Train one model kind on the (unmasked) graph."""
     if kind == "edge_gnn":
-        cfg = _edge_gnn_config(g, mc)
+        cfg = mc.edge_gnn_config(g.d_s, g.d_p, g.d_o)
         model = train_edge_gnn(g, cfg, mc.train_config(seed))
         return TrainedModel(kind, cfg.to_dict(), model.param_groups, model.history)
     if kind in ("tabular", "naive", "sign"):
@@ -253,7 +210,7 @@ def score_model(
     eval_offers = np.asarray(eval_offers, dtype=np.int64)
     _check_dims(arch, masked, kind)
     if kind == "edge_gnn":
-        cfg = EdgeGnnConfig(**arch)
+        cfg = EdgeGnnConfig.from_dict(arch)
         model = EdgeGnnModel(cfg=cfg, param_groups=param_groups)
         return model.score(masked, eval_offers)
     if kind == "tabular":
@@ -270,7 +227,7 @@ def score_model(
         table = sign_listing_table(masked, hops=arch["hops"])
         return score_mlp_heads(param_groups, table[eval_offers])
     if kind == "rgcn_expanded":
-        cfg = ExpandedRgcnConfig(**arch)
+        cfg = ExpandedRgcnConfig.from_dict(arch)
         scores = score_expanded_rgcn(build_expanded_graph(masked), param_groups[0], cfg)
         return scores[eval_offers]
     raise ValueError(f"unknown model kind {kind!r}")
@@ -402,24 +359,18 @@ def run_repro(config: ExperimentConfig, log: Callable = _noop_log) -> dict:
     return {"out_dir": out, "graph": g, "specs": specs, "reports": reports}
 
 
-def _fmt(v) -> str:
-    return "undefined" if v is None else f"{v:.6f}"
-
-
 def _write_summary_tables(out: Path, config: ExperimentConfig, reports: dict) -> None:
     long_lines = ["scenario,model,class,auc,delta_vs_tabular_pcp"]
     for name in config.scenarios:
         for kind in config.models:
             r = reports[(name, kind)]
             for k in range(N_CLASSES):
-                delta = "" if r.delta_pcp[k] is None else f"{r.delta_pcp[k]:.1f}"
-                long_lines.append(
-                    f"{name},{kind},{CLASS_NAMES[k]},{_fmt(r.auc[k])},{delta}"
-                )
+                long_lines.append(f"{name},{kind},{CLASS_NAMES[k]},"
+                                  f"{fmt_auc(r.auc[k])},{fmt_delta(r.delta_pcp[k])}")
     (out / "summary_long.csv").write_text("\n".join(long_lines) + "\n")
 
     geo_lines = ["model," + ",".join(config.scenarios)]
     for kind in config.models:
-        cells = [_fmt(reports[(name, kind)].geo_mean) for name in config.scenarios]
+        cells = [fmt_auc(reports[(name, kind)].geo_mean) for name in config.scenarios]
         geo_lines.append(f"{kind}," + ",".join(cells))
     (out / "summary_geo.csv").write_text("\n".join(geo_lines) + "\n")

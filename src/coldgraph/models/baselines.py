@@ -31,6 +31,7 @@ from ..autodiff import (
     take_rows,
 )
 from ..graph import N_CLASSES, HeteroGraph, ExpandedGraph, Relation, row_mean_normalize
+from ..records import Record
 from .core import cast_params, glorot, init_relational_encoder, relational_encoder_forward
 from .train import TrainConfig, fit
 
@@ -136,20 +137,13 @@ def sign_listing_table(g: HeteroGraph, aug: Optional[np.ndarray] = None, hops: i
 
 
 @dataclass(frozen=True)
-class ExpandedRgcnConfig:
+class ExpandedRgcnConfig(Record):
     d_s: int
     d_p: int
     d_o: int
     hidden: int = 64
     layers: int = 6
     n_classes: int = N_CLASSES
-
-    def to_dict(self) -> dict:
-        return {
-            "d_s": self.d_s, "d_p": self.d_p, "d_o": self.d_o,
-            "hidden": self.hidden, "layers": self.layers,
-            "n_classes": self.n_classes,
-        }
 
 
 def init_expanded_rgcn_params(cfg: ExpandedRgcnConfig, seed: int) -> dict:

@@ -39,6 +39,7 @@ from ..autodiff import (
     take_rows,
 )
 from ..graph import N_CLASSES, N_RELATIONS, HeteroGraph, NodeType
+from ..records import Record
 from ..sampling import EgoNetwork, OfferBatch, extract_ego_network
 
 __all__ = [
@@ -57,7 +58,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class EdgeGnnConfig:
+class EdgeGnnConfig(Record):
     d_s: int
     d_p: int
     d_o: int
@@ -72,21 +73,15 @@ class EdgeGnnConfig:
     def __post_init__(self):
         if self.mode not in ("multi_task", "nine_binary"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.gnn_layers < 1:
-            raise ValueError("need at least one graph layer")
+        for name in ("hidden", "gnn_layers", "edge_hidden", "cls_hidden"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0 <= self.dropout < 1:
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
 
     @property
     def head_width(self) -> int:
         return self.n_classes if self.mode == "multi_task" else 1
-
-    def to_dict(self) -> dict:
-        return {
-            "d_s": self.d_s, "d_p": self.d_p, "d_o": self.d_o,
-            "hidden": self.hidden, "gnn_layers": self.gnn_layers,
-            "edge_hidden": self.edge_hidden, "cls_hidden": self.cls_hidden,
-            "n_classes": self.n_classes, "mode": self.mode,
-            "dropout": self.dropout,
-        }
 
 
 def glorot(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:

@@ -19,7 +19,6 @@ of the "new" entities, keeping only the columns known at listing time.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -29,6 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .graph import N_CLASSES, NORMAL_CLASS, HeteroGraph, N_RELATIONS, NodeType
+from .records import Record
 from .storage import default_column_names
 
 __all__ = [
@@ -95,7 +95,7 @@ _DEFAULT_P_INTER = (2e-5, 1.5e-5, 1e-5, 1e-5, 8e-6, 5e-6, 5e-6, 5e-6)
 
 
 @dataclass(frozen=True)
-class GeneratorConfig:
+class GeneratorConfig(Record):
     n_sellers: int = 5000
     n_products: int = 8000
     n_communities: int = 25
@@ -105,9 +105,9 @@ class GeneratorConfig:
     d_o: int = 10
     offers_per_seller: float = 4.0  # mean of 1 + Poisson(mean - 1)
     in_community_product_pref: float = 0.85
-    p_intra: tuple = _DEFAULT_P_INTRA  # per seller-seller relation
-    p_inter: tuple = _DEFAULT_P_INTER
-    class_probs: Optional[tuple] = None  # rows (n_communities, 9); None -> default
+    p_intra: tuple[float, ...] = _DEFAULT_P_INTRA  # per seller-seller relation
+    p_inter: tuple[float, ...] = _DEFAULT_P_INTER
+    class_probs: Optional[tuple[tuple[float, ...], ...]] = None  # None -> default rows
     noise: float = 0.6
     price_mean_log: float = 3.0
     seed: int = 7
@@ -133,43 +133,17 @@ class GeneratorConfig:
                 raise ValueError(f"{name} entries must be probabilities")
         if self.noise < 0:
             raise ValueError("noise must be >= 0")
-        rows = self.resolved_class_probs()
-        if len(rows) != self.n_communities:
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.class_probs is not None and len(self.class_probs) != self.n_communities:
             raise ValueError("class_probs must have one row per community")
-        for row in rows:
+        for row in self.class_probs or ():  # default_class_probs rows are valid
             if len(row) != N_CLASSES:
                 raise ValueError(f"class_probs rows must have {N_CLASSES} entries")
             if any(p < 0 for p in row):
                 raise ValueError("class probabilities must be >= 0")
             if sum(row) > 1 + 1e-9:
                 raise ValueError("class_probs row sums must be <= 1")
-
-    def resolved_class_probs(self) -> tuple:
-        if self.class_probs is None:
-            return default_class_probs(self.n_communities)
-        return tuple(tuple(float(p) for p in row) for row in self.class_probs)
-
-    def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["p_intra"] = list(self.p_intra)
-        d["p_inter"] = list(self.p_inter)
-        if self.class_probs is not None:
-            d["class_probs"] = [list(r) for r in self.class_probs]
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GeneratorConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        for key in d:
-            if key not in known:
-                raise ValueError(f"unknown generator config key {key!r}")
-        kw = dict(d)
-        for name in ("p_intra", "p_inter"):
-            if name in kw:
-                kw[name] = tuple(kw[name])
-        if kw.get("class_probs") is not None:
-            kw["class_probs"] = tuple(tuple(r) for r in kw["class_probs"])
-        return cls(**kw)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +228,8 @@ def generate_synthetic_graph(cfg: GeneratorConfig) -> HeteroGraph:
     rng = np.random.default_rng(cfg.seed)
     seller_comm = _community_of(cfg.n_sellers, cfg.n_communities)
     product_comm = _community_of(cfg.n_products, cfg.n_communities)
-    class_rows = np.array(cfg.resolved_class_probs(), dtype=np.float64)
+    rows = default_class_probs(cfg.n_communities) if cfg.class_probs is None else cfg.class_probs
+    class_rows = np.array(rows, dtype=np.float64)
     normal_mass = class_rows[:, NORMAL_CLASS] + (1.0 - class_rows.sum(axis=1))
     eff_rows = class_rows.copy()
     eff_rows[:, NORMAL_CLASS] = normal_mass
@@ -348,7 +323,7 @@ def sample_cold_entities(
 
 
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(Record):
     """Frozen description of one cold-start evaluation scenario.
 
     Index sets are stored explicitly so a spec reproduces exactly from its
@@ -357,51 +332,19 @@ class ScenarioSpec:
 
     scenario: str
     seed: int
-    base_offers: tuple = ()
-    new_sellers: tuple = ()
-    new_products: tuple = ()
-    eval_offers: tuple = ()
-    retained_offer_columns: tuple = ("list_price",)
-    retained_product_columns: tuple = ("product_category",)
+    base_offers: tuple[int, ...] = ()
+    new_sellers: tuple[int, ...] = ()
+    new_products: tuple[int, ...] = ()
+    eval_offers: tuple[int, ...] = ()
+    retained_offer_columns: tuple[str, ...] = ("list_price",)
+    retained_product_columns: tuple[str, ...] = ("product_category",)
+    format_version: int = SCENARIO_FORMAT_VERSION
 
     def __post_init__(self):
+        if self.format_version != SCENARIO_FORMAT_VERSION:
+            raise ValueError(f"unsupported scenario format version {self.format_version}")
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "format_version": SCENARIO_FORMAT_VERSION,
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "base_offers": list(self.base_offers),
-            "new_sellers": list(self.new_sellers),
-            "new_products": list(self.new_products),
-            "eval_offers": list(self.eval_offers),
-            "retained_offer_columns": list(self.retained_offer_columns),
-            "retained_product_columns": list(self.retained_product_columns),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ScenarioSpec":
-        version = d.get("format_version", SCENARIO_FORMAT_VERSION)
-        if version != SCENARIO_FORMAT_VERSION:
-            raise ValueError(f"unsupported scenario format version {version}")
-        kw = {k: v for k, v in d.items() if k != "format_version"}
-        known = {f.name for f in dataclasses.fields(cls)}
-        for key in kw:
-            if key not in known:
-                raise ValueError(f"unknown scenario key {key!r}")
-        for name in (
-            "base_offers",
-            "new_sellers",
-            "new_products",
-            "eval_offers",
-            "retained_offer_columns",
-            "retained_product_columns",
-        ):
-            if name in kw:
-                kw[name] = tuple(kw[name])
-        return cls(**kw)
 
 
 def make_scenario(
@@ -522,4 +465,4 @@ def save_scenario(path, spec: ScenarioSpec) -> None:
 
 
 def load_scenario(path) -> ScenarioSpec:
-    return ScenarioSpec.from_dict(json.loads(Path(path).read_text()))
+    return ScenarioSpec.from_json_file(path)

@@ -200,6 +200,68 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert "'sed'" in cap.err
 
 
+def _assert_named_error(capsys, rc, fragment):
+    cap = capsys.readouterr()
+    assert rc == 2
+    assert "error: " in cap.err and fragment in cap.err
+    assert "Traceback" not in cap.err
+
+
+@pytest.mark.parametrize("patch, env, flags, fragment", [
+    ({"model": {"epochs": "8"}}, None, (), "ExperimentConfig.model.epochs"),
+    ({"generator": 5}, None, (), "ExperimentConfig.generator"),
+    ({"seed": "7"}, None, (), "ExperimentConfig.seed"),
+    ({"seed": -1}, None, (), "seed must be >= 0"),
+    ({"model": {"hidden": 0}}, None, (), "hidden must be >= 1"),
+    ({"model": {"sign_hops": -1}}, None, (), "sign_hops must be >= 0"),
+    ({"model": {"gnn_layers": 0}}, None, (), "gnn_layers must be >= 1"),
+    ({"model": {"dropout": 1.5}}, None, (), "dropout must be in [0, 1)"),
+    ({}, "-1", (), "seed must be >= 0"),
+    ({}, None, ("--seed", "-3"), "seed must be >= 0"),
+])
+def test_malformed_config_value_exits_2(tmp_path, monkeypatch, capsys, patch, env, flags,
+                                        fragment):
+    blob = write_tiny_config(tmp_path / "cfg.json", tmp_path / "runs").to_dict()
+    for key, value in patch.items():
+        blob[key] = {**blob[key], **value} if isinstance(value, dict) else value
+    (tmp_path / "cfg.json").write_text(json.dumps(blob))
+    if env is None:
+        monkeypatch.delenv("CG_SEED", raising=False)
+    else:
+        monkeypatch.setenv("CG_SEED", env)
+    rc = main(["generate", "--config", str(tmp_path / "cfg.json"),
+               "--out", str(tmp_path / "g"), *flags])
+    _assert_named_error(capsys, rc, fragment)
+    assert not (tmp_path / "g").exists()
+
+
+@pytest.mark.parametrize("scenario, fragment", [
+    ([1], "ScenarioSpec: expected an object"),
+    ({"scenario": "new_seller", "seed": 0, "new_sellers": 5}, "ScenarioSpec.new_sellers"),
+    ("{nope", "not valid JSON"),
+])
+def test_malformed_scenario_file_exits_2(ws, tabular_ckpt, tmp_path, capsys, scenario,
+                                         fragment):
+    path = tmp_path / "scenario.json"
+    path.write_text(scenario if isinstance(scenario, str) else json.dumps(scenario))
+    out = tmp_path / "s.csv"
+    rc = main(["score", "--checkpoint", str(tabular_ckpt), "--graph", str(ws["graph"]),
+               "--scenario", str(path), "--out", str(out)])
+    _assert_named_error(capsys, rc, fragment)
+    assert not out.exists()
+
+
+def test_malformed_checkpoint_arch_exits_2(ws, tmp_path, capsys):
+    g = load_graph(ws["graph"])
+    arch = {"d_s": g.d_s, "d_p": g.d_p, "d_o": g.d_o, "hidden": 0}
+    ckpt = tmp_path / "bad_arch.ckpt"
+    save_checkpoint(ckpt, "edge_gnn", arch, [])
+    rc = main(["score", "--checkpoint", str(ckpt), "--graph", str(ws["graph"]),
+               "--scenario", str(ws["scen"] / "scenario_full.json"),
+               "--out", str(tmp_path / "s.csv")])
+    _assert_named_error(capsys, rc, "EdgeGnnConfig: hidden must be >= 1")
+
+
 def test_missing_graph_path_exits_2(tmp_path, capsys):
     write_tiny_config(tmp_path / "cfg.json", tmp_path / "runs")
     rc = main([

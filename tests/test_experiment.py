@@ -1,4 +1,6 @@
+import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +16,14 @@ from coldgraph.experiment import (
     write_scores_csv,
 )
 from coldgraph.models import load_checkpoint, train_mlp_heads
-from coldgraph.simulate import GeneratorConfig, apply_scenario, generate_synthetic_graph, make_scenario
+from coldgraph.simulate import (
+    GeneratorConfig,
+    apply_scenario,
+    generate_synthetic_graph,
+    load_scenario,
+    make_scenario,
+    save_scenario,
+)
 from coldgraph.storage import load_graph
 
 
@@ -45,6 +54,9 @@ def tiny_graph():
 def test_config_round_trip():
     cfg = tiny_config()
     assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+    # the shipped default config spells out every field
+    path = Path(__file__).resolve().parent.parent / "configs" / "default.json"
+    assert ExperimentConfig.from_json_file(path).to_dict() == json.loads(path.read_text())
 
 
 def test_defaults_are_complete():
@@ -77,8 +89,6 @@ def test_config_version_and_enums_validated():
 
 
 def test_config_from_json_file(tmp_path):
-    import json
-
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(tiny_config().to_dict()))
     assert ExperimentConfig.from_json_file(path) == tiny_config()
@@ -222,7 +232,9 @@ def test_run_repro_writes_all_artifacts(tmp_path):
     g = load_graph(out / "graph")
     assert g.n_sellers == 60
     for name in cfg.scenarios:
-        assert (out / f"scenario_{name}.json").exists()
+        path = out / f"scenario_{name}.json"
+        save_scenario(tmp_path / "again.json", load_scenario(path))
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
     for kind in cfg.models:
         assert (out / f"{kind}.ckpt").exists()
         for name in cfg.scenarios:
