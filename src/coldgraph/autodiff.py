@@ -238,7 +238,11 @@ def const_matmul(m, x: Tensor) -> Tensor:
 
 
 def take_rows(x: Tensor, idx: np.ndarray) -> Tensor:
-    """Gather rows; duplicate indices accumulate in the gradient."""
+    """Gather rows; duplicate indices accumulate in the gradient.
+
+    The backward scatters by assignment when ``idx`` is strictly
+    increasing and keeps the slower ``np.add.at`` for repeated indices.
+    """
     if x.ndim != 2:
         raise ValueError("take_rows expects a rank-2 tensor")
     idx = np.asarray(idx)
@@ -250,7 +254,10 @@ def take_rows(x: Tensor, idx: np.ndarray) -> Tensor:
         if not needs[0]:
             return (None,)
         gx = np.zeros_like(x.data, dtype=g.dtype)
-        np.add.at(gx, idx, g)
+        if np.all(idx[1:] > idx[:-1]):
+            gx[idx] = g
+        else:
+            np.add.at(gx, idx, g)
         return (gx,)
 
     return _maybe_record(out, (x,), bwd)

@@ -257,6 +257,23 @@ def _default_task(task: str, seed: int) -> Callable:
     return make
 
 
+BENCH_MIN_INTERVAL_S = 0.1
+
+
+def _interleaved_seconds(thunks: list, min_seconds: float) -> np.ndarray:
+    """Mean wall time per call of each thunk, called round-robin until each
+    has run for at least ``min_seconds`` in all."""
+    total = np.zeros(len(thunks))
+    rounds = 0
+    while total.min() < min_seconds:
+        for i, thunk in enumerate(thunks):
+            t0 = time.perf_counter()
+            thunk()
+            total[i] += time.perf_counter() - t0
+        rounds += 1
+    return total / rounds
+
+
 def scaling_benchmark(
     sizes: Sequence[int],
     task,
@@ -267,11 +284,13 @@ def scaling_benchmark(
 
     ``task`` is "train_epoch", "inference", or a callable ``task(graph) ->
     thunk`` for injecting a custom workload (the no-op control in tests).
-    Every size's graph and thunk are built and warmed up first; then each
-    of the ``repeats`` passes times every size once, so a slow stretch of
-    the host spreads over all sizes instead of landing on one.  A size
-    keeps its minimum over the passes; one whose timing cannot be resolved
-    by the clock is rejected.
+    Every size's graph and thunk are built and warmed up first.  Each of
+    the ``repeats`` passes then calls the sizes round-robin, one call each
+    per round, until every size has run for ``BENCH_MIN_INTERVAL_S`` in
+    all, and takes each size's mean time per call.  A slow stretch of the
+    host thus slows every size in proportion to its own share of the time,
+    which keeps the order of the sizes, and a short task is not read off a
+    single call.  A size keeps its minimum over the passes.
     """
     sizes = [int(s) for s in sizes]
     if len(sizes) < 4:
@@ -289,24 +308,14 @@ def scaling_benchmark(
     else:
         raise ValueError(f"unknown benchmark task {task!r}")
 
-    resolution = time.get_clock_info("perf_counter").resolution
-    floor = max(50.0 * resolution, 5e-7)
     sizes = sorted(sizes)
     graphs = [generate_synthetic_graph(bench_config_for_edges(size, seed)) for size in sizes]
     thunks = [make_thunk(g) for g in graphs]
     for thunk in thunks:
         thunk()  # warm-up
-    best = [math.inf] * len(thunks)
+    best = np.full(len(thunks), np.inf)
     for _ in range(max(1, repeats)):
-        for i, thunk in enumerate(thunks):
-            t0 = time.perf_counter()
-            thunk()
-            best[i] = min(best[i], time.perf_counter() - t0)
-    for size, took in zip(sizes, best):
-        if took < floor:
-            raise ValueError(
-                f"timer resolution insufficient for size {size} ({took:.2e}s)"
-            )
+        best = np.minimum(best, _interleaved_seconds(thunks, BENCH_MIN_INTERVAL_S))
     measured = [g.n_edges for g in graphs]
     x = np.array(measured, dtype=np.float64)
     y = np.array(best, dtype=np.float64)

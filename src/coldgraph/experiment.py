@@ -153,18 +153,36 @@ def _expanded_config(g: HeteroGraph, mc: ModelConfig) -> ExpandedRgcnConfig:
     )
 
 
+@dataclass(frozen=True)
+class TableArch(Record):
+    """Checkpoint architecture of the ``tabular`` and ``naive`` MLP heads."""
+
+    d_s: int
+    d_p: int
+    d_o: int
+    d_in: int
+    hidden: int
+    n_classes: int
+
+
+@dataclass(frozen=True)
+class SignArch(TableArch):
+    """Checkpoint architecture of the ``sign`` MLP heads."""
+
+    hops: int
+
+
+# model kind -> the record its checkpoint architecture decodes through
+ARCH_RECORDS = {"edge_gnn": EdgeGnnConfig, "tabular": TableArch, "naive": TableArch,
+                "sign": SignArch, "rgcn_expanded": ExpandedRgcnConfig}
+
+
 def _table_arch(g: HeteroGraph, mc: ModelConfig, kind: str) -> dict:
+    dims = dict(d_s=g.d_s, d_p=g.d_p, d_o=g.d_o, hidden=mc.mlp_hidden, n_classes=N_CLASSES)
     if kind == "sign":
         d_in = 2 * (mc.sign_hops + 1) * (g.d_s + g.d_p) + g.d_o
-    else:
-        d_in = g.d_s + g.d_p + g.d_o
-    arch = {
-        "d_s": g.d_s, "d_p": g.d_p, "d_o": g.d_o,
-        "d_in": d_in, "hidden": mc.mlp_hidden, "n_classes": N_CLASSES,
-    }
-    if kind == "sign":
-        arch["hops"] = mc.sign_hops
-    return arch
+        return SignArch(d_in=d_in, hops=mc.sign_hops, **dims).to_dict()
+    return TableArch(d_in=g.d_s + g.d_p + g.d_o, **dims).to_dict()
 
 
 def train_model(g: HeteroGraph, kind: str, seed: int, mc: ModelConfig) -> TrainedModel:
@@ -189,15 +207,6 @@ def train_model(g: HeteroGraph, kind: str, seed: int, mc: ModelConfig) -> Traine
     raise ValueError(f"unknown model kind {kind!r}")
 
 
-def _check_dims(arch: dict, g: HeteroGraph, kind: str) -> None:
-    for name, have in (("d_s", g.d_s), ("d_p", g.d_p), ("d_o", g.d_o)):
-        want = arch.get(name)
-        if want is not None and want != have:
-            raise ValueError(
-                f"{kind} checkpoint expects {name}={want}, graph has {have}"
-            )
-
-
 def score_model(
     kind: str,
     arch: dict,
@@ -206,11 +215,21 @@ def score_model(
     eval_offers: np.ndarray,
     spec: Optional[ScenarioSpec] = None,
 ) -> np.ndarray:
-    """Probability matrix (|eval_offers|, 9) in float64, from masked features."""
+    """Probability matrix (|eval_offers|, 9) in float64, from masked features.
+
+    ``arch`` is decoded through the kind's record in ``ARCH_RECORDS``, so a
+    malformed one raises ValueError naming the record and key.
+    """
+    if kind not in ARCH_RECORDS:
+        raise ValueError(f"unknown model kind {kind!r}")
+    cfg = ARCH_RECORDS[kind].from_dict(arch)
+    for name, have in (("d_s", masked.d_s), ("d_p", masked.d_p), ("d_o", masked.d_o)):
+        if getattr(cfg, name) != have:
+            raise ValueError(
+                f"{kind} checkpoint expects {name}={getattr(cfg, name)}, graph has {have}"
+            )
     eval_offers = np.asarray(eval_offers, dtype=np.int64)
-    _check_dims(arch, masked, kind)
     if kind == "edge_gnn":
-        cfg = EdgeGnnConfig.from_dict(arch)
         model = EdgeGnnModel(cfg=cfg, param_groups=param_groups)
         return model.score(masked, eval_offers)
     if kind == "tabular":
@@ -224,13 +243,10 @@ def score_model(
         table = build_listing_table(masked, seller_features=filled)
         return score_mlp_heads(param_groups, table[eval_offers])
     if kind == "sign":
-        table = sign_listing_table(masked, hops=arch["hops"])
+        table = sign_listing_table(masked, hops=cfg.hops)
         return score_mlp_heads(param_groups, table[eval_offers])
-    if kind == "rgcn_expanded":
-        cfg = ExpandedRgcnConfig.from_dict(arch)
-        scores = score_expanded_rgcn(build_expanded_graph(masked), param_groups[0], cfg)
-        return scores[eval_offers]
-    raise ValueError(f"unknown model kind {kind!r}")
+    return score_expanded_rgcn(build_expanded_graph(masked), param_groups[0], cfg,
+                               offers=eval_offers)
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,14 @@ Matrices derived from the topology are built on first use into one cache,
 which every copy that keeps the topology shares:
 
 - ``unified_csr(r)``: the symmetric binary adjacency of relation ``r``;
+- ``normalized_csr(r)``: the same with each row scaled by 1/degree, whose
+  rows the edge classifier's layers and the diffusion features read;
 - ``union_csr()``: the binary OR of the nine, which ego extraction walks
   and whose seller block is the union of the seller-seller relations;
 - ``offers_of(node_type)``: the owner-by-offer incidence of sellers or
   products, which gives sibling-offer sums and a cold entity's offers;
-- ``ExpandedGraph.relation_csrs()`` and ``normalized_csrs()``: the ten
-  matrices of the expanded form.
+- ``ExpandedGraph.relation_csrs()``, ``normalized_csrs()`` and
+  ``union_csr()``: the ten matrices of the expanded form and their OR.
 """
 
 from __future__ import annotations
@@ -125,6 +127,13 @@ def _freeze_csr(mat: sp.csr_matrix) -> sp.csr_matrix:
     for arr in (mat.data, mat.indices, mat.indptr):
         arr.flags.writeable = False
     return mat
+
+
+def _binary_union(mats: Sequence[sp.csr_matrix]) -> sp.csr_matrix:
+    """Read-only binary OR of same-shape matrices."""
+    mat = sum(mats)
+    mat.data[:] = 1.0
+    return _freeze_csr(mat)
 
 
 def row_mean_normalize(mat: sp.csr_matrix) -> sp.csr_matrix:
@@ -309,14 +318,22 @@ class HeteroGraph:
             mat = self._csr[relation] = _symmetric_csr(a, b, self.n_nodes)
         return mat
 
+    def normalized_csr(self, relation: Relation) -> sp.csr_matrix:
+        """``unified_csr(relation)`` with each nonempty row scaled by
+        1/degree; read-only, built once per topology."""
+        relation = Relation(relation)
+        key = f"normalized_{relation.name}"
+        mat = self._csr.get(key)
+        if mat is None:
+            mat = self._csr[key] = _freeze_csr(row_mean_normalize(self.unified_csr(relation)))
+        return mat
+
     def union_csr(self) -> sp.csr_matrix:
         """Binary OR of the nine ``unified_csr`` matrices; read-only, built
         once per topology."""
         mat = self._csr.get("union")
         if mat is None:
-            mat = sum(self.unified_csr(r) for r in Relation)
-            mat.data[:] = 1.0
-            mat = self._csr["union"] = _freeze_csr(mat)
+            mat = self._csr["union"] = _binary_union([self.unified_csr(r) for r in Relation])
         return mat
 
     def offers_of(self, node_type: NodeType) -> sp.csr_matrix:
@@ -486,6 +503,14 @@ class ExpandedGraph:
             mats = tuple(_freeze_csr(row_mean_normalize(m)) for m in self.relation_csrs())
             self.g._csr["expanded_normalized"] = mats
         return mats
+
+    def union_csr(self) -> sp.csr_matrix:
+        """Binary OR of the ten ``relation_csrs()``; cached and shared the
+        same way."""
+        mat = self.g._csr.get("expanded_union")
+        if mat is None:
+            mat = self.g._csr["expanded_union"] = _binary_union(self.relation_csrs())
+        return mat
 
 
 def build_expanded_graph(g: HeteroGraph) -> ExpandedGraph:

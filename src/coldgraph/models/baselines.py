@@ -11,7 +11,10 @@ node-level relational GNN over the expanded graph.
   operator applied to zero-padded node features, feed the concatenation
   plus raw offer features to the same per-class MLPs.
 - expanded RGCN: six relational convolutions over the offers-as-nodes
-  graph, full batch, classifying offer nodes.
+  graph, full batch, classifying offer nodes.  It runs the same
+  message-flow plan as the edge classifier's ego networks, seeded at the
+  offer nodes it classifies, so scoring a subset computes only its
+  neighbourhood.
 """
 
 from __future__ import annotations
@@ -28,10 +31,10 @@ from ..autodiff import (
     affine,
     bce_loss,
     scale,
-    take_rows,
 )
-from ..graph import N_CLASSES, HeteroGraph, ExpandedGraph, Relation, row_mean_normalize
+from ..graph import N_CLASSES, HeteroGraph, ExpandedGraph, Relation
 from ..records import Record
+from ..sampling import bfs_hops, message_flow_plan
 from .core import cast_params, glorot, init_relational_encoder, relational_encoder_forward
 from .train import TrainConfig, fit
 
@@ -105,9 +108,9 @@ def sign_features(g: HeteroGraph, hops: int = 3) -> np.ndarray:
     summed = sp.csr_matrix((n, n), dtype=np.float64)
     active = np.zeros(n, dtype=np.float64)
     for r in Relation:
-        mat = g.unified_csr(r)
+        mat = g.normalized_csr(r)
         active += np.diff(mat.indptr) > 0
-        summed = summed + row_mean_normalize(mat).astype(np.float64)
+        summed = summed + mat.astype(np.float64)
     inv = np.zeros(n, dtype=np.float64)
     inv[active > 0] = 1.0 / active[active > 0]
     op = sp.diags(inv) @ summed
@@ -158,14 +161,33 @@ def init_expanded_rgcn_params(cfg: ExpandedRgcnConfig, seed: int) -> dict:
     return params
 
 
-def expanded_rgcn_forward(eg: ExpandedGraph, params: dict, cfg: ExpandedRgcnConfig) -> Tensor:
-    """Class probabilities for every offer node (full batch)."""
+def _expanded_flow(eg: ExpandedGraph, offers: np.ndarray, layers: int) -> tuple:
+    """(inputs, plan) of ``layers`` convolutions read at the offer nodes of
+    ``offers`` (ascending, unique), pruned by message flow as in an ego
+    network."""
     g = eg.g
-    inputs = {"seller": g.seller_features, "product": g.product_features,
-              "offer": g.offer_features}
-    h = relational_encoder_forward(inputs, eg.normalized_csrs(), params, cfg.layers)
-    offers = take_rows(h, eg.offer_node_ids())
-    return activation(affine(offers, params["head_w"], params["head_b"]), "sigmoid")
+    hop = bfs_hops(eg.union_csr(), g.n_nodes + offers, layers)
+    nodes = np.flatnonzero(hop >= 0)
+    s, p, o = np.split(nodes, np.searchsorted(nodes, [g.n_sellers, g.n_nodes]))
+    inputs = {"seller": g.seller_features[s], "product": g.product_features[p - g.n_sellers],
+              "offer": g.offer_features[o - g.n_nodes]}
+    return inputs, message_flow_plan(eg.normalized_csrs(), nodes, hop[nodes], layers)
+
+
+def _expanded_probs(flow: tuple, params: dict) -> Tensor:
+    inputs, plan = flow
+    h = relational_encoder_forward(inputs, plan, params)
+    return activation(affine(h, params["head_w"], params["head_b"]), "sigmoid")
+
+
+def expanded_rgcn_forward(
+    eg: ExpandedGraph, params: dict, cfg: ExpandedRgcnConfig, offers: Optional[np.ndarray] = None
+) -> Tensor:
+    """Class probabilities of ``offers`` (ascending, unique; default every
+    offer), computing each layer only where the output reads it."""
+    if offers is None:
+        offers = np.arange(eg.g.n_offers)
+    return _expanded_probs(_expanded_flow(eg, offers, cfg.layers), params)
 
 
 def train_expanded_rgcn(
@@ -176,15 +198,22 @@ def train_expanded_rgcn(
         raise ValueError("expanded graph has no labeled offers")
     params = init_expanded_rgcn_params(cfg, tc.seed)
     targets = eg.g.labels.astype(np.float32)
+    flow = _expanded_flow(eg, np.arange(eg.g.n_offers), cfg.layers)
 
-    def loss_fn(full_graph):
-        probs = expanded_rgcn_forward(full_graph, params, cfg)
-        return scale(bce_loss(probs, targets), cfg.n_classes)
+    def loss_fn(full_batch):
+        return scale(bce_loss(_expanded_probs(full_batch, params), targets), cfg.n_classes)
 
-    return params, fit(params, lambda: (eg,), loss_fn, tc)
+    return params, fit(params, lambda: (flow,), loss_fn, tc)
 
 
 def score_expanded_rgcn(
-    eg: ExpandedGraph, params: dict, cfg: ExpandedRgcnConfig, dtype=np.float64
+    eg: ExpandedGraph, params: dict, cfg: ExpandedRgcnConfig, dtype=np.float64,
+    offers: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    return expanded_rgcn_forward(eg, cast_params(params, dtype), cfg).data
+    """Probability rows of ``offers`` (any order; default every offer)."""
+    if offers is None:
+        offers = np.arange(eg.g.n_offers)
+    wanted, row = np.unique(np.asarray(offers, dtype=np.int64), return_inverse=True)
+    if wanted.size == 0:
+        return np.zeros((0, cfg.n_classes))
+    return expanded_rgcn_forward(eg, cast_params(params, dtype), cfg, wanted).data[row]

@@ -4,7 +4,11 @@ embedder, and an MLP head over the concatenated embeddings.
 The model scores offer edges.  Per batch offer it consumes
 
 - seller and product node embeddings from a relational graph convolution
-  stack run over the batch ego network,
+  stack run over the batch ego network's message-flow plan: layer l of L
+  computes only the ego nodes within L-1-l hops of the batch endpoints,
+  and each relation multiplies only the rows its block reads
+  (``block.adj @ (h[block.cols] @ W_r)``), so the last layer computes the
+  endpoints alone,
 - an edge embedding built from the offer's own features concatenated with
   the mean features of its sibling offers (other offers of the same
   product, and other offers of the same seller; the offer itself is
@@ -40,7 +44,7 @@ from ..autodiff import (
 )
 from ..graph import N_CLASSES, N_RELATIONS, HeteroGraph, NodeType
 from ..records import Record
-from ..sampling import EgoNetwork, OfferBatch, extract_ego_network
+from ..sampling import EgoNetwork, Layer, OfferBatch, extract_ego_network
 
 __all__ = [
     "EdgeGnnConfig",
@@ -162,44 +166,48 @@ def init_relational_encoder(
 
 
 def rgcn_layer(
-    rel_adj: list,
+    layer: Layer,
     h: Tensor,
-    rel_ws: list,
+    rel_ws: Sequence | dict,
     self_w: Tensor,
     self_b: Tensor,
     act: str = "relu",
 ) -> Tensor:
-    """One relational graph convolution.
+    """One relational graph convolution, computed only at ``layer.keep``.
 
-    Per node: the self path ``h @ self_w + bias`` plus, for every relation
-    with at least one incident edge, the neighbor-mean of ``h`` times that
-    relation's weight.  ``rel_adj`` entries are row-mean-normalized
-    adjacency matrices, so relations a node does not participate in
-    contribute nothing to it.
+    Per output row: the self path ``h @ self_w + bias`` plus, for every
+    relation block, the neighbour-mean of ``h`` times that relation's
+    weight ``rel_ws[block.relation]``; each block multiplies only the rows
+    of ``h`` it reads.  Block matrices are row-mean-normalized, so a
+    relation a node does not participate in contributes nothing to it.
     """
-    terms = [affine(h, self_w, self_b)]
-    for adj, w in zip(rel_adj, rel_ws):
-        if adj.nnz == 0:
-            continue
-        terms.append(const_matmul(adj, matmul(h, w)))
+    n = h.shape[0]
+
+    def rows(idx):
+        return h if idx.shape[0] == n else take_rows(h, idx)
+
+    terms = [affine(rows(layer.keep), self_w, self_b)]
+    for block in layer.blocks:
+        terms.append(const_matmul(block.adj, matmul(rows(block.cols), rel_ws[block.relation])))
     return activation(add_n(terms), act)
 
 
 def relational_encoder_forward(
     inputs: dict,
-    rel_adj: Sequence,
+    plan: Sequence,
     params: dict,
-    layers: int,
     dropout_p: float = 0.0,
     rng: Optional[np.random.Generator] = None,
 ) -> Tensor:
-    """Hidden states of every node after ``layers`` relational convolutions.
+    """Hidden states at the last plan layer's rows after ``len(plan)``
+    relational convolutions.
 
-    ``inputs`` maps each node type to its feature rows, in unified node
-    order; each block goes through its relu input projection and the blocks
-    are stacked.  ``rel_adj`` holds the row-mean-normalized adjacency per
-    relation over that order.  Dropout follows each layer when
-    ``dropout_p > 0`` and ``rng`` is given (training only).
+    ``inputs`` maps each node type to its feature rows; stacked in type
+    order they are the first layer's input rows.  Each block goes through
+    its relu input projection.  ``plan`` holds one :class:`Layer` per
+    convolution, the i-th using the ``gnn{i}_*`` parameters.  Dropout
+    follows each layer when ``dropout_p > 0`` and ``rng`` is given
+    (training only).
     """
     dtype = params[f"proj_{next(iter(inputs))}_w"].dtype
     h = stack_rows([
@@ -210,13 +218,13 @@ def relational_encoder_forward(
         )
         for name, x in inputs.items()
     ])
-    for layer in range(layers):
+    for i, layer in enumerate(plan):
         h = rgcn_layer(
-            rel_adj,
+            layer,
             h,
-            [params[f"gnn{layer}_rel{r}_w"] for r in range(len(rel_adj))],
-            params[f"gnn{layer}_self_w"],
-            params[f"gnn{layer}_self_b"],
+            {b.relation: params[f"gnn{i}_rel{b.relation}_w"] for b in layer.blocks},
+            params[f"gnn{i}_self_w"],
+            params[f"gnn{i}_self_b"],
         )
         if dropout_p > 0.0 and rng is not None:
             h = dropout(h, dropout_p, rng)
@@ -234,20 +242,29 @@ def node_embedder_forward(
     cfg: EdgeGnnConfig,
     rng: Optional[np.random.Generator] = None,
 ) -> tuple:
-    """Seller and product embeddings for the ego's batch endpoints."""
-    if ego.hops < cfg.gnn_layers:
+    """Seller and product embeddings for the ego's batch endpoints.
+
+    Runs the last ``cfg.gnn_layers`` layers of the ego's plan, whose first
+    reads the local nodes within ``cfg.gnn_layers`` hops and whose last
+    computes only the batch endpoints (the hop-zero nodes).
+    """
+    layers = cfg.gnn_layers
+    if ego.hops < layers:
         raise ValueError(
-            f"ego network of depth {ego.hops} is too shallow for {cfg.gnn_layers} layers"
+            f"ego network of depth {ego.hops} is too shallow for {layers} layers"
         )
+    first = ego.hop <= layers
+    n_s = ego.n_local_sellers
     inputs = {
-        "seller": g.seller_features[ego.seller_globals],
-        "product": g.product_features[ego.product_globals],
+        "seller": g.seller_features[ego.seller_globals[first[:n_s]]],
+        "product": g.product_features[ego.product_globals[first[n_s:]]],
     }
     h = relational_encoder_forward(
-        inputs, ego.rel_adj, params, cfg.gnn_layers, cfg.dropout, rng
+        inputs, ego.plan[ego.hops - layers:], params, cfg.dropout, rng
     )
-    emb_s = take_rows(h, ego.batch_seller_local)
-    emb_p = take_rows(h, ego.batch_product_local)
+    out_row = np.cumsum(ego.hop == 0) - 1  # local node -> row of h
+    emb_s = take_rows(h, out_row[ego.batch_seller_local])
+    emb_p = take_rows(h, out_row[ego.batch_product_local])
     return emb_s, emb_p
 
 

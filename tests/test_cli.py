@@ -262,6 +262,21 @@ def test_malformed_checkpoint_arch_exits_2(ws, tmp_path, capsys):
     _assert_named_error(capsys, rc, "EdgeGnnConfig: hidden must be >= 1")
 
 
+@pytest.mark.parametrize("kind, arch, fragment", [
+    ("tabular", [1], "TableArch: expected an object, got [1]"),
+    ("naive", {"d_s": 5}, "TableArch: missing key"),
+    ("sign", {"d_s": 5, "d_p": 4, "d_o": 6, "d_in": 78, "hidden": 8, "n_classes": 9},
+     "SignArch: missing key 'hops'"),
+])
+def test_malformed_table_checkpoint_arch_exits_2(ws, tmp_path, capsys, kind, arch, fragment):
+    ckpt = tmp_path / "bad_arch.ckpt"
+    save_checkpoint(ckpt, kind, arch, [])
+    rc = main(["score", "--checkpoint", str(ckpt), "--graph", str(ws["graph"]),
+               "--scenario", str(ws["scen"] / "scenario_full.json"),
+               "--out", str(tmp_path / "s.csv")])
+    _assert_named_error(capsys, rc, fragment)
+
+
 def test_missing_graph_path_exits_2(tmp_path, capsys):
     write_tiny_config(tmp_path / "cfg.json", tmp_path / "runs")
     rc = main([

@@ -1,0 +1,131 @@
+"""Property tests for the message-flow-pruned, relation-blocked relational
+layer: on random graphs it must equal a dense float64 reference that runs
+every layer over every node and every relation.
+
+Graphs come from ``test_graph_properties.graph_arrays`` (isolated nodes,
+empty relations, single-offer sellers), optionally with seller 0 turned
+into a hub that is linked to every other seller and offers every product.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from coldgraph.graph import HeteroGraph, Relation, build_expanded_graph
+from coldgraph.models import (
+    EdgeGnnConfig,
+    ExpandedRgcnConfig,
+    cast_params,
+    expanded_rgcn_forward,
+    init_edge_gnn_params,
+    init_expanded_rgcn_params,
+    node_embedder_forward,
+    score_expanded_rgcn,
+)
+from coldgraph.sampling import OfferBatch, extract_ego_network
+from test_graph_properties import graph_arrays
+
+SETTINGS = settings(max_examples=40, deadline=None)
+
+
+@st.composite
+def graphs(draw):
+    kw = draw(graph_arrays(min_offers=1))
+    if draw(st.booleans()):
+        n_s, n_p = kw["seller_features"].shape[0], kw["product_features"].shape[0]
+        r = draw(st.integers(0, len(Relation) - 2))
+        edges = {tuple(sorted(e)) for e in kw["ss_edges"][r].tolist()}
+        edges |= {(0, b) for b in range(1, n_s)}
+        kw["ss_edges"][r] = np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
+        have = set(kw["offer_product"][kw["offer_seller"] == 0].tolist())
+        extra = np.array([p for p in range(n_p) if p not in have], dtype=np.int64)
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        kw["offer_seller"] = np.concatenate([kw["offer_seller"], np.zeros_like(extra)])
+        kw["offer_product"] = np.concatenate([kw["offer_product"], extra])
+        kw["offer_features"] = np.concatenate([
+            kw["offer_features"],
+            rng.normal(size=(extra.size, kw["offer_features"].shape[1])).astype(np.float32),
+        ])
+        if kw["labels"] is not None:
+            kw["labels"] = np.concatenate([kw["labels"], np.zeros((extra.size, 9), np.uint8)])
+    return HeteroGraph.from_arrays(**kw)
+
+
+def dense_normalized(pairs, n):
+    """Row-mean-normalized dense adjacency of undirected index pairs, with
+    1/degree rounded to float32 as the graph stores it."""
+    a = np.zeros((n, n))
+    a[pairs[:, 0], pairs[:, 1]] = 1.0
+    a[pairs[:, 1], pairs[:, 0]] = 1.0
+    deg = a.sum(axis=1, keepdims=True)
+    inv = np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)
+    return a * inv.astype(np.float32).astype(np.float64)
+
+
+def dense_encoder(inputs, mats, params, layers):
+    """Every node's hidden state after ``layers`` unpruned convolutions."""
+    p = {k: v.data.astype(np.float64) for k, v in params.items()}
+    h = np.concatenate([
+        np.maximum(x.astype(np.float64) @ p[f"proj_{name}_w"] + p[f"proj_{name}_b"], 0)
+        for name, x in inputs.items()
+    ])
+    for layer in range(layers):
+        z = h @ p[f"gnn{layer}_self_w"] + p[f"gnn{layer}_self_b"]
+        for r, a in enumerate(mats):
+            z = z + a @ (h @ p[f"gnn{layer}_rel{r}_w"])
+        h = np.maximum(z, 0)
+    return h
+
+
+def node_space_pairs(g):
+    """Edge index pairs of the nine relations over sellers, then products."""
+    offers = np.stack([g.offer_seller, g.offer_product + g.n_sellers], axis=1)
+    return [g.ss_edges(r) for r in Relation.seller_seller()] + [offers]
+
+
+@SETTINGS
+@given(graphs(), st.data())
+def test_pruned_ego_encoder_equals_dense_reference(g, data):
+    offers = data.draw(st.lists(st.integers(0, g.n_offers - 1), min_size=1, unique=True))
+    batch = OfferBatch(np.sort(offers))
+    mats = [dense_normalized(e, g.n_nodes) for e in node_space_pairs(g)]
+    inputs = {"seller": g.seller_features, "product": g.product_features}
+    for layers in (1, 2, 3):
+        cfg = EdgeGnnConfig(d_s=g.d_s, d_p=g.d_p, d_o=g.d_o, hidden=4, gnn_layers=layers,
+                            edge_hidden=3, cls_hidden=3)
+        params = cast_params(init_edge_gnn_params(cfg, seed=layers), np.float64)
+        want = dense_encoder(inputs, mats, params, layers)
+        for hops in range(layers, 4):  # an ego may be deeper than the stack
+            ego = extract_ego_network(g, batch, hops)
+            emb_s, emb_p = node_embedder_forward(g, ego, params, cfg)
+            np.testing.assert_allclose(emb_s.data, want[g.offer_seller[batch.offers]],
+                                       rtol=1e-10, atol=1e-12)
+            np.testing.assert_allclose(
+                emb_p.data, want[g.offer_product[batch.offers] + g.n_sellers],
+                rtol=1e-10, atol=1e-12,
+            )
+
+
+@SETTINGS
+@given(graphs(), st.integers(1, 3), st.data())
+def test_expanded_forward_equals_dense_reference(g, layers, data):
+    eg = build_expanded_graph(g)
+    n, m = g.n_nodes, g.n_offers
+    offer_ids = np.arange(n, n + m)
+    pairs = node_space_pairs(g)[:-1] + [
+        np.stack([g.offer_seller, offer_ids], axis=1),
+        np.stack([offer_ids, g.offer_product + g.n_sellers], axis=1),
+    ]
+    mats = [dense_normalized(e, n + m) for e in pairs]
+    cfg = ExpandedRgcnConfig(d_s=g.d_s, d_p=g.d_p, d_o=g.d_o, hidden=4, layers=layers)
+    params = cast_params(init_expanded_rgcn_params(cfg, seed=layers), np.float64)
+    inputs = {"seller": g.seller_features, "product": g.product_features,
+              "offer": g.offer_features}
+    h = dense_encoder(inputs, mats, params, layers)[n:]
+    want = 1.0 / (1.0 + np.exp(-(h @ params["head_w"].data + params["head_b"].data)))
+
+    full = expanded_rgcn_forward(eg, params, cfg)  # the full batch that training runs
+    np.testing.assert_allclose(full.data, want, rtol=1e-10, atol=1e-12)
+    some = data.draw(st.lists(st.integers(0, m - 1), min_size=1))
+    np.testing.assert_allclose(score_expanded_rgcn(eg, params, cfg, offers=np.array(some)),
+                               want[some], rtol=1e-10, atol=1e-12)

@@ -35,7 +35,7 @@ from coldgraph.models import (
     train_expanded_rgcn,
     train_mlp_heads,
 )
-from coldgraph.sampling import OfferBatch, extract_ego_network
+from coldgraph.sampling import OfferBatch, extract_ego_network, message_flow_plan
 
 
 def small_cfg(g, **kw):
@@ -51,6 +51,12 @@ def small_cfg(g, **kw):
 # relational convolution
 
 
+def one_layer(mats):
+    """The plan layer that computes every node of local matrices ``mats``."""
+    n = mats[0].shape[0]
+    return message_flow_plan(mats, np.arange(n), np.zeros(n, dtype=np.int32), 1)[0]
+
+
 def test_rgcn_layer_hand_example():
     # node order (v, u1, u2); one relation linking v to both u's
     adj = sp.csr_matrix(
@@ -59,7 +65,7 @@ def test_rgcn_layer_hand_example():
     h = Tensor(np.array([[2.0, 2.0], [1.0, 0.0], [0.0, 1.0]]), dtype=np.float64)
     eye = Tensor(np.eye(2), dtype=np.float64)
     zero_b = Tensor(np.zeros(2), dtype=np.float64)
-    out = rgcn_layer([adj], h, [eye], eye, zero_b, act="identity")
+    out = rgcn_layer(one_layer([adj]), h, [eye], eye, zero_b, act="identity")
     np.testing.assert_allclose(out.data[0], [2.5, 2.5], rtol=1e-12)
 
 
@@ -70,8 +76,8 @@ def test_rgcn_layer_empty_relation_contributes_nothing():
     eye = Tensor(np.eye(2), dtype=np.float64)
     junk = Tensor(np.full((2, 2), 1e6), dtype=np.float64)
     zero_b = Tensor(np.zeros(2), dtype=np.float64)
-    with_empty = rgcn_layer([adj, empty], h, [eye, junk], eye, zero_b, act="identity")
-    without = rgcn_layer([adj], h, [eye], eye, zero_b, act="identity")
+    with_empty = rgcn_layer(one_layer([adj, empty]), h, [eye, junk], eye, zero_b, act="identity")
+    without = rgcn_layer(one_layer([adj]), h, [eye], eye, zero_b, act="identity")
     np.testing.assert_array_equal(with_empty.data, without.data)
 
 
@@ -86,7 +92,7 @@ def test_projection_identity_case():
         "proj_product_w": Tensor(np.eye(2)),
         "proj_product_b": Tensor(np.zeros(2)),
     }
-    h = relational_encoder_forward({"seller": x, "product": y}, [], params, layers=0)
+    h = relational_encoder_forward({"seller": x, "product": y}, (), params)
     np.testing.assert_array_equal(h.data, np.concatenate([x, y]))
 
 

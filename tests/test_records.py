@@ -8,7 +8,7 @@ import pytest
 
 from _helpers import make_random_graph
 from coldgraph import records
-from coldgraph.experiment import ExperimentConfig, ModelConfig, score_model
+from coldgraph.experiment import ExperimentConfig, ModelConfig, SignArch, TableArch, score_model
 from coldgraph.models import EdgeGnnConfig, ExpandedRgcnConfig
 from coldgraph.simulate import GeneratorConfig, ScenarioSpec, load_scenario
 
@@ -23,6 +23,9 @@ BASES = {  # one valid instance per record class
     ),
     "edge_gnn": lambda: EdgeGnnConfig(d_s=5, d_p=4, d_o=6),
     "rgcn_expanded": lambda: ExpandedRgcnConfig(d_s=5, d_p=4, d_o=6),
+    "tabular": lambda: TableArch(d_s=5, d_p=4, d_o=6, d_in=15, hidden=8, n_classes=9),
+    "naive": lambda: TableArch(d_s=5, d_p=4, d_o=6, d_in=15, hidden=8, n_classes=9),
+    "sign": lambda: SignArch(d_s=5, d_p=4, d_o=6, d_in=78, hidden=8, n_classes=9, hops=3),
 }
 
 FILE_LOADERS = {
@@ -85,6 +88,12 @@ MALFORMED = [
     ("edge_gnn", "cls_hidden", 0, ["EdgeGnnConfig:", "cls_hidden must be >= 1"]),
     ("edge_gnn", "fanout_cap", 3, ["EdgeGnnConfig: unknown key 'fanout_cap'"]),
     ("rgcn_expanded", "layers", [6], ["ExpandedRgcnConfig.layers: expected an integer"]),
+    ("tabular", "", [1], ["TableArch: expected an object, got [1]"]),
+    ("tabular", "hidden", "8", ["TableArch.hidden: expected an integer"]),
+    ("naive", "d_in", _DROP, ["TableArch: missing key 'd_in'"]),
+    ("naive", "hops", 3, ["TableArch: unknown key 'hops'"]),
+    ("sign", "hops", _DROP, ["SignArch: missing key 'hops'"]),
+    ("sign", "hops", 2.5, ["SignArch.hops: expected an integer"]),
 ]
 
 

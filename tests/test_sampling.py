@@ -67,21 +67,33 @@ def test_ego_monotone_in_hops():
         prev = nodes
 
 
-def test_ego_is_induced_subgraph_with_local_degrees():
+def test_ego_plan_blocks_are_global_normalized_rows():
     g = make_random_graph(seed=5)
     batch = sample_offer_batch(g, 4, rng_seed=7)
-    ego = extract_ego_network(g, batch, hops=2)
-    included = np.concatenate([ego.seller_globals, ego.product_globals + g.n_sellers])
-    for r in Relation:
-        sub = g.unified_csr(r)[included][:, included]
-        adj = ego.rel_adj[r]
-        assert (adj != 0).astype(int).todense().tolist() == (
-            (sub != 0).astype(int).todense().tolist()
-        )
-        rowsum = np.asarray(adj.sum(axis=1)).ravel()
-        deg = np.diff(adj.indptr)
-        np.testing.assert_allclose(rowsum[deg > 0], 1.0, rtol=1e-6)
-        assert np.all(rowsum[deg == 0] == 0.0)
+    for hops in (1, 2, 3):
+        ego = extract_ego_network(g, batch, hops)
+        included = np.concatenate([ego.seller_globals, ego.product_globals + g.n_sellers])
+        assert len(ego.plan) == hops
+        inputs = included
+        for k, layer in enumerate(ego.plan):
+            # layer k computes the nodes within hops-1-k of the batch endpoints
+            outputs = included[ego.hop <= hops - 1 - k]
+            np.testing.assert_array_equal(inputs[layer.keep], outputs)
+            with_block = set()
+            for block in layer.blocks:
+                with_block.add(block.relation)
+                full = g.normalized_csr(block.relation)[outputs]
+                # each block row is the global normalized row restricted to
+                # its columns, and those columns hold the whole row
+                np.testing.assert_array_equal(
+                    block.adj.toarray(), full[:, inputs[block.cols]].toarray()
+                )
+                np.testing.assert_array_equal(block.adj.getnnz(axis=1), full.getnnz(axis=1))
+                assert np.all(block.adj.getnnz(axis=0) > 0)  # every column is read
+                assert np.all(np.diff(block.cols) > 0)
+            for r in set(Relation) - with_block:
+                assert g.normalized_csr(r)[outputs].nnz == 0
+            inputs = outputs
 
 
 def test_batch_endpoint_locals():
