@@ -15,17 +15,19 @@ seller-seller relation, and optional uint8 labels.
 assembles small graphs edge by edge and ends in ``from_arrays``.
 
 Matrices derived from the topology are built on first use into one cache,
-which every copy that keeps the topology shares:
+which every copy that keeps the topology shares; all of them go through
+one accessor, ``HeteroGraph._derived(key, build)``:
 
 - ``unified_csr(r)``: the symmetric binary adjacency of relation ``r``;
 - ``normalized_csr(r)``: the same with each row scaled by 1/degree, whose
-  rows the edge classifier's layers and the diffusion features read;
+  rows the edge classifier's ego networks and the diffusion features read;
 - ``union_csr()``: the binary OR of the nine, which ego extraction walks
   and whose seller block is the union of the seller-seller relations;
 - ``offers_of(node_type)``: the owner-by-offer incidence of sellers or
   products, which gives sibling-offer sums and a cold entity's offers;
 - ``ExpandedGraph.relation_csrs()``, ``normalized_csrs()`` and
-  ``union_csr()``: the ten matrices of the expanded form and their OR.
+  ``union_csr()``: the ten matrices of the expanded form and their OR,
+  which the expanded baseline's ego networks walk and read.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -301,6 +303,14 @@ class HeteroGraph:
 
     # -- derived matrices ----------------------------------------------------
 
+    def _derived(self, key, build: Callable):
+        """The cached matrix (or tuple of matrices) under ``key``, built by
+        ``build()`` on first use; every copy sharing the topology shares it."""
+        mat = self._csr.get(key)
+        if mat is None:
+            mat = self._csr[key] = build()
+        return mat
+
     def unified_csr(self, relation: Relation) -> sp.csr_matrix:
         """Symmetric binary adjacency over the unified node space.
 
@@ -309,46 +319,45 @@ class HeteroGraph:
         once per topology; the returned matrix is read-only.
         """
         relation = Relation(relation)
-        mat = self._csr.get(relation)
-        if mat is None:
+
+        def build():
             if relation.is_offer:
                 a, b = self.offer_seller, self.offer_product + self.n_sellers
             else:
                 a, b = self._ss_edges[relation].T
-            mat = self._csr[relation] = _symmetric_csr(a, b, self.n_nodes)
-        return mat
+            return _symmetric_csr(a, b, self.n_nodes)
+
+        return self._derived(relation, build)
 
     def normalized_csr(self, relation: Relation) -> sp.csr_matrix:
         """``unified_csr(relation)`` with each nonempty row scaled by
         1/degree; read-only, built once per topology."""
         relation = Relation(relation)
-        key = f"normalized_{relation.name}"
-        mat = self._csr.get(key)
-        if mat is None:
-            mat = self._csr[key] = _freeze_csr(row_mean_normalize(self.unified_csr(relation)))
-        return mat
+        return self._derived(
+            f"normalized_{relation.name}",
+            lambda: _freeze_csr(row_mean_normalize(self.unified_csr(relation))),
+        )
 
     def union_csr(self) -> sp.csr_matrix:
         """Binary OR of the nine ``unified_csr`` matrices; read-only, built
         once per topology."""
-        mat = self._csr.get("union")
-        if mat is None:
-            mat = self._csr["union"] = _binary_union([self.unified_csr(r) for r in Relation])
-        return mat
+        return self._derived(
+            "union", lambda: _binary_union([self.unified_csr(r) for r in Relation])
+        )
 
     def offers_of(self, node_type: NodeType) -> sp.csr_matrix:
         """Binary float64 ``(n_sellers or n_products, n_offers)`` incidence:
         row ``i`` holds owner ``i``'s offers in ascending order.  Read-only,
         built once per topology."""
         node_type = NodeType(node_type)
-        key = f"offers_of_{node_type.name.lower()}"  # not node_type: SELLER == Relation.SS0
-        mat = self._csr.get(key)
-        if mat is None:
+
+        def build():
             owner = (self.offer_seller, self.offer_product)[node_type]
             n, m = (self.n_sellers, self.n_products)[node_type], self.n_offers
-            mat = sp.csr_matrix((np.ones(m), (owner, np.arange(m))), shape=(n, m))
-            mat = self._csr[key] = _freeze_csr(mat)
-        return mat
+            return _freeze_csr(sp.csr_matrix((np.ones(m), (owner, np.arange(m))), shape=(n, m)))
+
+        # keyed by name, not node_type: SELLER == Relation.SS0
+        return self._derived(f"offers_of_{node_type.name.lower()}", build)
 
     def copy_with_features(
         self,
@@ -482,8 +491,8 @@ class ExpandedGraph:
         offer rows.
         """
         g, n = self.g, self.n_nodes
-        mats = g._csr.get("expanded")
-        if mats is None:
+
+        def build():
             mats = []
             for r in Relation.seller_seller():
                 base = g.unified_csr(r)
@@ -492,25 +501,22 @@ class ExpandedGraph:
             offer_ids = self.offer_node_ids()
             mats.append(_symmetric_csr(g.offer_seller, offer_ids, n))
             mats.append(_symmetric_csr(offer_ids, g.offer_product + g.n_sellers, n))
-            mats = g._csr["expanded"] = tuple(mats)
-        return mats
+            return tuple(mats)
+
+        return g._derived("expanded", build)
 
     def normalized_csrs(self) -> tuple:
         """``relation_csrs()`` with each nonempty row scaled by 1/degree;
         cached and shared the same way."""
-        mats = self.g._csr.get("expanded_normalized")
-        if mats is None:
-            mats = tuple(_freeze_csr(row_mean_normalize(m)) for m in self.relation_csrs())
-            self.g._csr["expanded_normalized"] = mats
-        return mats
+        return self.g._derived(
+            "expanded_normalized",
+            lambda: tuple(_freeze_csr(row_mean_normalize(m)) for m in self.relation_csrs()),
+        )
 
     def union_csr(self) -> sp.csr_matrix:
         """Binary OR of the ten ``relation_csrs()``; cached and shared the
         same way."""
-        mat = self.g._csr.get("expanded_union")
-        if mat is None:
-            mat = self.g._csr["expanded_union"] = _binary_union(self.relation_csrs())
-        return mat
+        return self.g._derived("expanded_union", lambda: _binary_union(self.relation_csrs()))
 
 
 def build_expanded_graph(g: HeteroGraph) -> ExpandedGraph:

@@ -11,9 +11,9 @@ node-level relational GNN over the expanded graph.
   operator applied to zero-padded node features, feed the concatenation
   plus raw offer features to the same per-class MLPs.
 - expanded RGCN: six relational convolutions over the offers-as-nodes
-  graph, full batch, classifying offer nodes.  It runs the same
-  message-flow plan as the edge classifier's ego networks, seeded at the
-  offer nodes it classifies, so scoring a subset computes only its
+  graph, full batch, classifying offer nodes.  It runs the edge
+  classifier's ego network (``sampling.ego_network``) seeded at the offer
+  nodes it classifies, so scoring a subset computes only its
   neighbourhood.
 """
 
@@ -31,10 +31,11 @@ from ..autodiff import (
     affine,
     bce_loss,
     scale,
+    take_rows,
 )
 from ..graph import N_CLASSES, HeteroGraph, ExpandedGraph, Relation
 from ..records import Record
-from ..sampling import bfs_hops, message_flow_plan
+from ..sampling import EgoNetwork, ego_network
 from .core import cast_params, glorot, init_relational_encoder, relational_encoder_forward
 from .train import TrainConfig, fit
 
@@ -121,10 +122,9 @@ def sign_features(g: HeteroGraph, hops: int = 3) -> np.ndarray:
     return np.concatenate(blocks, axis=1).astype(np.float32)
 
 
-def sign_listing_table(g: HeteroGraph, aug: Optional[np.ndarray] = None, hops: int = 3) -> np.ndarray:
+def sign_listing_table(g: HeteroGraph, hops: int = 3) -> np.ndarray:
     """Diffusion features of both endpoints plus the raw offer features."""
-    if aug is None:
-        aug = sign_features(g, hops)
+    aug = sign_features(g, hops)
     return np.concatenate(
         [
             aug[g.offer_seller],
@@ -161,33 +161,28 @@ def init_expanded_rgcn_params(cfg: ExpandedRgcnConfig, seed: int) -> dict:
     return params
 
 
-def _expanded_flow(eg: ExpandedGraph, offers: np.ndarray, layers: int) -> tuple:
-    """(inputs, plan) of ``layers`` convolutions read at the offer nodes of
-    ``offers`` (ascending, unique), pruned by message flow as in an ego
-    network."""
+def _expanded_ego(eg: ExpandedGraph, offers: np.ndarray, layers: int) -> EgoNetwork:
+    """The ego network of ``offers``' offer nodes, ``layers`` deep."""
+    return ego_network(eg.union_csr(), eg.normalized_csrs(), eg.g.n_nodes + offers, layers)
+
+
+def _expanded_probs(eg: ExpandedGraph, ego: EgoNetwork, params: dict) -> Tensor:
     g = eg.g
-    hop = bfs_hops(eg.union_csr(), g.n_nodes + offers, layers)
-    nodes = np.flatnonzero(hop >= 0)
-    s, p, o = np.split(nodes, np.searchsorted(nodes, [g.n_sellers, g.n_nodes]))
-    inputs = {"seller": g.seller_features[s], "product": g.product_features[p - g.n_sellers],
-              "offer": g.offer_features[o - g.n_nodes]}
-    return inputs, message_flow_plan(eg.normalized_csrs(), nodes, hop[nodes], layers)
-
-
-def _expanded_probs(flow: tuple, params: dict) -> Tensor:
-    inputs, plan = flow
-    h = relational_encoder_forward(inputs, plan, params)
-    return activation(affine(h, params["head_w"], params["head_b"]), "sigmoid")
+    feats = {"seller": g.seller_features, "product": g.product_features,
+             "offer": g.offer_features}
+    h = relational_encoder_forward(ego.inputs(ego.hops, feats), ego.plan, params)
+    probs = activation(affine(h, params["head_w"], params["head_b"]), "sigmoid")
+    return take_rows(probs, ego.seed_rows())
 
 
 def expanded_rgcn_forward(
     eg: ExpandedGraph, params: dict, cfg: ExpandedRgcnConfig, offers: Optional[np.ndarray] = None
 ) -> Tensor:
-    """Class probabilities of ``offers`` (ascending, unique; default every
-    offer), computing each layer only where the output reads it."""
+    """Class probabilities of ``offers`` (any order; default every offer),
+    computing each layer only where the output reads it."""
     if offers is None:
         offers = np.arange(eg.g.n_offers)
-    return _expanded_probs(_expanded_flow(eg, offers, cfg.layers), params)
+    return _expanded_probs(eg, _expanded_ego(eg, offers, cfg.layers), params)
 
 
 def train_expanded_rgcn(
@@ -198,22 +193,22 @@ def train_expanded_rgcn(
         raise ValueError("expanded graph has no labeled offers")
     params = init_expanded_rgcn_params(cfg, tc.seed)
     targets = eg.g.labels.astype(np.float32)
-    flow = _expanded_flow(eg, np.arange(eg.g.n_offers), cfg.layers)
+    ego = _expanded_ego(eg, np.arange(eg.g.n_offers), cfg.layers)
 
     def loss_fn(full_batch):
-        return scale(bce_loss(_expanded_probs(full_batch, params), targets), cfg.n_classes)
+        return scale(bce_loss(_expanded_probs(eg, full_batch, params), targets), cfg.n_classes)
 
-    return params, fit(params, lambda: (flow,), loss_fn, tc)
+    return params, fit(params, lambda: (ego,), loss_fn, tc)
 
 
 def score_expanded_rgcn(
-    eg: ExpandedGraph, params: dict, cfg: ExpandedRgcnConfig, dtype=np.float64,
-    offers: Optional[np.ndarray] = None,
+    eg: ExpandedGraph, params: dict, cfg: ExpandedRgcnConfig, offers: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """Probability rows of ``offers`` (any order; default every offer)."""
+    """Float64 probability rows of ``offers`` (any order; default every
+    offer)."""
     if offers is None:
         offers = np.arange(eg.g.n_offers)
-    wanted, row = np.unique(np.asarray(offers, dtype=np.int64), return_inverse=True)
-    if wanted.size == 0:
+    offers = np.asarray(offers, dtype=np.int64)
+    if offers.size == 0:
         return np.zeros((0, cfg.n_classes))
-    return expanded_rgcn_forward(eg, cast_params(params, dtype), cfg, wanted).data[row]
+    return expanded_rgcn_forward(eg, cast_params(params, np.float64), cfg, offers).data

@@ -4,9 +4,10 @@ embedder, and an MLP head over the concatenated embeddings.
 The model scores offer edges.  Per batch offer it consumes
 
 - seller and product node embeddings from a relational graph convolution
-  stack run over the batch ego network's message-flow plan: layer l of L
-  computes only the ego nodes within L-1-l hops of the batch endpoints,
-  and each relation multiplies only the rows its block reads
+  stack run over the message-flow plan of the batch endpoints' ego network
+  (``sampling.ego_network``, which the expanded-graph baseline runs too):
+  layer l of L computes only the ego nodes within L-1-l hops of the
+  endpoints, and each relation multiplies only the rows its block reads
   (``block.adj @ (h[block.cols] @ W_r)``), so the last layer computes the
   endpoints alone,
 - an edge embedding built from the offer's own features concatenated with
@@ -245,27 +246,20 @@ def node_embedder_forward(
     """Seller and product embeddings for the ego's batch endpoints.
 
     Runs the last ``cfg.gnn_layers`` layers of the ego's plan, whose first
-    reads the local nodes within ``cfg.gnn_layers`` hops and whose last
-    computes only the batch endpoints (the hop-zero nodes).
+    reads the nodes within ``cfg.gnn_layers`` hops and whose last computes
+    only the batch endpoints (the hop-zero nodes).
     """
     layers = cfg.gnn_layers
     if ego.hops < layers:
         raise ValueError(
             f"ego network of depth {ego.hops} is too shallow for {layers} layers"
         )
-    first = ego.hop <= layers
-    n_s = ego.n_local_sellers
-    inputs = {
-        "seller": g.seller_features[ego.seller_globals[first[:n_s]]],
-        "product": g.product_features[ego.product_globals[first[n_s:]]],
-    }
+    inputs = ego.inputs(layers, {"seller": g.seller_features, "product": g.product_features})
     h = relational_encoder_forward(
         inputs, ego.plan[ego.hops - layers:], params, cfg.dropout, rng
     )
-    out_row = np.cumsum(ego.hop == 0) - 1  # local node -> row of h
-    emb_s = take_rows(h, out_row[ego.batch_seller_local])
-    emb_p = take_rows(h, out_row[ego.batch_product_local])
-    return emb_s, emb_p
+    sellers, products = np.split(ego.seed_rows(), 2)
+    return take_rows(h, sellers), take_rows(h, products)
 
 
 # ---------------------------------------------------------------------------

@@ -122,20 +122,23 @@ class EdgeGnnModel:
     cfg: EdgeGnnConfig
     param_groups: list
     history: list = field(default_factory=list)
+    # dtype -> param_groups cast to it; scoring reads the parameters as fixed
+    _cast: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def score(self, g: HeteroGraph, offers, dtype=np.float64) -> np.ndarray:
         """Per-class probability matrix for the given offers.
 
         Scoring runs with 64-bit accumulation by default; parameters stay
-        float32 in memory and on disk.  The ego network is extracted once
-        and shared across heads.
+        float32 in memory and on disk, and each dtype's copy is cast on
+        first use.  The ego network is extracted once and shared across
+        heads.
         """
+        dtype = np.dtype(dtype)
+        if dtype not in self._cast:
+            self._cast[dtype] = [cast_params(p, dtype) for p in self.param_groups]
         batch = OfferBatch(np.asarray(offers, dtype=np.int64))
         ego = extract_ego_network(g, batch, hops=self.cfg.gnn_layers)
-        cols = [
-            edge_gnn_forward(g, batch, cast_params(p, dtype), self.cfg, ego=ego).data
-            for p in self.param_groups
-        ]
+        cols = [edge_gnn_forward(g, batch, p, self.cfg, ego=ego).data for p in self._cast[dtype]]
         return np.concatenate(cols, axis=1)
 
 
@@ -161,8 +164,7 @@ def train_edge_gnn(g: HeteroGraph, cfg: EdgeGnnConfig, tc: TrainConfig) -> EdgeG
                 yield OfferBatch(np.sort(idx))
 
         def loss_fn(batch):
-            ego = extract_ego_network(g, batch, hops=cfg.gnn_layers)
-            probs = edge_gnn_forward(g, batch, params, cfg, ego=ego, rng=dropout_rng)
+            probs = edge_gnn_forward(g, batch, params, cfg, rng=dropout_rng)
             loss = bce_loss(probs, targets[batch.offers])
             if cfg.mode == "multi_task":
                 # mean over elements -> sum of the nine per-class means
@@ -197,19 +199,18 @@ def train_mlp_heads(
     labels: np.ndarray,
     tc: TrainConfig,
     hidden: int = 64,
-    n_classes: Optional[int] = None,
 ) -> tuple:
-    """Nine independent binary MLPs over a row-per-offer feature table.
+    """One independent binary MLP per label column over a row-per-offer
+    feature table.
 
     Returns (head param dicts, per-head loss history).
     """
     if labels.ndim != 2 or labels.shape[0] != table.shape[0]:
         raise ValueError("labels must align with table rows")
-    n_classes = labels.shape[1] if n_classes is None else n_classes
     m = table.shape[0]
     labels = labels.astype(np.float32)
     heads, history = [], []
-    for k in range(n_classes):
+    for k in range(labels.shape[1]):
         rng = np.random.default_rng([tc.seed, k])
         params = init_mlp_head(rng, table.shape[1], hidden)
 
@@ -223,7 +224,8 @@ def train_mlp_heads(
     return heads, history
 
 
-def score_mlp_heads(heads: list, table: np.ndarray, dtype=np.float64) -> np.ndarray:
-    x = Tensor(table.astype(dtype, copy=False))
-    cols = [mlp_head_forward(x, cast_params(p, dtype)).data for p in heads]
+def score_mlp_heads(heads: list, table: np.ndarray) -> np.ndarray:
+    """Float64 probability columns of every head over ``table``'s rows."""
+    x = Tensor(table.astype(np.float64, copy=False))
+    cols = [mlp_head_forward(x, cast_params(p, np.float64)).data for p in heads]
     return np.concatenate(cols, axis=1)

@@ -1,28 +1,28 @@
 """Mini-batch sampling: uniform offer batches, their ego networks, and the
 message-flow plan that runs a relational GNN on an ego network.
 
-An ego network is every node within ``hops`` relation-edges of some
-endpoint of a batch offer (endpoints are at hop zero).  It suffices to
-reproduce the whole-graph output of an L-layer relational GNN at the batch
-endpoints, L <= ``hops``: layer l of a node only reads nodes l edges away.
-
-The breadth-first search is vectorised: each hop is one row gather from the
-graph's cached union adjacency (``HeteroGraph.union_csr``) and one mark
-array, with no loop over frontier nodes or relations.
+An ego network is every node within ``hops`` relation-edges of some seed
+(seeds are at hop zero).  It suffices to reproduce the whole-graph output
+of an L-layer relational GNN at the seeds, L <= ``hops``: layer l of a
+node only reads nodes l edges away.  :func:`ego_network` builds it for both
+GNNs: the edge classifier seeds it at a batch's endpoints
+(:func:`extract_ego_network`), the expanded-graph baseline at the offer
+nodes it classifies.  Its breadth-first search is vectorised: each hop is
+one row gather from a cached union adjacency and one mark array.
 
 Layers are pruned by message flow (the GraphSAGE minibatch algorithm, DGL's
 "blocks"): the output is read only at hop zero, so layer l of an L-layer
 stack computes only the rows with ``hop <= L-1-l``, and those rows read only
 rows with ``hop <= L-l``.  Every neighbour of such a row is in the ego
-network, so its row of the graph's cached ``normalized_csr(r)`` is exact as
-is: the plan gathers those rows and remaps their columns with plain numpy
-index arithmetic.  Within a layer each relation reads only the columns its
-rows reference, so relation r contributes ``adj @ (h[cols] @ W_r)``.
-:func:`message_flow_plan` builds this plan for any node space, and the
-expanded-graph baseline uses it too.
+network, so its row of the cached row-normalised matrix is exact as is:
+:func:`message_flow_plan` gathers those rows and remaps their columns with
+plain numpy index arithmetic.  Within a layer each relation reads only the
+columns its rows reference, so relation r contributes
+``adj @ (h[cols] @ W_r)``.
 
-Local node order is all included sellers in ascending index, then all
-included products; each layer's rows keep that order.
+Local node order is ascending global id, so node types that own
+consecutive id ranges (sellers, then products, then offer nodes) stay
+grouped; each layer's rows keep that order.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ __all__ = [
     "Layer",
     "sample_offer_batch",
     "extract_ego_network",
-    "bfs_hops",
+    "ego_network",
     "message_flow_plan",
 ]
 
@@ -99,34 +99,44 @@ class Layer(NamedTuple):
 
 @dataclass
 class EgoNetwork:
-    """Locally re-indexed neighborhood closure of a batch and its plan.
-
-    ``hop`` holds each local node's distance to the batch endpoints.
-    ``plan`` holds ``hops`` layers; a model with L layers runs the last L,
-    whose first reads the local nodes with ``hop <= L``.  ``rel_adj`` lists
-    the plan's block matrices.
+    """The nodes within ``hops`` edges of the ``seeds`` (global ids, in the
+    caller's order, repeats allowed): ``nodes`` in ascending global id,
+    ``hop`` their distances, and a ``plan`` of ``hops`` layers read at the
+    seeds.  A model with L layers runs the last L, whose first reads the
+    nodes with ``hop <= L``.  ``rel_adj`` lists the plan's block matrices.
     """
 
-    hops: int
-    batch: OfferBatch
-    seller_globals: np.ndarray
-    product_globals: np.ndarray
+    seeds: np.ndarray
+    nodes: np.ndarray
     hop: np.ndarray
     plan: tuple = field(repr=False)
-    batch_seller_local: np.ndarray = field(repr=False)
-    batch_product_local: np.ndarray = field(repr=False)
+
+    @property
+    def hops(self) -> int:
+        return len(self.plan)
 
     @property
     def n_local(self) -> int:
-        return self.seller_globals.shape[0] + self.product_globals.shape[0]
-
-    @property
-    def n_local_sellers(self) -> int:
-        return self.seller_globals.shape[0]
+        return self.nodes.shape[0]
 
     @property
     def rel_adj(self) -> list:
         return [b.adj for layer in self.plan for b in layer.blocks]
+
+    def inputs(self, layers: int, feats: dict) -> dict:
+        """Each node type's rows of ``feats`` (type -> features; the types
+        own consecutive id ranges in this order) that the first of
+        ``layers`` convolutions reads: the nodes with ``hop <= layers``."""
+        first = self.nodes[self.hop <= layers]
+        ends = np.cumsum([x.shape[0] for x in feats.values()])
+        parts = np.split(first, np.searchsorted(first, ends[:-1]))
+        return {name: x[ids - (end - x.shape[0])]
+                for (name, x), ids, end in zip(feats.items(), parts, ends)}
+
+    def seed_rows(self) -> np.ndarray:
+        """Each seed's row in the last layer's output, which holds the
+        hop-zero nodes in ascending order."""
+        return np.searchsorted(self.nodes[self.hop == 0], self.seeds)
 
 
 def _row_entries(m: sp.csr_matrix, rows: np.ndarray) -> tuple:
@@ -139,20 +149,6 @@ def _row_entries(m: sp.csr_matrix, rows: np.ndarray) -> tuple:
     return indptr, np.arange(indptr[-1]) + np.repeat(start - indptr[:-1], lens)
 
 
-def bfs_hops(union: sp.csr_matrix, seeds: np.ndarray, depth: int) -> np.ndarray:
-    """Distance of every node of ``union``'s space to the nearest seed, or -1
-    beyond ``depth``."""
-    hop = np.full(union.shape[0], -1, dtype=np.int32)
-    frontier = np.unique(seeds)
-    hop[frontier] = 0
-    for d in range(1, depth + 1):
-        reached = np.zeros(union.shape[0], dtype=bool)
-        reached[union.indices[_row_entries(union, frontier)[1]]] = True
-        frontier = np.flatnonzero(reached & (hop < 0))
-        hop[frontier] = d
-    return hop
-
-
 def message_flow_plan(
     mats: Sequence[sp.csr_matrix], nodes: np.ndarray, hop: np.ndarray, layers: int
 ) -> tuple:
@@ -160,7 +156,7 @@ def message_flow_plan(
 
     ``mats`` holds one row-normalized adjacency per relation over a global
     node space; ``nodes`` are the ascending global ids within ``layers``
-    hops of the seeds and ``hop`` their distances, as :func:`bfs_hops`
+    hops of the seeds and ``hop`` their distances, as :func:`ego_network`
     gives them.  Layer k's input rows are the nodes with
     ``hop <= layers-k``, in order, and its outputs those with
     ``hop <= layers-1-k``.  A block row is the node's global row with its
@@ -194,31 +190,34 @@ def message_flow_plan(
     return tuple(plan)
 
 
+def ego_network(
+    union: sp.csr_matrix, mats: Sequence[sp.csr_matrix], seeds: np.ndarray, hops: int
+) -> EgoNetwork:
+    """Breadth-first closure of ``seeds`` over ``union`` (the binary OR of
+    ``mats``) to depth ``hops``, with the ``hops``-layer plan over it."""
+    seeds = np.asarray(seeds, dtype=np.int64)
+    hop = np.full(union.shape[0], -1, dtype=np.int32)
+    frontier = np.unique(seeds)
+    hop[frontier] = 0
+    for d in range(1, hops + 1):
+        reached = np.zeros(union.shape[0], dtype=bool)
+        reached[union.indices[_row_entries(union, frontier)[1]]] = True
+        frontier = np.flatnonzero(reached & (hop < 0))
+        hop[frontier] = d
+    nodes = np.flatnonzero(hop >= 0)
+    return EgoNetwork(seeds, nodes, hop[nodes], message_flow_plan(mats, nodes, hop[nodes], hops))
+
+
 def extract_ego_network(g: HeteroGraph, batch: OfferBatch, hops: int) -> EgoNetwork:
-    """Breadth-first closure of the batch endpoints over all nine relations,
-    with the ``hops``-layer plan over it."""
+    """The ego network over all nine relations seeded at the batch offers'
+    sellers, then at their products, in batch order."""
     if hops < 1:
         raise ValueError("hops must be at least 1")
     if len(batch) == 0:
         raise ValueError("empty batch")
     if batch.offers.min() < 0 or batch.offers.max() >= g.n_offers:
         raise ValueError("batch references unknown offers")
-
-    n_s = g.n_sellers
-    batch_sellers = g.offer_seller[batch.offers]
-    batch_products = g.offer_product[batch.offers] + n_s
-    hop = bfs_hops(g.union_csr(), np.concatenate([batch_sellers, batch_products]), hops)
-
-    included = np.flatnonzero(hop >= 0)
-    n_inc_s = int(np.searchsorted(included, n_s))
-    mats = [g.normalized_csr(r) for r in Relation]
-    return EgoNetwork(
-        hops=hops,
-        batch=batch,
-        seller_globals=included[:n_inc_s],
-        product_globals=included[n_inc_s:] - n_s,
-        hop=hop[included],
-        plan=message_flow_plan(mats, included, hop[included], hops),
-        batch_seller_local=np.searchsorted(included, batch_sellers),
-        batch_product_local=np.searchsorted(included, batch_products),
+    seeds = np.concatenate(
+        [g.offer_seller[batch.offers], g.offer_product[batch.offers] + g.n_sellers]
     )
+    return ego_network(g.union_csr(), [g.normalized_csr(r) for r in Relation], seeds, hops)

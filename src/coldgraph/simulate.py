@@ -23,7 +23,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -55,36 +55,31 @@ SCENARIO_FORMAT_VERSION = 1
 _N_SS = N_RELATIONS - 1  # seller-seller relation count
 
 
-def default_class_probs(
-    n_communities: int = 25,
-    minority_classes: Sequence[int] = MINORITY_CLASSES,
-    risky_period: int = 3,
-) -> tuple:
+def default_class_probs(n_communities: int = 25) -> tuple:
     """Deterministic per-community class-probability rows.
 
-    Every ``risky_period``-th community is risky: elevated defect rates
-    plus one boosted "signature" common class and one boosted minority
-    class, rotating so different communities concentrate different defect
-    types.  Rows sum to <= 1; the remainder is the normal-class mass.
+    Every third community is risky: elevated defect rates plus one boosted
+    "signature" common class and one boosted minority class, rotating so
+    different communities concentrate different defect types.  Rows sum to
+    <= 1; the remainder is the normal-class mass.
     """
-    minority = tuple(minority_classes)
-    common = tuple(k for k in range(N_CLASSES - 1) if k not in minority)
+    common = tuple(k for k in range(N_CLASSES - 1) if k not in MINORITY_CLASSES)
     rows = []
     risky_seen = 0
     for c in range(n_communities):
         row = [0.0] * N_CLASSES
-        if c % risky_period == 0:
+        if c % 3 == 0:
             for k in common:
                 row[k] = 0.08
-            for k in minority:
+            for k in MINORITY_CLASSES:
                 row[k] = 0.02
             row[common[risky_seen % len(common)]] += 0.20
-            row[minority[risky_seen % len(minority)]] += 0.10
+            row[MINORITY_CLASSES[risky_seen % len(MINORITY_CLASSES)]] += 0.10
             risky_seen += 1
         else:
             for k in common:
                 row[k] = 0.01
-            for k in minority:
+            for k in MINORITY_CLASSES:
                 row[k] = 0.002
         rows.append(tuple(row))
     return tuple(rows)
@@ -296,27 +291,20 @@ def generate_synthetic_graph(cfg: GeneratorConfig) -> HeteroGraph:
 # cold-start scenarios
 
 
-def sample_cold_entities(
-    g: HeteroGraph,
-    rng: np.random.Generator,
-    minority_classes: Sequence[int] = MINORITY_CLASSES,
-    minority_rate: float = 0.25,
-    other_rate: float = 0.01,
-) -> np.ndarray:
+def sample_cold_entities(g: HeteroGraph, rng: np.random.Generator) -> np.ndarray:
     """New-offer index set: ceil(rate * class size) per class, unioned.
 
-    Minority classes are sampled at ``minority_rate``, every other class
-    (normal included) at ``other_rate``.  Empty classes contribute nothing.
+    Minority classes are sampled at rate 0.25, every other class (normal
+    included) at 0.01.  Empty classes contribute nothing.
     """
     if g.labels is None:
         raise ValueError("graph has no labels")
-    minority = frozenset(int(k) for k in minority_classes)
     picked: set = set()
     for k in range(g.labels.shape[1]):
         members = np.flatnonzero(g.labels[:, k] == 1)
         if members.size == 0:
             continue
-        rate = minority_rate if k in minority else other_rate
+        rate = 0.25 if k in MINORITY_CLASSES else 0.01
         take = math.ceil(rate * members.size)
         picked.update(rng.choice(members, size=take, replace=False).tolist())
     return np.array(sorted(picked), dtype=np.int64)
@@ -347,14 +335,7 @@ class ScenarioSpec(Record):
             raise ValueError(f"unknown scenario {self.scenario!r}")
 
 
-def make_scenario(
-    g: HeteroGraph,
-    scenario: str,
-    seed: int,
-    minority_classes: Sequence[int] = MINORITY_CLASSES,
-    minority_rate: float = 0.25,
-    other_rate: float = 0.01,
-) -> ScenarioSpec:
+def make_scenario(g: HeteroGraph, scenario: str, seed: int) -> ScenarioSpec:
     """Sample a scenario's entity sets from the graph.
 
     The same seed yields the same base offer sample for every scenario
@@ -374,7 +355,7 @@ def make_scenario(
             eval_offers=tuple(range(g.n_offers)),
         )
     rng = np.random.default_rng(seed)
-    base = sample_cold_entities(g, rng, minority_classes, minority_rate, other_rate)
+    base = sample_cold_entities(g, rng)
     new_sellers: tuple = ()
     new_products: tuple = ()
     eval_offers = base
@@ -425,9 +406,7 @@ def _mask_rows(features: np.ndarray, rows: np.ndarray, keep: list) -> np.ndarray
     return out
 
 
-def apply_scenario(
-    g: HeteroGraph, spec: ScenarioSpec, column_names: Optional[dict] = None
-):
+def apply_scenario(g: HeteroGraph, spec: ScenarioSpec):
     """Masked copy of ``g`` plus the evaluation offer index array.
 
     Every evaluation offer is treated as newly listed: its feature row is
@@ -435,8 +414,7 @@ def apply_scenario(
     columns; new products keep only their retained columns.  Edges and
     labels are untouched, so cold entities stay connected.
     """
-    if column_names is None:
-        column_names = default_column_names(g.d_s, g.d_p, g.d_o)
+    column_names = default_column_names(g.d_s, g.d_p, g.d_o)
     eval_offers = _checked_ids(spec.eval_offers, g.n_offers, "eval_offers")
     new_sellers = _checked_ids(spec.new_sellers, g.n_sellers, "new_sellers")
     new_products = _checked_ids(spec.new_products, g.n_products, "new_products")

@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _helpers import make_random_graph
 from coldgraph.models import (
@@ -71,6 +73,30 @@ def test_corrupted_payload_rejected(tmp_path, trained):
     raw[-20] ^= 0xFF  # flip a byte inside the payload
     path.write_bytes(bytes(raw))
     with pytest.raises(CheckpointError, match="checksum"):
+        load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def saved(trained, tmp_path_factory):
+    """A saved checkpoint's bytes and a scratch directory for altered copies."""
+    _, cfg, model = trained
+    out = tmp_path_factory.mktemp("flip")
+    return save(out, cfg, model).read_bytes(), out
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_any_flipped_byte_is_rejected(saved, data):
+    raw, out = saved
+    at = data.draw(st.integers(0, len(raw) - 1), label="offset")
+    mask = data.draw(st.integers(1, 255), label="xor mask")
+    flipped = bytearray(raw)
+    flipped[at] ^= mask
+    path = out / "flipped.ckpt"
+    path.write_bytes(bytes(flipped))
+    # every field is covered by the magic, version or CRC32 check, and a
+    # CRC32 catches every error confined to one byte
+    with pytest.raises(CheckpointError, match=r"\w"):
         load_checkpoint(path)
 
 

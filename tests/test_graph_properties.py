@@ -282,10 +282,7 @@ def test_ego_network_matches_bfs_oracle(kw, data):
     offers = data.draw(st.lists(st.integers(0, g.n_offers - 1), min_size=1, unique=True))
     for hops in (1, 2, 3):
         ego = extract_ego_network(g, OfferBatch(np.array(offers)), hops)
-        got = dict(zip(
-            np.concatenate([ego.seller_globals, ego.product_globals + g.n_sellers]).tolist(),
-            ego.hop.tolist(),
-        ))
+        got = dict(zip(ego.nodes.tolist(), ego.hop.tolist()))
         assert got == bfs_oracle(g, offers, hops)
 
 

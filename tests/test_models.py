@@ -13,6 +13,7 @@ from coldgraph.graph import (
 )
 from coldgraph.models import (
     EdgeGnnConfig,
+    EdgeGnnModel,
     ExpandedRgcnConfig,
     TrainConfig,
     TrainingDiverged,
@@ -332,6 +333,28 @@ def test_ego_scores_match_whole_graph_scores():
     via_batch = model.score(g, batch)
     via_all = model.score(g, np.arange(g.n_offers))[batch]
     np.testing.assert_allclose(via_batch, via_all, atol=1e-9)
+
+
+def test_score_casts_parameters_once_per_dtype(monkeypatch):
+    g = make_random_graph(seed=26, n_sellers=12, n_products=6)
+    cfg = small_cfg(g)
+    model = EdgeGnnModel(cfg=cfg, param_groups=[init_edge_gnn_params(cfg, 0)])
+    casts = []
+
+    def counting(params, dtype):
+        casts.append(np.dtype(dtype))
+        return cast_params(params, dtype)
+
+    monkeypatch.setattr("coldgraph.models.train.cast_params", counting)
+    offers = np.arange(g.n_offers)
+    first = model.score(g, offers)
+    assert model.score(g, offers).tobytes() == first.tobytes()
+    model.score(g, offers, dtype=np.float32)
+    model.score(g, offers, dtype=np.float32)
+    assert casts == [np.dtype(np.float64), np.dtype(np.float32)]
+    # a fresh model that casts on its first call scores the same bytes
+    fresh = EdgeGnnModel(cfg=cfg, param_groups=model.param_groups).score(g, offers)
+    assert fresh.tobytes() == first.tobytes()
 
 
 def test_scores_invariant_under_node_relabeling():

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from _helpers import bfs_oracle, make_random_graph
-from coldgraph.graph import GraphBuilder, NodeType, Relation
-from coldgraph.sampling import OfferBatch, extract_ego_network, sample_offer_batch
+from coldgraph.graph import GraphBuilder, NodeType, Relation, build_expanded_graph
+from coldgraph.sampling import OfferBatch, ego_network, extract_ego_network, sample_offer_batch
 
 
 def path_graph():
@@ -24,13 +24,12 @@ def path_graph():
 def test_path_graph_hop_growth():
     g = path_graph()
     batch = OfferBatch(np.array([0]))
-    # endpoints (s1, p1) are at hop 0; s2 is one edge away, p2 two
+    # endpoints (s1, p1) are at hop 0; s2 is one edge away, p2 two.
+    # Unified ids: sellers 0 and 1, then products 0 and 1 as 2 and 3.
     ego1 = extract_ego_network(g, batch, hops=1)
-    assert ego1.seller_globals.tolist() == [0, 1]
-    assert ego1.product_globals.tolist() == [0]
+    assert ego1.nodes.tolist() == [0, 1, 2]
     ego2 = extract_ego_network(g, batch, hops=2)
-    assert ego2.seller_globals.tolist() == [0, 1]
-    assert ego2.product_globals.tolist() == [0, 1]
+    assert ego2.nodes.tolist() == [0, 1, 2, 3]
     assert ego2.hop.tolist() == [0, 1, 0, 2]
 
 
@@ -47,8 +46,8 @@ def test_ego_matches_bfs_oracle():
         for hops in (1, 2, 3):
             ego = extract_ego_network(g, batch, hops)
             want = bfs_oracle(g, batch.offers, hops)
-            # local order is sellers, then products, as unified ids
-            got = ego.seller_globals.tolist() + (ego.product_globals + g.n_sellers).tolist()
+            # local order is ascending unified id: sellers, then products
+            got = ego.nodes.tolist()
             assert set(got) == set(want)
             assert ego.hop.tolist() == [want[v] for v in got]
 
@@ -59,9 +58,7 @@ def test_ego_monotone_in_hops():
     prev = None
     for hops in (1, 2, 3, 4):
         ego = extract_ego_network(g, batch, hops)
-        nodes = set(ego.seller_globals.tolist()) | {
-            ("p", j) for j in ego.product_globals.tolist()
-        }
+        nodes = set(ego.nodes.tolist())
         if prev is not None:
             assert prev <= nodes
         prev = nodes
@@ -72,7 +69,7 @@ def test_ego_plan_blocks_are_global_normalized_rows():
     batch = sample_offer_batch(g, 4, rng_seed=7)
     for hops in (1, 2, 3):
         ego = extract_ego_network(g, batch, hops)
-        included = np.concatenate([ego.seller_globals, ego.product_globals + g.n_sellers])
+        included = ego.nodes
         assert len(ego.plan) == hops
         inputs = included
         for k, layer in enumerate(ego.plan):
@@ -100,20 +97,39 @@ def test_batch_endpoint_locals():
     g = make_random_graph(seed=8)
     batch = sample_offer_batch(g, 5, rng_seed=2)
     ego = extract_ego_network(g, batch, hops=1)
-    np.testing.assert_array_equal(
-        ego.seller_globals[ego.batch_seller_local], g.offer_seller[batch.offers]
-    )
-    np.testing.assert_array_equal(
-        ego.product_globals[ego.batch_product_local - ego.n_local_sellers],
-        g.offer_product[batch.offers],
-    )
-    assert np.all(ego.hop[ego.batch_seller_local] == 0)
-    assert np.all(ego.hop[ego.batch_product_local] == 0)
-    assert np.all(np.diff(ego.seller_globals) > 0)  # sorted and unique
-    np.testing.assert_array_equal(
-        np.searchsorted(ego.seller_globals, g.offer_seller[batch.offers]),
-        ego.batch_seller_local,
-    )
+    # seeds are the batch sellers, then the batch products, as unified ids
+    sellers, products = g.offer_seller[batch.offers], g.offer_product[batch.offers]
+    np.testing.assert_array_equal(ego.seeds, np.concatenate([sellers, products + g.n_sellers]))
+    local = np.searchsorted(ego.nodes, ego.seeds)
+    np.testing.assert_array_equal(ego.nodes[local], ego.seeds)
+    assert np.all(ego.hop[local] == 0)
+    assert np.all(np.diff(ego.nodes) > 0)  # sorted and unique
+    # the last layer outputs the hop-zero nodes in order; seed_rows finds each seed there
+    out = ego.nodes[ego.hop == 0]
+    assert ego.plan[-1].keep.shape == out.shape
+    np.testing.assert_array_equal(out[ego.seed_rows()], ego.seeds)
+    np.testing.assert_array_equal(ego.seed_rows(), np.searchsorted(np.unique(ego.seeds), ego.seeds))
+
+
+def test_ego_inputs_split_node_types_by_id_range():
+    # the expanded graph's three node types: sellers, products, offer nodes
+    g = make_random_graph(seed=9)
+    eg = build_expanded_graph(g)
+    seeds = g.n_nodes + np.array([4, 1, 4])
+    ego = ego_network(eg.union_csr(), eg.normalized_csrs(), seeds, 3)
+    feats = {"seller": g.seller_features, "product": g.product_features,
+             "offer": g.offer_features}
+    starts = {"seller": 0, "product": g.n_sellers, "offer": g.n_nodes}
+    for layers in (1, 2, 3):
+        first = ego.nodes[ego.hop <= layers]
+        got = ego.inputs(layers, feats)
+        assert list(got) == list(feats)
+        assert sum(x.shape[0] for x in got.values()) == first.shape[0]
+        for name, x in feats.items():
+            lo = starts[name]
+            ids = first[(first >= lo) & (first < lo + x.shape[0])]
+            np.testing.assert_array_equal(got[name], x[ids - lo])
+    np.testing.assert_array_equal(ego.seed_rows(), [1, 0, 1])
 
 
 def test_sample_offer_batch_uniform_frequency():
