@@ -38,7 +38,7 @@ from .experiment import (
 )
 from .models import CheckpointError, load_checkpoint, save_checkpoint
 from .simulate import apply_scenario, generate_synthetic_graph, load_scenario, make_scenario, save_scenario
-from .storage import GraphFormatError, load_graph, save_graph
+from .storage import GraphFormatError, load_graph, save_graph, write_artifact
 
 DEFAULT_BENCH_SIZES = (10_000, 20_000, 40_000, 80_000)
 
@@ -95,11 +95,9 @@ def cmd_generate(args) -> int:
     _log({"event": "generated", "out": str(out), "sellers": g.n_sellers,
           "products": g.n_products, "offers": g.n_offers, "edges": g.n_edges})
     if args.scenarios:
-        scen_dir = Path(args.scenarios)
-        scen_dir.mkdir(parents=True, exist_ok=True)
         for name in config.scenarios:
             spec = make_scenario(g, name, seed=config.seed)
-            save_scenario(scen_dir / f"scenario_{name}.json", spec)
+            save_scenario(Path(args.scenarios) / f"scenario_{name}.json", spec)
             _log({"event": "scenario", "name": name,
                   "eval_offers": len(spec.eval_offers)})
     print(json.dumps({"graph_dir": str(out)}))
@@ -154,7 +152,6 @@ def cmd_eval(args) -> int:
         scores, labels, baseline=baseline, scenario=args.scenario
     )
     prefix = Path(args.out_prefix)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
     write_report_csv(prefix.with_suffix(".csv"), report)
     write_report_json(prefix.with_suffix(".json"), report)
     _log({"event": "evaluated", "scores": args.scores,
@@ -167,7 +164,6 @@ def cmd_bench(args) -> int:
     config = _load_config(args)
     sizes = tuple(args.sizes) if args.sizes else DEFAULT_BENCH_SIZES
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     summary = {}
     for task in ("train_epoch", "inference"):
         result = scaling_benchmark(sizes, task, seed=config.seed)
@@ -175,9 +171,8 @@ def cmd_bench(args) -> int:
         summary[task] = result.to_dict()
         _log({"event": "bench", "task": task, "slope": result.slope,
               "r_squared": result.r_squared})
-    (out / "bench_summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    )
+    write_artifact(out / "bench_summary.json",
+                   json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(json.dumps({t: {"slope": summary[t]["slope"],
                           "r_squared": summary[t]["r_squared"]}
                       for t in summary}, sort_keys=True))

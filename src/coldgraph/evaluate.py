@@ -11,7 +11,6 @@ import json
 import math
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -19,6 +18,7 @@ import numpy as np
 from .graph import CLASS_NAMES, N_CLASSES
 from .records import Record
 from .simulate import GeneratorConfig, generate_synthetic_graph
+from .storage import format_rows, write_artifact
 
 __all__ = [
     "UndefinedAucError",
@@ -170,16 +170,13 @@ def fmt_delta(v: Optional[float]) -> str:
 
 
 def write_report_csv(path, report: EvalReport) -> None:
-    lines = ["class,auc,delta_pcp"]
-    for k in range(N_CLASSES):
-        auc, delta = fmt_auc(report.auc[k]), fmt_delta(report.delta_pcp[k])
-        lines.append(f"{CLASS_NAMES[k]},{auc},{delta}")
-    lines.append(f"geometric_mean,{fmt_auc(report.geo_mean)},")
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = [(CLASS_NAMES[k], fmt_auc(report.auc[k]), fmt_delta(report.delta_pcp[k]))
+            for k in range(N_CLASSES)] + [("geometric_mean", fmt_auc(report.geo_mean), "")]
+    write_artifact(path, "class,auc,delta_pcp\n" + format_rows("%s,%s,%s\n", rows))
 
 
 def write_report_json(path, report: EvalReport) -> None:
-    Path(path).write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+    write_artifact(path, json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +329,5 @@ def scaling_benchmark(
 
 
 def write_benchmark_csv(path, result: BenchmarkResult) -> None:
-    lines = ["edges,seconds"]
-    for e, s in zip(result.measured_edges, result.seconds):
-        lines.append(f"{e},{s:.6f}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = np.array([result.measured_edges, result.seconds], dtype=object).T
+    write_artifact(path, "edges,seconds\n" + format_rows("%d,%.6f\n", rows))

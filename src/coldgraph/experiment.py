@@ -44,7 +44,8 @@ from .simulate import (
     make_scenario,
     save_scenario,
 )
-from .storage import save_graph
+from .storage import (
+    OFFER_CLASS_HEADER, format_rows, read_table, save_graph, seen_before, write_artifact)
 
 __all__ = [
     "MODEL_KINDS",
@@ -254,10 +255,9 @@ def score_model(
 
 
 def write_scores_csv(path, offer_ids: np.ndarray, scores: np.ndarray) -> None:
-    lines = ["offer_idx," + ",".join(CLASS_NAMES)]
-    for i, row in zip(offer_ids, scores):
-        lines.append(f"{int(i)}," + ",".join(f"{v:.10f}" for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = np.column_stack([np.asarray(offer_ids, dtype=object), np.asarray(scores, dtype=object)])
+    write_artifact(path, OFFER_CLASS_HEADER + "\n"
+                   + format_rows("%d" + ",%.10f" * N_CLASSES + "\n", rows))
 
 
 def read_scores_csv(path) -> tuple:
@@ -267,31 +267,19 @@ def read_scores_csv(path) -> tuple:
     offer id that does not parse, is negative or repeats, and a
     probability that is not a finite value in [0, 1].
     """
-    lines = Path(path).read_text().strip().split("\n")
-    header = lines[0].split(",")
-    if header != ["offer_idx"] + list(CLASS_NAMES):
-        raise ValueError(f"unexpected score file header in {path}")
-    ids, rows, seen = [], [], set()
-    for ln, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 1 + N_CLASSES:
-            raise ValueError(f"{path}:{ln}: expected {1 + N_CLASSES} fields")
-        try:
-            k = int(parts[0])
-            row = [float(v) for v in parts[1:]]
-        except ValueError as exc:
-            raise ValueError(f"{path}:{ln}: {exc}") from None
-        if k < 0:
-            raise ValueError(f"{path}:{ln}: negative offer id {k}")
-        if k in seen:
-            raise ValueError(f"{path}:{ln}: duplicate offer id {k}")
-        bad = [v for v in row if not 0.0 <= v <= 1.0]  # also catches nan
-        if bad:
-            raise ValueError(f"{path}:{ln}: probability {bad[0]} is not a finite value in [0, 1]")
-        seen.add(k)
-        ids.append(k)
-        rows.append(row)
-    return np.array(ids, dtype=np.int64), np.array(rows, dtype=np.float64)
+    def checks(ids, *probs):
+        probs = np.column_stack(probs)
+        outside = ~((probs >= 0.0) & (probs <= 1.0))  # also catches nan
+        return [
+            (ids < 0, lambda i: f"negative offer id {ids[i]}"),
+            (seen_before(ids), lambda i: f"duplicate offer id {ids[i]}"),
+            (outside.any(axis=1), lambda i: f"probability {float(probs[i][outside[i]][0])}"
+                                            " is not a finite value in [0, 1]"),
+        ]
+
+    ids, *probs = read_table(Path(path).read_bytes().strip(), OFFER_CLASS_HEADER,
+                             "i" + "f" * N_CLASSES, checks, f"{path}:")
+    return ids, np.column_stack(probs)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +297,6 @@ def run_repro(config: ExperimentConfig, log: Callable = _noop_log) -> dict:
     (scenario, model kind).
     """
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     t0 = time.perf_counter()
     g = generate_synthetic_graph(config.generator)
@@ -376,17 +363,12 @@ def run_repro(config: ExperimentConfig, log: Callable = _noop_log) -> dict:
 
 
 def _write_summary_tables(out: Path, config: ExperimentConfig, reports: dict) -> None:
-    long_lines = ["scenario,model,class,auc,delta_vs_tabular_pcp"]
-    for name in config.scenarios:
-        for kind in config.models:
-            r = reports[(name, kind)]
-            for k in range(N_CLASSES):
-                long_lines.append(f"{name},{kind},{CLASS_NAMES[k]},"
-                                  f"{fmt_auc(r.auc[k])},{fmt_delta(r.delta_pcp[k])}")
-    (out / "summary_long.csv").write_text("\n".join(long_lines) + "\n")
-
-    geo_lines = ["model," + ",".join(config.scenarios)]
-    for kind in config.models:
-        cells = [fmt_auc(reports[(name, kind)].geo_mean) for name in config.scenarios]
-        geo_lines.append(f"{kind}," + ",".join(cells))
-    (out / "summary_geo.csv").write_text("\n".join(geo_lines) + "\n")
+    rows = [(name, kind, CLASS_NAMES[k], fmt_auc(reports[name, kind].auc[k]),
+             fmt_delta(reports[name, kind].delta_pcp[k]))
+            for name in config.scenarios for kind in config.models for k in range(N_CLASSES)]
+    write_artifact(out / "summary_long.csv", "scenario,model,class,auc,delta_vs_tabular_pcp\n"
+                   + format_rows("%s,%s,%s,%s,%s\n", rows))
+    rows = [["model", *config.scenarios]] + [
+        [kind] + [fmt_auc(reports[name, kind].geo_mean) for name in config.scenarios]
+        for kind in config.models]
+    write_artifact(out / "summary_geo.csv", "".join(",".join(row) + "\n" for row in rows))

@@ -20,13 +20,18 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
-from pathlib import Path
 import zlib
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Any
 
 import numpy as np
 
 from ..autodiff import Tensor
+from ..records import Record
+from ..storage import write_artifact
 
 __all__ = ["CheckpointError", "save_checkpoint", "load_checkpoint", "CHECKPOINT_VERSION"]
 
@@ -36,6 +41,31 @@ _MAGIC = b"CGCK"
 
 class CheckpointError(ValueError):
     pass
+
+
+@dataclass(frozen=True)
+class Descriptor(Record):
+    kind: str
+    config: Any  # the architecture; each model kind decodes its own
+    n_groups: int
+
+
+@dataclass(frozen=True)
+class TensorEntry(Record):
+    group: int
+    name: str
+    shape: tuple[int, ...]
+
+    def __post_init__(self):
+        if any(d < 0 for d in self.shape):
+            raise ValueError(f"negative dimension in shape {list(self.shape)}")
+
+
+@dataclass(frozen=True)
+class Manifest(Record):
+    """The manifest JSON: the descriptor, then each tensor in payload order."""
+    descriptor: Descriptor
+    tensors: tuple[TensorEntry, ...]
 
 
 def _descriptor_bytes(descriptor: dict) -> bytes:
@@ -67,7 +97,7 @@ def save_checkpoint(path, kind: str, config: dict, param_groups: list) -> None:
     blob += manifest
     blob += payload
     blob += struct.pack("<I", zlib.crc32(bytes(blob)) & 0xFFFFFFFF)
-    Path(path).write_bytes(bytes(blob))
+    write_artifact(path, blob)
 
 
 def load_checkpoint(path) -> tuple:
@@ -98,28 +128,26 @@ def load_checkpoint(path) -> tuple:
     if manifest_end > len(raw) - 4:
         raise CheckpointError("manifest extends past end of file")
     try:
-        manifest = json.loads(raw[head:manifest_end].decode())
-        descriptor = manifest["descriptor"]
-        tensors = manifest["tensors"]
-    except (json.JSONDecodeError, KeyError, UnicodeDecodeError) as exc:
+        blob = json.loads(raw[head:manifest_end].decode())
+        manifest = Manifest.from_dict(blob)
+    except ValueError as exc:  # also invalid JSON or UTF-8
         raise CheckpointError(f"malformed manifest: {exc}") from exc
-    if config_hash(descriptor) != stored_hash:
+    if config_hash(blob["descriptor"]) != stored_hash:
         raise CheckpointError("descriptor does not match its stored hash")
 
-    groups: list = [dict() for _ in range(descriptor.get("n_groups", 0))]
+    descriptor = manifest.descriptor
+    groups: list = [dict() for _ in range(descriptor.n_groups)]
     offset = manifest_end
-    for spec in tensors:
-        shape = tuple(spec["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = 4 * count
+    for spec in manifest.tensors:
+        nbytes = 4 * math.prod(spec.shape)
         if offset + nbytes > len(raw) - 4:
-            raise CheckpointError(f"payload truncated at tensor {spec['name']!r}")
-        arr = np.frombuffer(raw, dtype="<f4", count=count, offset=offset).reshape(shape)
-        gi = spec["group"]
-        if not 0 <= gi < len(groups):
-            raise CheckpointError(f"tensor {spec['name']!r} references unknown group {gi}")
-        groups[gi][spec["name"]] = Tensor(arr.astype(np.float32, copy=True), requires_grad=True)
+            raise CheckpointError(f"payload truncated at tensor {spec.name!r}")
+        arr = np.frombuffer(raw, dtype="<f4", count=nbytes // 4, offset=offset)
+        if not 0 <= spec.group < len(groups):
+            raise CheckpointError(f"tensor {spec.name!r} references unknown group {spec.group}")
+        groups[spec.group][spec.name] = Tensor(
+            arr.reshape(spec.shape).astype(np.float32, copy=True), requires_grad=True)
         offset += nbytes
     if offset != len(raw) - 4:
         raise CheckpointError("payload has trailing bytes")
-    return descriptor["kind"], descriptor["config"], groups
+    return descriptor.kind, descriptor.config, groups

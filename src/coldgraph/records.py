@@ -2,9 +2,10 @@
 
 :class:`Record` derives ``to_dict``, ``from_dict`` and ``from_json_file``
 from a dataclass's field annotations: nested records, ``tuple[X, ...]``,
-``Optional[X]``, ``int`` (never a bool), ``float`` (an int is valid) and
-``str``.  Decoding raises ``ValueError`` naming the offending value's path,
-such as ``ExperimentConfig.model.epochs``; range rules stay in each class's
+``Optional[X]``, ``int`` (never a bool), ``float`` (an int is valid),
+``str`` and ``Any`` (any JSON value, kept as it is).  Decoding raises
+``ValueError`` naming the offending value's path, such as
+``ExperimentConfig.model.epochs``; range rules stay in each class's
 ``__post_init__``.  Each class's schema is resolved once and cached.
 """
 
@@ -34,6 +35,8 @@ def _reject(path: str, want: str, value) -> typing.NoReturn:
 def _decoder(tp):
     """``decode(value, where, key)`` for one field type; ``where`` is the path
     of the record or array holding ``value`` at ``key``."""
+    if tp is typing.Any:
+        return lambda v, where, key: v
     if tp in _SCALARS:
         types, want = _SCALARS[tp]
         return lambda v, where, key: v if type(v) in types else _reject(_path(where, key), want, v)

@@ -22,14 +22,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from .graph import N_CLASSES, NORMAL_CLASS, HeteroGraph, N_RELATIONS, NodeType
 from .records import Record
-from .storage import default_column_names
+from .storage import default_column_names, write_artifact
 
 __all__ = [
     "MINORITY_CLASSES",
@@ -439,7 +438,7 @@ def apply_scenario(g: HeteroGraph, spec: ScenarioSpec):
 
 
 def save_scenario(path, spec: ScenarioSpec) -> None:
-    Path(path).write_text(json.dumps(spec.to_dict(), indent=2, sort_keys=True) + "\n")
+    write_artifact(path, json.dumps(spec.to_dict(), indent=2, sort_keys=True) + "\n")
 
 
 def load_scenario(path) -> ScenarioSpec:

@@ -1,4 +1,7 @@
-"""Shared test helpers: small random graphs and a reference breadth-first search."""
+"""Shared test helpers: small random graphs, graph equality, a reference
+breadth-first search and an ``os.replace`` that fails on demand."""
+
+import os
 
 import numpy as np
 
@@ -74,3 +77,35 @@ def bfs_oracle(g, offer_ids, hops):
             dist[v] = depth
         frontier = nxt
     return dist
+
+
+def assert_same_graph(g, h):
+    for name in ("seller_features", "product_features", "offer_features",
+                 "offer_seller", "offer_product"):
+        a, b = getattr(g, name), getattr(h, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes() and a.shape == b.shape, name
+    for r in Relation.seller_seller():
+        np.testing.assert_array_equal(g.ss_edges(r), h.ss_edges(r))
+    if g.labels is None:
+        assert h.labels is None
+    else:
+        np.testing.assert_array_equal(g.labels, h.labels)
+    for r in Relation:
+        a, b = g.unified_csr(r), h.unified_csr(r)
+        for part in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(a, part), getattr(b, part))
+
+
+def fail_nth_replace(monkeypatch, n):
+    """Make the ``n``-th ``os.replace`` call from now on raise ``OSError``
+    (``n = 0``: none does); returns the destinations the calls asked for."""
+    calls, real = [], os.replace
+
+    def replace(src, dst):
+        calls.append(dst)
+        if len(calls) == n:
+            raise OSError(f"injected failure replacing {dst}")
+        real(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    return calls

@@ -1,11 +1,15 @@
+import json
+import os
+import re
 import struct
+import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import make_random_graph
+from _helpers import fail_nth_replace, make_random_graph
 from coldgraph.models import (
     CheckpointError,
     EdgeGnnConfig,
@@ -15,6 +19,7 @@ from coldgraph.models import (
     save_checkpoint,
     train_edge_gnn,
 )
+from coldgraph.models.checkpoint import config_hash
 
 
 @pytest.fixture(scope="module")
@@ -159,3 +164,65 @@ def test_architecture_mismatch_detected(tmp_path, trained):
 def test_missing_file(tmp_path):
     with pytest.raises(CheckpointError, match="cannot read"):
         load_checkpoint(tmp_path / "absent.ckpt")
+
+
+def _craft(path, manifest, payload=b""):
+    """A checkpoint whose CRC and descriptor hash agree with any manifest."""
+    body = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
+    blob = (b"CGCK" + struct.pack("<I", 1) + config_hash(manifest["descriptor"])
+            + struct.pack("<I", len(body)) + body + payload)
+    path.write_bytes(blob + struct.pack("<I", zlib.crc32(blob)))
+
+
+_DESCRIPTOR = {"kind": "edge_gnn", "config": {"hidden": 2}, "n_groups": 1}
+
+
+def _tensors(*entries):
+    return {"descriptor": _DESCRIPTOR, "tensors": list(entries)}
+
+
+def test_crafted_checkpoint_loads(tmp_path):
+    _craft(tmp_path / "c.ckpt", _tensors({"group": 0, "name": "w", "shape": [2]}),
+           np.array([1.5, -2.0], dtype="<f4").tobytes())
+    kind, config, groups = load_checkpoint(tmp_path / "c.ckpt")
+    assert (kind, config) == ("edge_gnn", {"hidden": 2})
+    np.testing.assert_array_equal(groups[0]["w"].data, [1.5, -2.0])
+
+
+@pytest.mark.parametrize("manifest, fragment", [
+    ({"descriptor": [], "tensors": []}, "Manifest.descriptor: expected an object, got []"),
+    ({"descriptor": {"kind": "edge_gnn", "config": {}}, "tensors": []},
+     "Manifest.descriptor: missing key 'n_groups'"),
+    (_tensors({"group": 0, "name": "w"}), "Manifest.tensors[0]: missing key 'shape'"),
+    (_tensors("w"), 'Manifest.tensors[0]: expected an object, got "w"'),
+    (_tensors({"group": 0, "name": "w", "shape": [2, -1]}),
+     "Manifest.tensors[0]: negative dimension in shape [2, -1]"),
+    (_tensors({"group": 0, "name": "w", "shape": [1.5]}),
+     "Manifest.tensors[0].shape[0]: expected an integer, got 1.5"),
+    (_tensors({"group": 0, "name": "w", "shape": [True]}),
+     "Manifest.tensors[0].shape[0]: expected an integer, got true"),
+    (_tensors({"group": 0, "name": "w", "shape": [2 ** 40, 2 ** 40]}),
+     "payload truncated at tensor 'w'"),
+], ids=["descriptor_not_an_object", "no_n_groups", "tensor_without_shape",
+        "tensor_is_a_string", "negative_dimension", "float_dimension", "bool_dimension",
+        "huge_shape"])
+def test_crafted_manifest_rejected_naming_the_field(tmp_path, manifest, fragment):
+    _craft(tmp_path / "c.ckpt", manifest)
+    with pytest.raises(CheckpointError, match=re.escape(fragment)):
+        load_checkpoint(tmp_path / "c.ckpt")
+
+
+def test_failed_save_keeps_the_old_checkpoint(tmp_path, trained, monkeypatch):
+    _, cfg, model = trained
+    path = save(tmp_path, cfg, model)
+    old = load_checkpoint(path)
+    with monkeypatch.context() as m:
+        fail_nth_replace(m, 1)
+        with pytest.raises(OSError, match="injected"):
+            save_checkpoint(path, "edge_gnn", {"other": 1}, [{"w": np.ones(3)}])
+    kind, config, groups = load_checkpoint(path)
+    assert (kind, config) == old[:2]
+    for a, b in zip(old[2], groups):
+        assert {k: v.data.tobytes() for k, v in a.items()} == {
+            k: v.data.tobytes() for k, v in b.items()}
+    assert os.listdir(tmp_path) == [path.name]

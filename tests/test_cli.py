@@ -398,3 +398,18 @@ def test_eval_rejects_malformed_label_cell(ws, ns_scores, tmp_path, capsys):
     cap = capsys.readouterr()
     assert rc == 2
     assert "labels.csv line 2" in cap.err
+
+
+@pytest.mark.parametrize("meta, fragment", [
+    ([], "meta.json: expected an object, got list"),
+    ({"format_version": 1, "checksums": [1]}, "meta.json: checksums must be an object"),
+], ids=["meta_is_a_list", "checksums_is_a_list"])
+def test_eval_rejects_malformed_meta(ws, ns_scores, tmp_path, capsys, meta, fragment):
+    bundle = tmp_path / "graph"
+    shutil.copytree(ws["graph"], bundle)
+    (bundle / "meta.json").write_text(json.dumps(meta))
+    rc = main([
+        "eval", "--scores", str(ns_scores), "--graph", str(bundle),
+        "--out-prefix", str(tmp_path / "r"),
+    ])
+    _assert_named_error(capsys, rc, fragment)

@@ -1,10 +1,13 @@
+import dataclasses
 import json
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from _helpers import fail_nth_replace
 from coldgraph.experiment import (
     MODEL_KINDS,
     ExperimentConfig,
@@ -24,7 +27,7 @@ from coldgraph.simulate import (
     make_scenario,
     save_scenario,
 )
-from coldgraph.storage import load_graph
+from coldgraph.storage import GraphFormatError, load_graph
 
 
 def tiny_config(out_dir="runs/tiny", **kw):
@@ -288,3 +291,40 @@ def test_run_repro_is_deterministic(tmp_path):
         "edge_gnn.ckpt",
     ):
         assert (out_a / rel).read_bytes() == (out_b / rel).read_bytes(), rel
+
+
+def _files(out: Path) -> dict:
+    return {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+
+def test_failed_repro_leaves_every_artifact_old_or_whole(tmp_path, monkeypatch):
+    """A rerun that dies at its first, middle or last write leaves each file
+    as the previous run wrote it or as a clean rerun writes it, a graph
+    bundle that is wholly one of the two or is rejected, and no temporary
+    file."""
+    old_cfg = tiny_config(out_dir=str(tmp_path / "old"), models=("tabular", "sign"))
+    old = _files(run_repro(old_cfg)["out_dir"])
+    new_cfg = dataclasses.replace(old_cfg, seed=4, out_dir=str(tmp_path / "new"),
+                                  generator=dataclasses.replace(old_cfg.generator, seed=4))
+    with monkeypatch.context() as m:
+        calls = fail_nth_replace(m, 0)
+        new = _files(run_repro(new_cfg)["out_dir"])
+    assert len(calls) == len(new) == len(old)
+    for n in (1, len(calls) // 2, len(calls)):
+        out = tmp_path / f"rerun{n}"
+        shutil.copytree(tmp_path / "old", out)
+        with monkeypatch.context() as m:
+            fail_nth_replace(m, n)
+            with pytest.raises(OSError, match="injected"):
+                run_repro(dataclasses.replace(new_cfg, out_dir=str(out)))
+        left = _files(out)
+        assert set(left) == set(old)  # so no temporary file either
+        for rel, data in left.items():
+            assert data in (old[rel], new[rel]), (n, rel)
+        graph = [rel for rel in left if rel.parts[0] == "graph"]
+        try:
+            load_graph(out / "graph")
+        except GraphFormatError:
+            continue
+        # a bundle that loads is wholly the old one or wholly the new one
+        assert any(all(left[rel] == run[rel] for rel in graph) for run in (old, new)), n

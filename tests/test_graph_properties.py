@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import bfs_oracle
+from _helpers import assert_same_graph, bfs_oracle
 from coldgraph.graph import (
     N_CLASSES,
     GraphBuilder,
@@ -63,23 +63,6 @@ def graph_arrays(draw, min_offers=0, min_ss_edges=0):
         ss_edges=[np.array(e, dtype=np.int64).reshape(-1, 2) for e in ss],
         labels=labels,
     )
-
-
-def assert_same_graph(g, h):
-    for name in ("seller_features", "product_features", "offer_features",
-                 "offer_seller", "offer_product"):
-        a, b = getattr(g, name), getattr(h, name)
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes() and a.shape == b.shape, name
-    for r in SS:
-        np.testing.assert_array_equal(g.ss_edges(r), h.ss_edges(r))
-    if g.labels is None:
-        assert h.labels is None
-    else:
-        np.testing.assert_array_equal(g.labels, h.labels)
-    for r in Relation:
-        a, b = g.unified_csr(r), h.unified_csr(r)
-        for part in ("indptr", "indices", "data"):
-            np.testing.assert_array_equal(getattr(a, part), getattr(b, part))
 
 
 @FAST
