@@ -9,7 +9,9 @@ Differentiation uses a Wengert list.  Operations executed inside a
 ``with Tape():`` block record themselves in execution order, which is
 already a topological order of the data flow, so ``backward`` is a single
 reverse sweep.  Operations executed with no active tape are plain forward
-computations.
+computations.  An operation defined outside this module, such as the
+relational layer of ``models.core``, joins the tape through :func:`record`
+as the built-in ones do.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import numpy as np
 __all__ = [
     "Tensor",
     "Tape",
+    "record",
     "backward",
     "parameter",
     "affine",
@@ -30,10 +33,7 @@ __all__ = [
     "take_rows",
     "stack_rows",
     "concat_cols",
-    "mean_rows",
     "activation",
-    "add",
-    "add_n",
     "mul",
     "scale",
     "sum_all",
@@ -54,11 +54,10 @@ class Tensor:
     """Dense array with an optional gradient slot.
 
     ``requires_grad`` marks trainable leaves.  ``grad`` is filled in by
-    :func:`backward`.  ``node_id`` is the index of the tape entry that
-    produced this tensor, or None for leaves and untaped results.
+    :func:`backward`.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "node_id")
+    __slots__ = ("data", "grad", "requires_grad")
 
     def __init__(self, data: ArrayLike, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
@@ -71,7 +70,6 @@ class Tensor:
         self.data = np.ascontiguousarray(arr)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = requires_grad
-        self.node_id: Optional[int] = None
 
     @property
     def shape(self):
@@ -126,7 +124,6 @@ class Tape:
 
     def _record(self, out: Tensor, inputs: Sequence[Tensor], backward_fn) -> None:
         needs = tuple(self._tracks(t) for t in inputs)
-        out.node_id = len(self._entries)
         self._entries.append((out, tuple(inputs), needs, backward_fn))
         self._tracked.add(id(out))
 
@@ -138,7 +135,14 @@ def _active_tape() -> Optional[Tape]:
     return _TAPE_STACK[-1] if _TAPE_STACK else None
 
 
-def _maybe_record(out: Tensor, inputs: Sequence[Tensor], backward_fn) -> Tensor:
+def record(out: Tensor, inputs: Sequence[Tensor], backward_fn) -> Tensor:
+    """Put ``out`` on the active tape as one operation of ``inputs`` and return it.
+
+    Nothing is recorded with no active tape, or when no input is a
+    trainable leaf or a taped result.  ``backward_fn(g, needs)`` receives
+    the gradient of ``out`` and a flag per input telling whether that input
+    needs a gradient, and returns one array or None per input.
+    """
     tape = _active_tape()
     if tape is not None and any(tape._tracks(t) for t in inputs):
         tape._record(out, inputs, backward_fn)
@@ -206,7 +210,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         gb = g.sum(axis=0) if needs[2] else None
         return gx, gw, gb
 
-    return _maybe_record(out, (x, w, b), bwd)
+    return record(out, (x, w, b), bwd)
 
 
 def matmul(x: Tensor, w: Tensor) -> Tensor:
@@ -219,7 +223,7 @@ def matmul(x: Tensor, w: Tensor) -> Tensor:
         gw = x.data.T @ g if needs[1] else None
         return gx, gw
 
-    return _maybe_record(out, (x, w), bwd)
+    return record(out, (x, w), bwd)
 
 
 def const_matmul(m, x: Tensor) -> Tensor:
@@ -234,7 +238,7 @@ def const_matmul(m, x: Tensor) -> Tensor:
         # transposed only here: forward-only scoring never pays for it
         return ((m.T @ g) if needs[0] else None,)
 
-    return _maybe_record(out, (x,), bwd)
+    return record(out, (x,), bwd)
 
 
 def take_rows(x: Tensor, idx: np.ndarray) -> Tensor:
@@ -260,7 +264,7 @@ def take_rows(x: Tensor, idx: np.ndarray) -> Tensor:
             np.add.at(gx, idx, g)
         return (gx,)
 
-    return _maybe_record(out, (x,), bwd)
+    return record(out, (x,), bwd)
 
 
 def stack_rows(parts: Sequence[Tensor]) -> Tensor:
@@ -282,7 +286,7 @@ def stack_rows(parts: Sequence[Tensor]) -> Tensor:
             for i in range(len(parts))
         )
 
-    return _maybe_record(out, tuple(parts), bwd)
+    return record(out, tuple(parts), bwd)
 
 
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:
@@ -313,25 +317,7 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
             for i in range(len(parts))
         )
 
-    return _maybe_record(out, tuple(parts), bwd)
-
-
-def mean_rows(x: Tensor) -> Tensor:
-    """Column means of a rank-2 tensor; an empty tensor pools to zeros."""
-    if x.ndim != 2:
-        raise ValueError("mean_rows expects a rank-2 tensor")
-    m = x.shape[0]
-    if m == 0:
-        out = Tensor(np.zeros(x.shape[1], dtype=x.dtype))
-        return _maybe_record(out, (x,), lambda g, needs: (None,))
-    out = Tensor(x.data.mean(axis=0))
-
-    def bwd(g, needs):
-        if not needs[0]:
-            return (None,)
-        return (np.broadcast_to(g / m, x.shape).astype(g.dtype, copy=True),)
-
-    return _maybe_record(out, (x,), bwd)
+    return record(out, tuple(parts), bwd)
 
 
 _ACTIVATIONS = ("relu", "sigmoid", "identity")
@@ -348,7 +334,7 @@ def activation(x: Tensor, kind: str = "relu") -> Tensor:
                 return (None,)
             return (g * (x.data > 0),)
 
-        return _maybe_record(out, (x,), bwd)
+        return record(out, (x,), bwd)
     if kind == "sigmoid":
         z = x.data
         s = np.empty_like(z)
@@ -366,40 +352,8 @@ def activation(x: Tensor, kind: str = "relu") -> Tensor:
                 return (None,)
             return (g * s * (1.0 - s),)
 
-        return _maybe_record(out, (x,), bwd)
+        return record(out, (x,), bwd)
     raise ValueError(f"unknown activation {kind!r}, expected one of {_ACTIVATIONS}")
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ValueError(f"add shape mismatch: {a.shape} vs {b.shape}")
-    out = Tensor(a.data + b.data)
-
-    def bwd(g, needs):
-        return (g if needs[0] else None, g if needs[1] else None)
-
-    return _maybe_record(out, (a, b), bwd)
-
-
-def add_n(parts: Sequence[Tensor]) -> Tensor:
-    """N-ary elementwise sum; one tape entry instead of a chain of adds."""
-    parts = list(parts)
-    if not parts:
-        raise ValueError("add_n needs at least one part")
-    if len(parts) == 1:
-        return parts[0]
-    shapes = {p.shape for p in parts}
-    if len(shapes) != 1:
-        raise ValueError(f"add_n shape mismatch: {sorted(shapes)}")
-    acc = parts[0].data.copy()
-    for p in parts[1:]:
-        acc += p.data
-    out = Tensor(acc)
-
-    def bwd(g, needs):
-        return tuple(g if n else None for n in needs)
-
-    return _maybe_record(out, tuple(parts), bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -412,7 +366,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         gb = g * a.data if needs[1] else None
         return ga, gb
 
-    return _maybe_record(out, (a, b), bwd)
+    return record(out, (a, b), bwd)
 
 
 def scale(x: Tensor, c: float) -> Tensor:
@@ -421,7 +375,7 @@ def scale(x: Tensor, c: float) -> Tensor:
     def bwd(g, needs):
         return (g * c if needs[0] else None,)
 
-    return _maybe_record(out, (x,), bwd)
+    return record(out, (x,), bwd)
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -432,7 +386,7 @@ def sum_all(x: Tensor) -> Tensor:
             return (None,)
         return (np.full(x.shape, g.item(), dtype=g.dtype),)
 
-    return _maybe_record(out, (x,), bwd)
+    return record(out, (x,), bwd)
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
@@ -447,7 +401,7 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
     def bwd(g, needs):
         return (g * mask if needs[0] else None,)
 
-    return _maybe_record(out, (x,), bwd)
+    return record(out, (x,), bwd)
 
 
 BCE_CLAMP = 1e-7
@@ -480,7 +434,7 @@ def bce_loss(p: Tensor, z) -> Tensor:
         gp[~inside] = 0.0
         return (gp.astype(p.dtype, copy=False),)
 
-    return _maybe_record(out, (p,), bwd)
+    return record(out, (p,), bwd)
 
 
 # ---------------------------------------------------------------------------

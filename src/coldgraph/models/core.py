@@ -7,9 +7,10 @@ The model scores offer edges.  Per batch offer it consumes
   stack run over the message-flow plan of the batch endpoints' ego network
   (``sampling.ego_network``, which the expanded-graph baseline runs too):
   layer l of L computes only the ego nodes within L-1-l hops of the
-  endpoints, and each relation multiplies only the rows its block reads
-  (``block.adj @ (h[block.cols] @ W_r)``), so the last layer computes the
-  endpoints alone,
+  endpoints, and each relation multiplies only the rows its block reads and
+  adds only at the rows it writes (``block.adj @ (h[block.cols] @ W_r)``
+  at ``block.rows``), so the last layer computes the endpoints alone; each
+  layer is one tape op with a hand-written backward,
 - an edge embedding built from the offer's own features concatenated with
   the mean features of its sibling offers (other offers of the same
   product, and other offers of the same seller; the offer itself is
@@ -34,12 +35,10 @@ import numpy as np
 from ..autodiff import (
     Tensor,
     activation,
-    add_n,
     affine,
     concat_cols,
-    const_matmul,
     dropout,
-    matmul,
+    record,
     stack_rows,
     take_rows,
 )
@@ -172,25 +171,56 @@ def rgcn_layer(
     rel_ws: Sequence | dict,
     self_w: Tensor,
     self_b: Tensor,
-    act: str = "relu",
 ) -> Tensor:
-    """One relational graph convolution, computed only at ``layer.keep``.
+    """One relu relational graph convolution, computed only at ``layer.keep``;
+    one tape entry.
 
     Per output row: the self path ``h @ self_w + bias`` plus, for every
     relation block, the neighbour-mean of ``h`` times that relation's
-    weight ``rel_ws[block.relation]``; each block multiplies only the rows
-    of ``h`` it reads.  Block matrices are row-mean-normalized, so a
-    relation a node does not participate in contributes nothing to it.
+    weight ``rel_ws[block.relation]``; each block reads only its ``cols``
+    of ``h`` and adds only at its ``rows``.  Block matrices are
+    row-mean-normalized, so a relation a node does not participate in
+    contributes nothing to it.
+
+    The op keeps ``h`` and its output alone.  Its backward visits the
+    blocks in reverse and the self path last, accumulating into one input
+    gradient: the order in which a tape of one op per term would sum them.
     """
-    n = h.shape[0]
+    x = h.data
+    ws = [rel_ws[block.relation] for block in layer.blocks]
 
-    def rows(idx):
-        return h if idx.shape[0] == n else take_rows(h, idx)
+    def at(a, idx):
+        return a if idx.shape[0] == a.shape[0] else a[idx]
 
-    terms = [affine(rows(layer.keep), self_w, self_b)]
-    for block in layer.blocks:
-        terms.append(const_matmul(block.adj, matmul(rows(block.cols), rel_ws[block.relation])))
-    return activation(add_n(terms), act)
+    def add_at(a, idx, v):
+        if idx.shape[0] == a.shape[0]:
+            a += v
+        else:
+            a[idx] += v
+
+    pre = at(x, layer.keep) @ self_w.data + self_b.data
+    for block, w in zip(layer.blocks, ws):
+        add_at(pre, block.rows, block.adj @ (at(x, block.cols) @ w.data))
+    out = Tensor(np.maximum(pre, 0, out=pre))
+
+    def bwd(g, needs):
+        g = g * (out.data > 0)
+        gh = np.zeros(x.shape, dtype=g.dtype) if needs[0] else None
+        gws = [None] * len(ws)
+        for k in reversed(range(len(ws))):
+            block = layer.blocks[k]
+            gm = block.adj.T @ at(g, block.rows)
+            if needs[3 + k]:
+                gws[k] = at(x, block.cols).T @ gm
+            if needs[0]:
+                add_at(gh, block.cols, gm @ ws[k].data.T)
+        if needs[0]:
+            add_at(gh, layer.keep, g @ self_w.data.T)
+        gw = at(x, layer.keep).T @ g if needs[1] else None
+        gb = g.sum(axis=0) if needs[2] else None
+        return (gh, gw, gb, *gws)
+
+    return record(out, (h, self_w, self_b, *ws), bwd)
 
 
 def relational_encoder_forward(

@@ -16,9 +16,10 @@ stack computes only the rows with ``hop <= L-1-l``, and those rows read only
 rows with ``hop <= L-l``.  Every neighbour of such a row is in the ego
 network, so its row of the cached row-normalised matrix is exact as is:
 :func:`message_flow_plan` gathers those rows and remaps their columns with
-plain numpy index arithmetic.  Within a layer each relation reads only the
-columns its rows reference, so relation r contributes
-``adj @ (h[cols] @ W_r)``.
+plain numpy index arithmetic.  Within a layer each relation's block keeps
+only the outputs with a message of that relation (``rows``) and reads only
+the columns they reference (``cols``), so relation r adds
+``adj @ (h[cols] @ W_r)`` at ``rows``.
 
 Local node order is ascending global id, so node types that own
 consecutive id ranges (sellers, then products, then offer nodes) stay
@@ -83,11 +84,12 @@ def sample_offer_batch(g: HeteroGraph, batch_size: int, rng_seed: int) -> OfferB
 
 
 class Block(NamedTuple):
-    """One relation's messages into one layer: ``adj @ h[cols]``."""
+    """One relation's messages into one layer: ``adj @ h[cols]``, added at ``rows``."""
 
     relation: int
+    rows: np.ndarray  # ascending layer outputs with at least one message of the relation
     cols: np.ndarray  # ascending rows of the layer input that the relation reads
-    adj: sp.csr_matrix  # (layer outputs, len(cols)): normalized rows, columns remapped
+    adj: sp.csr_matrix  # (len(rows), len(cols)): normalized rows, columns remapped
 
 
 class Layer(NamedTuple):
@@ -159,9 +161,9 @@ def message_flow_plan(
     hops of the seeds and ``hop`` their distances, as :func:`ego_network`
     gives them.  Layer k's input rows are the nodes with
     ``hop <= layers-k``, in order, and its outputs those with
-    ``hop <= layers-1-k``.  A block row is the node's global row with its
-    columns renumbered; the renumbering is monotone, so each row sums its
-    neighbours in the same order as the global matrix.
+    ``hop <= layers-1-k``.  A block row is the non-empty global row of an
+    output with its columns renumbered; the renumbering is monotone, so
+    each row sums its neighbours in the same order as the global matrix.
     """
     local = np.full(mats[0].shape[0], -1, dtype=np.int64)
     local[nodes] = np.arange(nodes.shape[0])
@@ -182,9 +184,10 @@ def message_flow_plan(
             used[col] = True
             cols = np.flatnonzero(used)
             renum = np.cumsum(used, dtype=m.indices.dtype) - 1
-            adj = sp.csr_matrix((m.data[take], renum[col], indptr),
-                                shape=(rows.shape[0], cols.shape[0]))
-            blocks.append(Block(r, cols, adj))
+            wrote = np.flatnonzero(np.diff(indptr))
+            adj = sp.csr_matrix((m.data[take], renum[col], np.append(indptr[wrote], take.size)),
+                                shape=(wrote.shape[0], cols.shape[0]))
+            blocks.append(Block(r, wrote, cols, adj))
         plan.append(Layer(rank[out], tuple(blocks)))
         inside = out
     return tuple(plan)

@@ -20,7 +20,9 @@ into place.  A save that fails leaves every file it had not yet replaced
 as it was and removes its temporary file; only a process killed mid-write
 can leave a ``.<name>.<pid>.tmp`` file behind.  ``meta.json`` is replaced
 last, so a bundle whose save stopped part way has no ``meta.json`` or the
-old one, whose checksums reject the new data files beside it.
+old one, whose checksums reject the new data files beside it.  Saving an
+unlabeled graph removes a ``labels.csv`` left by an earlier save, before
+``meta.json``.
 
 Loading verifies the magic, version, checksums and cross-file consistency
 and never returns a partially constructed graph.  The CSV files, and the
@@ -205,6 +207,10 @@ def save_graph(g: HeteroGraph, path) -> None:
             "%d" + ",%d" * N_CLASSES + "\r\n", table)).encode()
     for name, raw in data.items():
         write_artifact(out / name, raw)
+    if g.labels is None:
+        # before meta.json, so no stop leaves a meta.json that passes beside
+        # the wrong files: the old one now lacks its labels.csv
+        (out / "labels.csv").unlink(missing_ok=True)
     meta = {
         "format_version": GRAPH_FORMAT_VERSION,
         "n_sellers": g.n_sellers,

@@ -12,8 +12,6 @@ from coldgraph.autodiff import (
     Tensor,
     activation,
     adam_step,
-    add,
-    add_n,
     affine,
     backward,
     bce_loss,
@@ -22,7 +20,6 @@ from coldgraph.autodiff import (
     dropout,
     finite_diff_check,
     matmul,
-    mean_rows,
     mul,
     parameter,
     scale,
@@ -111,7 +108,11 @@ def test_backward_requires_taped_scalar():
 def test_untaped_ops_are_pure_forward():
     w = parameter([[2.0]])
     out = mul(w, w)
-    assert out.node_id is None and out.grad is None
+    assert out.grad is None
+    # a result computed with no tape active is a constant to any later tape
+    with Tape() as tape:
+        loss = sum_all(out)
+    assert len(tape) == 0 and not tape.produced(out) and not tape.produced(loss)
 
 
 def test_concat_cols_vectors_and_empty():
@@ -135,14 +136,6 @@ def test_concat_cols_gradient_splits():
     np.testing.assert_allclose(grads[b], [[6.0]])
 
 
-def test_mean_rows_values_and_empty():
-    np.testing.assert_allclose(
-        mean_rows(Tensor([[1.0, 2.0], [3.0, 4.0]])).data, [2.0, 3.0]
-    )
-    empty = mean_rows(Tensor(np.zeros((0, 5))))
-    np.testing.assert_allclose(empty.data, np.zeros(5))
-
-
 def test_take_rows_duplicate_gradient_accumulates():
     x = parameter([[1.0, 2.0], [3.0, 4.0]])
     idx = np.array([0, 0, 1])
@@ -163,18 +156,6 @@ def test_stack_rows_round_trip_gradient():
     grads = backward(tape, loss)
     np.testing.assert_allclose(grads[a], 2 * a.data)
     np.testing.assert_allclose(grads[b], 2 * b.data)
-
-
-def test_add_n_matches_chain():
-    rng = np.random.default_rng(3)
-    parts = [parameter(rng.normal(size=(2, 3)), dtype=np.float64) for _ in range(4)]
-    with Tape() as tape:
-        loss = sum_all(add_n(parts))
-    grads = backward(tape, loss)
-    for p in parts:
-        np.testing.assert_allclose(grads[p], np.ones((2, 3)))
-    chained = add(add(parts[0], parts[1]), add(parts[2], parts[3]))
-    np.testing.assert_allclose(add_n(parts).data, chained.data)
 
 
 def test_const_matmul_sparse_matches_dense():
@@ -323,7 +304,7 @@ def test_random_program_gradients_match_finite_differences(seed):
     c = int(rng.integers(1, 3))
     x = rng.uniform(-1.0, 1.0, size=(n, a))
     m = sp.csr_matrix((rng.random((2, n)) < 0.6).astype(np.float64))
-    z = (rng.random(2 * c) < 0.5).astype(np.float64)
+    z = (rng.random((2, 2 * c)) < 0.5).astype(np.float64)
     idx = rng.integers(0, n, size=2)
     params = {
         "w1": parameter(rng.normal(scale=0.8, size=(a, b)), dtype=np.float64),
@@ -342,9 +323,7 @@ def test_random_program_gradients_match_finite_differences(seed):
             y = take_rows(y, idx)
         else:
             y = stack_rows([take_rows(y, idx[:1]), take_rows(y, idx[1:])])
-        y = add_n([y, scale(y, 0.5)])
-        pooled = mean_rows(y)
-        p = activation(concat_cols([pooled, pooled]), "sigmoid")
+        p = activation(concat_cols([y, scale(y, 0.5)]), "sigmoid")
         return bce_loss(p, z)
 
     err = finite_diff_check(f, params, h=1e-5)

@@ -1,6 +1,7 @@
 """Property tests for the message-flow-pruned, relation-blocked relational
 layer: on random graphs it must equal a dense float64 reference that runs
-every layer over every node and every relation.
+every layer over every node and every relation, and its hand-written
+backward must agree with central differences.
 
 Graphs come from ``test_graph_properties.graph_arrays`` (isolated nodes,
 empty relations, single-offer sellers), optionally with seller 0 turned
@@ -8,9 +9,10 @@ into a hub that is linked to every other seller and offers every product.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from coldgraph.autodiff import Tensor, finite_diff_check, mul, parameter, sum_all
 from coldgraph.graph import HeteroGraph, Relation, build_expanded_graph
 from coldgraph.models import (
     EdgeGnnConfig,
@@ -20,9 +22,10 @@ from coldgraph.models import (
     init_edge_gnn_params,
     init_expanded_rgcn_params,
     node_embedder_forward,
+    rgcn_layer,
     score_expanded_rgcn,
 )
-from coldgraph.sampling import OfferBatch, extract_ego_network
+from coldgraph.sampling import OfferBatch, extract_ego_network, message_flow_plan
 from test_graph_properties import graph_arrays
 
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -129,3 +132,41 @@ def test_expanded_forward_equals_dense_reference(g, layers, data):
     some = data.draw(st.lists(st.integers(0, m - 1), min_size=1))
     np.testing.assert_allclose(score_expanded_rgcn(eg, params, cfg, offers=np.array(some)),
                                want[some], rtol=1e-10, atol=1e-12)
+
+
+def one_offer_product_graph():
+    """Two sellers that both offer the only product: its whole-graph layer
+    keeps every row, its offer block writes every output row and reads
+    every input row (no gather), and the eight seller-seller relations are
+    empty."""
+    ones = np.ones((2, 1), dtype=np.float32)
+    return HeteroGraph.from_arrays(ones, ones[:1], np.array([0, 1]), np.array([0, 0]), ones,
+                                   [np.zeros((0, 2), dtype=np.int64)] * 8)
+
+
+@SETTINGS
+@given(graphs(), st.integers(0, 2**32 - 1))
+@example(one_offer_product_graph(), 0)
+def test_rgcn_layer_gradients_match_finite_differences(g, seed):
+    """The fused layer's backward, into its input rows and every weight, on
+    the whole-graph layer and on each layer of a depth-2 ego plan."""
+    rng = np.random.default_rng(seed)
+    mats = [g.normalized_csr(r) for r in Relation]
+    n = g.n_nodes
+    layers = [(message_flow_plan(mats, np.arange(n), np.zeros(n, dtype=np.int32), 1)[0], n)]
+    offers = np.flatnonzero(rng.random(g.n_offers) < 0.5)
+    ego = extract_ego_network(g, OfferBatch(offers if offers.size else np.array([0])), 2)
+    layers += [(layer, int(np.count_nonzero(ego.hop <= 2 - k)))
+               for k, layer in enumerate(ego.plan)]
+    width = 3
+    for layer, n_in in layers:
+        h = parameter(rng.normal(size=(n_in, width)), dtype=np.float64)
+        rel_ws = [parameter(rng.normal(size=(width, width)), dtype=np.float64) for _ in Relation]
+        self_w = parameter(rng.normal(size=(width, width)), dtype=np.float64)
+        self_b = parameter(rng.normal(size=width), dtype=np.float64)
+        c = Tensor(rng.normal(size=(layer.keep.shape[0], width)), dtype=np.float64)
+
+        def f():
+            return sum_all(mul(rgcn_layer(layer, h, rel_ws, self_w, self_b), c))
+
+        assert finite_diff_check(f, [h, self_w, self_b, *rel_ws], h=1e-6) < 1e-6

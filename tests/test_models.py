@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from _helpers import make_random_graph
-from coldgraph.autodiff import Tensor, bce_loss, finite_diff_check, scale
+from coldgraph.autodiff import Tape, Tensor, bce_loss, finite_diff_check, parameter, scale
 from coldgraph.graph import (
     GraphBuilder,
     HeteroGraph,
@@ -66,7 +66,7 @@ def test_rgcn_layer_hand_example():
     h = Tensor(np.array([[2.0, 2.0], [1.0, 0.0], [0.0, 1.0]]), dtype=np.float64)
     eye = Tensor(np.eye(2), dtype=np.float64)
     zero_b = Tensor(np.zeros(2), dtype=np.float64)
-    out = rgcn_layer(one_layer([adj]), h, [eye], eye, zero_b, act="identity")
+    out = rgcn_layer(one_layer([adj]), h, [eye], eye, zero_b)
     np.testing.assert_allclose(out.data[0], [2.5, 2.5], rtol=1e-12)
 
 
@@ -77,9 +77,27 @@ def test_rgcn_layer_empty_relation_contributes_nothing():
     eye = Tensor(np.eye(2), dtype=np.float64)
     junk = Tensor(np.full((2, 2), 1e6), dtype=np.float64)
     zero_b = Tensor(np.zeros(2), dtype=np.float64)
-    with_empty = rgcn_layer(one_layer([adj, empty]), h, [eye, junk], eye, zero_b, act="identity")
-    without = rgcn_layer(one_layer([adj]), h, [eye], eye, zero_b, act="identity")
+    with_empty = rgcn_layer(one_layer([adj, empty]), h, [eye, junk], eye, zero_b)
+    without = rgcn_layer(one_layer([adj]), h, [eye], eye, zero_b)
     np.testing.assert_array_equal(with_empty.data, without.data)
+
+
+def test_each_relational_layer_is_one_tape_entry():
+    adj = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.float32))
+    w = [parameter(np.eye(2)) for _ in range(3)]
+    with Tape() as tape:
+        out = rgcn_layer(one_layer([adj, adj]), parameter(np.ones((2, 2))), w[:2], w[2],
+                         parameter(np.zeros(2)))
+    assert len(tape) == 1 and tape.produced(out)
+    # a deeper edge classifier adds exactly one entry per layer to its tape
+    g = make_random_graph(seed=13, n_sellers=14, n_products=5)
+    lengths = []
+    for layers in (1, 2, 3):
+        cfg = small_cfg(g, gnn_layers=layers)
+        with Tape() as tape:
+            edge_gnn_forward(g, np.arange(6), init_edge_gnn_params(cfg, seed=0), cfg)
+        lengths.append(len(tape))
+    assert np.diff(lengths).tolist() == [1, 1]
 
 
 def test_projection_identity_case():

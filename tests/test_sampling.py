@@ -80,12 +80,15 @@ def test_ego_plan_blocks_are_global_normalized_rows():
             for block in layer.blocks:
                 with_block.add(block.relation)
                 full = g.normalized_csr(block.relation)[outputs]
-                # each block row is the global normalized row restricted to
-                # its columns, and those columns hold the whole row
+                # the block's rows are exactly the outputs with a message of
+                # the relation, and each is its global normalized row
+                # restricted to the columns, which hold the whole row
+                np.testing.assert_array_equal(block.rows, np.flatnonzero(full.getnnz(axis=1)))
                 np.testing.assert_array_equal(
-                    block.adj.toarray(), full[:, inputs[block.cols]].toarray()
+                    block.adj.toarray(), full[block.rows][:, inputs[block.cols]].toarray()
                 )
-                np.testing.assert_array_equal(block.adj.getnnz(axis=1), full.getnnz(axis=1))
+                np.testing.assert_array_equal(block.adj.getnnz(axis=1),
+                                              full.getnnz(axis=1)[block.rows])
                 assert np.all(block.adj.getnnz(axis=0) > 0)  # every column is read
                 assert np.all(np.diff(block.cols) > 0)
             for r in set(Relation) - with_block:

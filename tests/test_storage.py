@@ -389,6 +389,25 @@ def test_failed_save_keeps_the_old_bundle_or_is_rejected(tmp_path, monkeypatch):
         assert n == 1  # only a save that replaced nothing leaves a loadable bundle
 
 
+def test_unlabeled_save_removes_the_old_labels(tmp_path, monkeypatch):
+    labeled, unlabeled = make_random_graph(seed=1), make_random_graph(seed=2, labeled=False)
+    save_graph(labeled, tmp_path / "b")
+    save_graph(unlabeled, tmp_path / "b")
+    assert sorted(os.listdir(tmp_path / "b")) == [
+        "edges.csv", "meta.json", "offers.fbin", "products.fbin", "sellers.fbin"]
+    assert_same_graph(unlabeled, load_graph(tmp_path / "b"))
+    # the labels go before meta.json: a save stopped there leaves the old
+    # meta.json, rejected, and a finished one no stale labels to pass beside
+    save_graph(labeled, tmp_path / "c")
+    with monkeypatch.context() as m:
+        fail_nth_replace(m, 5)
+        with pytest.raises(OSError, match="injected"):
+            save_graph(unlabeled, tmp_path / "c")
+    assert not (tmp_path / "c" / "labels.csv").exists()
+    with pytest.raises(GraphFormatError):
+        load_graph(tmp_path / "c")
+
+
 def test_failed_score_write_keeps_the_old_file(tmp_path, monkeypatch):
     path = tmp_path / "scores.csv"
     write_scores_csv(path, np.arange(3), np.full((3, len(CLASS_NAMES)), 0.25))
