@@ -5,7 +5,7 @@ The package is organized as a small numpy/scipy library:
 - :mod:`coldgraph.autodiff` - dense tensor engine with taped reverse-mode AD
 - :mod:`coldgraph.graph` - heterogeneous graph with offers stored as edges
 - :mod:`coldgraph.storage` - on-disk graph bundle format
-- :mod:`coldgraph.sampling` - offer batches and ego-network extraction
+- :mod:`coldgraph.sampling` - ego networks and their message-flow plans
 - :mod:`coldgraph.simulate` - synthetic graph generator and cold-start scenarios
 - :mod:`coldgraph.models` - the edge classifier and its four baselines
 - :mod:`coldgraph.evaluate` - per-class AUC reports and the scaling benchmark
@@ -50,7 +50,7 @@ from .models import (  # noqa: F401
     save_checkpoint,
     train_edge_gnn,
 )
-from .sampling import OfferBatch, extract_ego_network  # noqa: F401
+from .sampling import extract_ego_network  # noqa: F401
 from .simulate import (  # noqa: F401
     SCENARIOS,
     GeneratorConfig,

@@ -51,13 +51,9 @@ ArrayLike = Union[np.ndarray, float, int, Sequence]
 
 
 class Tensor:
-    """Dense array with an optional gradient slot.
+    """Dense array; ``requires_grad`` marks trainable leaves."""
 
-    ``requires_grad`` marks trainable leaves.  ``grad`` is filled in by
-    :func:`backward`.
-    """
-
-    __slots__ = ("data", "grad", "requires_grad")
+    __slots__ = ("data", "requires_grad")
 
     def __init__(self, data: ArrayLike, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
@@ -68,7 +64,6 @@ class Tensor:
         if arr.ndim > 2:
             raise ValueError(f"tensors are limited to rank 2, got rank {arr.ndim}")
         self.data = np.ascontiguousarray(arr)
-        self.grad: Optional[np.ndarray] = None
         self.requires_grad = requires_grad
 
     @property
@@ -153,7 +148,7 @@ def backward(tape: Tape, loss: Tensor) -> dict:
     """Reverse sweep over ``tape`` from scalar ``loss``.
 
     Returns a dict mapping each reachable ``requires_grad`` leaf to its
-    gradient array, and stores the same array on ``leaf.grad``.
+    gradient array.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -176,22 +171,11 @@ def backward(tape: Tape, loss: Tensor) -> dict:
             if t.requires_grad:
                 leaves[key] = t
 
-    result = {}
-    for key, leaf in leaves.items():
-        g = grads[key]
-        if g.shape != leaf.data.shape:
-            g = g.reshape(leaf.data.shape)
-        leaf.grad = g
-        result[leaf] = g
-    return result
+    return {leaf: grads[key].reshape(leaf.data.shape) for key, leaf in leaves.items()}
 
 
 # ---------------------------------------------------------------------------
 # operations
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -268,7 +252,6 @@ def take_rows(x: Tensor, idx: np.ndarray) -> Tensor:
 
 
 def stack_rows(parts: Sequence[Tensor]) -> Tensor:
-    parts = [_as_tensor(p) for p in parts]
     if not parts:
         raise ValueError("stack_rows needs at least one part")
     if any(p.ndim != 2 for p in parts):
@@ -290,28 +273,18 @@ def stack_rows(parts: Sequence[Tensor]) -> Tensor:
 
 
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenate along the feature axis (vectors end to end, matrices by column)."""
-    parts = [_as_tensor(p) for p in parts]
+    """Concatenate matrices with equal row counts column by column."""
     if not parts:
         raise ValueError("concat_cols needs at least one part")
-    ranks = {p.ndim for p in parts}
-    if len(ranks) != 1 or ranks not in ({1}, {2}):
-        raise ValueError("concat_cols expects parts of equal rank 1 or 2")
-    axis = 0 if parts[0].ndim == 1 else 1
-    if axis == 1:
-        rows = {p.shape[0] for p in parts}
-        if len(rows) != 1:
-            raise ValueError(f"concat_cols row mismatch: {sorted(rows)}")
-    out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
-    widths = [p.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + widths)
+    if any(p.ndim != 2 for p in parts):
+        raise ValueError("concat_cols expects rank-2 parts")
+    rows = {p.shape[0] for p in parts}
+    if len(rows) != 1:
+        raise ValueError(f"concat_cols row mismatch: {sorted(rows)}")
+    out = Tensor(np.concatenate([p.data for p in parts], axis=1))
+    offsets = np.cumsum([0] + [p.shape[1] for p in parts])
 
     def bwd(g, needs):
-        if axis == 0:
-            return tuple(
-                g[offsets[i]:offsets[i + 1]] if needs[i] else None
-                for i in range(len(parts))
-            )
         return tuple(
             g[:, offsets[i]:offsets[i + 1]] if needs[i] else None
             for i in range(len(parts))
@@ -320,12 +293,10 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     return record(out, tuple(parts), bwd)
 
 
-_ACTIVATIONS = ("relu", "sigmoid", "identity")
+_ACTIVATIONS = ("relu", "sigmoid")
 
 
 def activation(x: Tensor, kind: str = "relu") -> Tensor:
-    if kind == "identity":
-        return x
     if kind == "relu":
         out = Tensor(np.maximum(x.data, 0))
 
@@ -449,7 +420,6 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    weight_decay: float = 0.0
     t: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -469,8 +439,6 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> None:
         if g.shape != p.data.shape:
             raise ValueError(f"gradient shape mismatch for {name!r}: {g.shape} vs {p.data.shape}")
         g = g.astype(p.dtype, copy=False)
-        if state.weight_decay:
-            g = g + p.dtype.type(state.weight_decay) * p.data
         m = state.m.get(name)
         if m is None:
             m = state.m[name] = np.zeros_like(p.data)
@@ -484,16 +452,12 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> None:
         p.data -= update.astype(p.dtype, copy=False)
 
 
-def sgd_step(params: dict, grads: dict, lr: float, weight_decay: float = 0.0) -> None:
+def sgd_step(params: dict, grads: dict, lr: float) -> None:
     for name in params:
         p = params[name]
         g = grads.get(name)
-        if g is None:
-            continue
-        g = g.astype(p.dtype, copy=False)
-        if weight_decay:
-            g = g + p.dtype.type(weight_decay) * p.data
-        p.data -= p.dtype.type(lr) * g
+        if g is not None:
+            p.data -= p.dtype.type(lr) * g.astype(p.dtype, copy=False)
 
 
 # ---------------------------------------------------------------------------

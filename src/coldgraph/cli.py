@@ -67,17 +67,8 @@ def _load_config(args) -> ExperimentConfig:
             seed=seed,
             generator=dataclasses.replace(config.generator, seed=seed),
         )
-    overrides = {}
-    for flag, field in (
-        ("epochs", "epochs"),
-        ("lr", "lr"),
-        ("batch_size", "batch_size"),
-        ("mode", "mode"),
-        ("optimizer", "optimizer"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[field] = value
+    overrides = {flag: getattr(args, flag) for flag in ("epochs", "lr", "batch_size", "mode")
+                 if getattr(args, flag, None) is not None}
     if overrides:
         config = dataclasses.replace(
             config, model=dataclasses.replace(config.model, **overrides)
@@ -121,8 +112,6 @@ def cmd_train(args) -> int:
 
 def cmd_score(args) -> int:
     kind, arch, groups = load_checkpoint(args.checkpoint)
-    if kind not in MODEL_KINDS:
-        raise ValueError(f"checkpoint has unknown model kind {kind!r}")
     g = load_graph(args.graph)
     spec = load_scenario(args.scenario)
     masked, eval_offers = apply_scenario(g, spec)
@@ -139,7 +128,7 @@ def cmd_eval(args) -> int:
     g = load_graph(args.graph)
     if g.labels is None:
         raise ValueError(f"graph at {args.graph} has no labels")
-    if ids.size and (ids.min() < 0 or ids.max() >= g.n_offers):
+    if ids.size and ids.max() >= g.n_offers:
         raise ValueError(f"score file {args.scores} references unknown offers")
     labels = g.labels[ids]
     baseline = None
@@ -217,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float)
     p.add_argument("--batch-size", dest="batch_size", type=int)
     p.add_argument("--mode", choices=("multi_task", "nine_binary"))
-    p.add_argument("--optimizer", choices=("adam", "sgd"))
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("score", help="apply a scenario mask and score its offers")

@@ -78,8 +78,6 @@ class ModelConfig(Record):
     lr: float = 1e-3
     epochs: int = 8
     batch_size: int = 1024
-    optimizer: str = "adam"
-    weight_decay: float = 0.0
     mlp_hidden: int = 64
     mlp_epochs: int = 20
     sign_hops: int = 3
@@ -93,7 +91,7 @@ class ModelConfig(Record):
                           ("expanded_layers", 1)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        # fail at load on a bad lr, weight_decay, optimizer, width, depth or dropout
+        # fail at load on a bad lr, width, depth or dropout
         self.train_config(seed=0)
         self.edge_gnn_config(d_s=1, d_p=1, d_o=1)
 
@@ -111,8 +109,6 @@ class ModelConfig(Record):
             batch_size=self.batch_size,
             lr=self.lr,
             seed=seed,
-            optimizer=self.optimizer,
-            weight_decay=self.weight_decay,
         )
 
 

@@ -170,7 +170,7 @@ def _expanded_probs(eg: ExpandedGraph, ego: EgoNetwork, params: dict) -> Tensor:
     g = eg.g
     feats = {"seller": g.seller_features, "product": g.product_features,
              "offer": g.offer_features}
-    h = relational_encoder_forward(ego.inputs(ego.hops, feats), ego.plan, params)
+    h = relational_encoder_forward(ego.inputs(feats), ego.plan, params)
     probs = activation(affine(h, params["head_w"], params["head_b"]), "sigmoid")
     return take_rows(probs, ego.seed_rows())
 

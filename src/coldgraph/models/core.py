@@ -44,7 +44,7 @@ from ..autodiff import (
 )
 from ..graph import N_CLASSES, N_RELATIONS, HeteroGraph, NodeType
 from ..records import Record
-from ..sampling import EgoNetwork, Layer, OfferBatch, extract_ego_network
+from ..sampling import EgoNetwork, Layer, extract_ego_network
 
 __all__ = [
     "EdgeGnnConfig",
@@ -275,19 +275,16 @@ def node_embedder_forward(
 ) -> tuple:
     """Seller and product embeddings for the ego's batch endpoints.
 
-    Runs the last ``cfg.gnn_layers`` layers of the ego's plan, whose first
-    reads the nodes within ``cfg.gnn_layers`` hops and whose last computes
-    only the batch endpoints (the hop-zero nodes).
+    Runs the ego's whole plan, which must be ``cfg.gnn_layers`` deep: its
+    first layer reads every ego node and its last computes only the batch
+    endpoints (the hop-zero nodes).
     """
-    layers = cfg.gnn_layers
-    if ego.hops < layers:
+    if ego.hops != cfg.gnn_layers:
         raise ValueError(
-            f"ego network of depth {ego.hops} is too shallow for {layers} layers"
+            f"ego network of depth {ego.hops} does not fit {cfg.gnn_layers} layers"
         )
-    inputs = ego.inputs(layers, {"seller": g.seller_features, "product": g.product_features})
-    h = relational_encoder_forward(
-        inputs, ego.plan[ego.hops - layers:], params, cfg.dropout, rng
-    )
+    inputs = ego.inputs({"seller": g.seller_features, "product": g.product_features})
+    h = relational_encoder_forward(inputs, ego.plan, params, cfg.dropout, rng)
     sellers, products = np.split(ego.seed_rows(), 2)
     return take_rows(h, sellers), take_rows(h, products)
 
@@ -355,24 +352,21 @@ def classifier_forward(emb_s: Tensor, emb_p: Tensor, emb_o: Tensor, params: dict
 
 def edge_gnn_forward(
     g: HeteroGraph,
-    batch,
+    offers: np.ndarray,
     params: dict,
     cfg: EdgeGnnConfig,
     ego: Optional[EgoNetwork] = None,
     rng: Optional[np.random.Generator] = None,
 ) -> Tensor:
-    """Per-class probabilities for a batch of offers.
+    """Per-class probabilities for a batch of offer ids.
 
-    ``batch`` is an :class:`OfferBatch` or a plain index array.  The ego
-    network is extracted at depth ``cfg.gnn_layers`` unless one is passed
-    in.  ``rng`` enables dropout (training only).
+    The ego network is extracted at depth ``cfg.gnn_layers`` unless one is
+    passed in.  ``rng`` enables dropout (training only).
     """
-    if not isinstance(batch, OfferBatch):
-        batch = OfferBatch(np.asarray(batch, dtype=np.int64))
     if ego is None:
-        ego = extract_ego_network(g, batch, hops=cfg.gnn_layers)
+        ego = extract_ego_network(g, offers, hops=cfg.gnn_layers)
     emb_s, emb_p = node_embedder_forward(g, ego, params, cfg, rng=rng)
-    o_s, o_p = sibling_offer_summaries(g, batch.offers)
-    o_o = g.offer_features[batch.offers]
+    o_s, o_p = sibling_offer_summaries(g, offers)
+    o_o = g.offer_features[offers]
     emb_o = edge_embedder_forward(o_o, o_s, o_p, params)
     return classifier_forward(emb_s, emb_p, emb_o, params)

@@ -29,10 +29,9 @@ from ..autodiff import (
     backward,
     bce_loss,
     scale,
-    sgd_step,
 )
 from ..graph import HeteroGraph
-from ..sampling import OfferBatch, extract_ego_network
+from ..sampling import extract_ego_network
 from .core import EdgeGnnConfig, cast_params, edge_gnn_forward, glorot, init_edge_gnn_params
 
 __all__ = [
@@ -56,30 +55,20 @@ class TrainConfig:
     batch_size: int = 1024
     lr: float = 1e-3
     seed: int = 0
-    optimizer: str = "adam"  # or "sgd"
-    weight_decay: float = 0.0
 
     def __post_init__(self):
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("epochs must be >= 0 and batch_size >= 1")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be finite and > 0, got {self.lr!r}")
-        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
-            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay!r}")
 
 
 def fit(params: dict, batches: Callable[[], Iterable], loss_fn: Callable,
         tc: TrainConfig) -> list:
-    """Train ``params`` in place for ``tc.epochs`` epochs; returns the
-    per-epoch mean loss.  ``batches()`` yields one epoch's batches and
+    """Train ``params`` in place with Adam for ``tc.epochs`` epochs; returns
+    the per-epoch mean loss.  ``batches()`` yields one epoch's batches and
     ``loss_fn(batch)`` builds that batch's scalar loss on the tape."""
-    if tc.optimizer == "adam":
-        state = AdamState(lr=tc.lr, weight_decay=tc.weight_decay)
-        step = lambda grads: adam_step(params, grads, state)
-    else:
-        step = lambda grads: sgd_step(params, grads, tc.lr, tc.weight_decay)
+    state = AdamState(lr=tc.lr)
     history = []
     for epoch in range(tc.epochs):
         total, n_batches = 0.0, 0
@@ -92,7 +81,8 @@ def fit(params: dict, batches: Callable[[], Iterable], loss_fn: Callable,
                     f"non-finite loss {loss_val} at epoch {epoch}, batch {n_batches}"
                 )
             grads = backward(tape, loss)
-            step({name: grads[p] for name, p in params.items() if p in grads})
+            adam_step(params, {name: grads[p] for name, p in params.items() if p in grads},
+                      state)
             total += loss_val
             n_batches += 1
         history.append(total / max(n_batches, 1))
@@ -125,8 +115,9 @@ class EdgeGnnModel:
     # dtype -> param_groups cast to it; scoring reads the parameters as fixed
     _cast: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def score(self, g: HeteroGraph, offers, dtype=np.float64) -> np.ndarray:
-        """Per-class probability matrix for the given offers.
+    def score(self, g: HeteroGraph, offers: np.ndarray, dtype=np.float64) -> np.ndarray:
+        """Per-class probability matrix for the given offer ids; no offers
+        give a ``(0, n_classes)`` matrix.
 
         Scoring runs with 64-bit accumulation by default; parameters stay
         float32 in memory and on disk, and each dtype's copy is cast on
@@ -134,11 +125,12 @@ class EdgeGnnModel:
         heads.
         """
         dtype = np.dtype(dtype)
+        if len(offers) == 0:
+            return np.zeros((0, self.cfg.n_classes), dtype=dtype)
         if dtype not in self._cast:
             self._cast[dtype] = [cast_params(p, dtype) for p in self.param_groups]
-        batch = OfferBatch(np.asarray(offers, dtype=np.int64))
-        ego = extract_ego_network(g, batch, hops=self.cfg.gnn_layers)
-        cols = [edge_gnn_forward(g, batch, p, self.cfg, ego=ego).data for p in self._cast[dtype]]
+        ego = extract_ego_network(g, offers, hops=self.cfg.gnn_layers)
+        cols = [edge_gnn_forward(g, offers, p, self.cfg, ego=ego).data for p in self._cast[dtype]]
         return np.concatenate(cols, axis=1)
 
 
@@ -161,11 +153,11 @@ def train_edge_gnn(g: HeteroGraph, cfg: EdgeGnnConfig, tc: TrainConfig) -> EdgeG
 
         def batches():
             for idx in _epoch_batches(m, tc.batch_size, rng):
-                yield OfferBatch(np.sort(idx))
+                yield np.sort(idx)
 
-        def loss_fn(batch):
-            probs = edge_gnn_forward(g, batch, params, cfg, rng=dropout_rng)
-            loss = bce_loss(probs, targets[batch.offers])
+        def loss_fn(offers):
+            probs = edge_gnn_forward(g, offers, params, cfg, rng=dropout_rng)
+            loss = bce_loss(probs, targets[offers])
             if cfg.mode == "multi_task":
                 # mean over elements -> sum of the nine per-class means
                 loss = scale(loss, cfg.n_classes)

@@ -1,10 +1,10 @@
-"""Mini-batch sampling: uniform offer batches, their ego networks, and the
-message-flow plan that runs a relational GNN on an ego network.
+"""Ego networks of offer batches, and the message-flow plan that runs a
+relational GNN on an ego network.
 
 An ego network is every node within ``hops`` relation-edges of some seed
 (seeds are at hop zero).  It suffices to reproduce the whole-graph output
-of an L-layer relational GNN at the seeds, L <= ``hops``: layer l of a
-node only reads nodes l edges away.  :func:`ego_network` builds it for both
+of a ``hops``-layer relational GNN at the seeds: layer l of a node only
+reads nodes l edges away.  :func:`ego_network` builds it for both
 GNNs: the edge classifier seeds it at a batch's endpoints
 (:func:`extract_ego_network`), the expanded-graph baseline at the offer
 nodes it classifies.  Its breadth-first search is vectorised: each hop is
@@ -29,7 +29,7 @@ grouped; each layer's rows keep that order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,50 +37,13 @@ import scipy.sparse as sp
 from .graph import HeteroGraph, Relation
 
 __all__ = [
-    "OfferBatch",
     "EgoNetwork",
     "Block",
     "Layer",
-    "sample_offer_batch",
     "extract_ego_network",
     "ego_network",
     "message_flow_plan",
 ]
-
-
-@dataclass(frozen=True)
-class OfferBatch:
-    """Unique labeled offer indices plus the seed that produced them."""
-
-    offers: np.ndarray
-    seed: Optional[int] = None
-
-    def __post_init__(self):
-        offers = np.asarray(self.offers, dtype=np.int64)
-        if offers.ndim != 1:
-            raise ValueError("a batch is a flat index array")
-        if len(np.unique(offers)) != offers.shape[0]:
-            raise ValueError("batch offers must be unique")
-        object.__setattr__(self, "offers", offers)
-
-    def __len__(self):
-        return self.offers.shape[0]
-
-
-def sample_offer_batch(g: HeteroGraph, batch_size: int, rng_seed: int) -> OfferBatch:
-    """Uniform sample of labeled offers without replacement.
-
-    Returns fewer than ``batch_size`` offers only when the graph has fewer
-    labeled offers than that.
-    """
-    if batch_size < 1:
-        raise ValueError("batch_size must be positive")
-    if g.labels is None or g.n_offers == 0:
-        raise ValueError("graph has no labeled offers")
-    rng = np.random.default_rng(rng_seed)
-    take = min(batch_size, g.n_offers)
-    idx = np.sort(rng.choice(g.n_offers, size=take, replace=False))
-    return OfferBatch(idx, seed=rng_seed)
 
 
 class Block(NamedTuple):
@@ -104,8 +67,8 @@ class EgoNetwork:
     """The nodes within ``hops`` edges of the ``seeds`` (global ids, in the
     caller's order, repeats allowed): ``nodes`` in ascending global id,
     ``hop`` their distances, and a ``plan`` of ``hops`` layers read at the
-    seeds.  A model with L layers runs the last L, whose first reads the
-    nodes with ``hop <= L``.  ``rel_adj`` lists the plan's block matrices.
+    seeds, whose first reads every node.  ``rel_adj`` lists the plan's
+    block matrices.
     """
 
     seeds: np.ndarray
@@ -125,13 +88,12 @@ class EgoNetwork:
     def rel_adj(self) -> list:
         return [b.adj for layer in self.plan for b in layer.blocks]
 
-    def inputs(self, layers: int, feats: dict) -> dict:
+    def inputs(self, feats: dict) -> dict:
         """Each node type's rows of ``feats`` (type -> features; the types
-        own consecutive id ranges in this order) that the first of
-        ``layers`` convolutions reads: the nodes with ``hop <= layers``."""
-        first = self.nodes[self.hop <= layers]
+        own consecutive id ranges in this order) at the ego's nodes: the
+        input rows of the plan's first layer."""
         ends = np.cumsum([x.shape[0] for x in feats.values()])
-        parts = np.split(first, np.searchsorted(first, ends[:-1]))
+        parts = np.split(self.nodes, np.searchsorted(self.nodes, ends[:-1]))
         return {name: x[ids - (end - x.shape[0])]
                 for (name, x), ids, end in zip(feats.items(), parts, ends)}
 
@@ -211,16 +173,15 @@ def ego_network(
     return EgoNetwork(seeds, nodes, hop[nodes], message_flow_plan(mats, nodes, hop[nodes], hops))
 
 
-def extract_ego_network(g: HeteroGraph, batch: OfferBatch, hops: int) -> EgoNetwork:
-    """The ego network over all nine relations seeded at the batch offers'
-    sellers, then at their products, in batch order."""
+def extract_ego_network(g: HeteroGraph, offers: np.ndarray, hops: int) -> EgoNetwork:
+    """The ego network over all nine relations seeded at the ``offers``'
+    sellers, then at their products, in the order given."""
+    offers = np.asarray(offers, dtype=np.int64)
     if hops < 1:
         raise ValueError("hops must be at least 1")
-    if len(batch) == 0:
-        raise ValueError("empty batch")
-    if batch.offers.min() < 0 or batch.offers.max() >= g.n_offers:
+    if offers.ndim != 1 or offers.size == 0:
+        raise ValueError("a batch is a non-empty flat index array")
+    if offers.min() < 0 or offers.max() >= g.n_offers:
         raise ValueError("batch references unknown offers")
-    seeds = np.concatenate(
-        [g.offer_seller[batch.offers], g.offer_product[batch.offers] + g.n_sellers]
-    )
+    seeds = np.concatenate([g.offer_seller[offers], g.offer_product[offers] + g.n_sellers])
     return ego_network(g.union_csr(), [g.normalized_csr(r) for r in Relation], seeds, hops)

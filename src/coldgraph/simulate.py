@@ -28,7 +28,7 @@ import numpy as np
 
 from .graph import N_CLASSES, NORMAL_CLASS, HeteroGraph, N_RELATIONS, NodeType
 from .records import Record
-from .storage import default_column_names, write_artifact
+from .storage import default_column_names, seen_before, write_artifact
 
 __all__ = [
     "MINORITY_CLASSES",
@@ -391,6 +391,9 @@ def _checked_ids(ids, count: int, what: str) -> np.ndarray:
     bad = ids[(ids < 0) | (ids >= count)]
     if bad.size:
         raise ValueError(f"scenario {what} index {int(bad[0])} out of range [0, {count})")
+    again = ids[seen_before(ids)]
+    if again.size:
+        raise ValueError(f"scenario {what} index {int(again[0])} repeats")
     return ids
 
 
@@ -411,7 +414,8 @@ def apply_scenario(g: HeteroGraph, spec: ScenarioSpec):
     Every evaluation offer is treated as newly listed: its feature row is
     zeroed except the retained columns.  New sellers lose all feature
     columns; new products keep only their retained columns.  Edges and
-    labels are untouched, so cold entities stay connected.
+    labels are untouched, so cold entities stay connected.  An id that is
+    out of range or repeats within its field is rejected, naming the field.
     """
     column_names = default_column_names(g.d_s, g.d_p, g.d_o)
     eval_offers = _checked_ids(spec.eval_offers, g.n_offers, "eval_offers")

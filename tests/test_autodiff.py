@@ -57,9 +57,9 @@ def test_sigmoid_strictly_inside_unit_interval():
 def test_relu_and_identity():
     x = Tensor([[-2.0, 3.0]])
     np.testing.assert_allclose(activation(x, "relu").data, [[0.0, 3.0]])
-    assert activation(x, "identity") is x
-    with pytest.raises(ValueError):
-        activation(x, "tanh")
+    for kind in ("identity", "tanh"):
+        with pytest.raises(ValueError, match="unknown activation"):
+            activation(x, kind)
 
 
 def test_bce_known_values():
@@ -90,8 +90,8 @@ def test_backward_square():
     with Tape() as tape:
         loss = sum_all(mul(w, w))
     grads = backward(tape, loss)
+    assert list(grads) == [w]
     np.testing.assert_allclose(grads[w], [[6.0]])
-    np.testing.assert_allclose(w.grad, [[6.0]])
 
 
 def test_backward_requires_taped_scalar():
@@ -108,7 +108,6 @@ def test_backward_requires_taped_scalar():
 def test_untaped_ops_are_pure_forward():
     w = parameter([[2.0]])
     out = mul(w, w)
-    assert out.grad is None
     # a result computed with no tape active is a constant to any later tape
     with Tape() as tape:
         loss = sum_all(out)
@@ -116,8 +115,8 @@ def test_untaped_ops_are_pure_forward():
 
 
 def test_concat_cols_vectors_and_empty():
-    out = concat_cols([Tensor([1.0]), Tensor([2.0]), Tensor([3.0])])
-    np.testing.assert_allclose(out.data, [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="rank-2"):
+        concat_cols([Tensor([1.0]), Tensor([2.0])])
     x = Tensor([[1.0, 2.0]])
     empty = Tensor(np.zeros((1, 0)))
     np.testing.assert_allclose(concat_cols([x, empty]).data, x.data)

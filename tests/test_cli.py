@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from coldgraph.cli import main
-from coldgraph.experiment import ExperimentConfig, ModelConfig, read_scores_csv, write_scores_csv
+from coldgraph.experiment import (
+    MODEL_KINDS, ExperimentConfig, ModelConfig, read_scores_csv, write_scores_csv)
 from coldgraph.models import load_checkpoint, save_checkpoint
 from coldgraph.simulate import SCENARIOS, GeneratorConfig, load_scenario
 from coldgraph.storage import load_graph
@@ -291,14 +292,30 @@ def test_missing_graph_path_exits_2(tmp_path, capsys):
 def test_unknown_checkpoint_kind_exits_2(ws, tmp_path, capsys):
     bogus = tmp_path / "bogus.ckpt"
     save_checkpoint(bogus, "lightgbm", {"d_in": 3}, [])
+    out = tmp_path / "s.csv"
     rc = main([
         "score", "--checkpoint", str(bogus), "--graph", str(ws["graph"]),
-        "--scenario", str(ws["scen"] / "scenario_full.json"),
-        "--out", str(tmp_path / "s.csv"),
+        "--scenario", str(ws["scen"] / "scenario_full.json"), "--out", str(out),
     ])
-    cap = capsys.readouterr()
-    assert rc == 2
-    assert "model kind" in cap.err
+    _assert_named_error(capsys, rc, "unknown model kind 'lightgbm'")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_score_rejects_repeated_eval_offer_for_every_kind(ws, tmp_path, capsys, kind):
+    ckpt = tmp_path / f"{kind}.ckpt"
+    assert main(["train", "--config", str(ws["config"]), "--graph", str(ws["graph"]),
+                 "--model", kind, "--epochs", "0", "--out", str(ckpt)]) == 0
+    spec = json.loads((ws["scen"] / "scenario_new_seller.json").read_text())
+    spec["eval_offers"] = [*spec["eval_offers"], spec["eval_offers"][0]]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "s.csv"
+    capsys.readouterr()
+    rc = main(["score", "--checkpoint", str(ckpt), "--graph", str(ws["graph"]),
+               "--scenario", str(path), "--out", str(out)])
+    _assert_named_error(capsys, rc, f"scenario eval_offers index {spec['eval_offers'][0]} repeats")
+    assert not out.exists()
 
 
 def test_seed_precedence_flag_beats_env_beats_config(tmp_path, monkeypatch):

@@ -21,6 +21,7 @@ from coldgraph.experiment import (
 from coldgraph.models import load_checkpoint, train_mlp_heads
 from coldgraph.simulate import (
     GeneratorConfig,
+    ScenarioSpec,
     apply_scenario,
     generate_synthetic_graph,
     load_scenario,
@@ -28,6 +29,8 @@ from coldgraph.simulate import (
     save_scenario,
 )
 from coldgraph.storage import GraphFormatError, load_graph
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def tiny_config(out_dir="runs/tiny", **kw):
@@ -58,7 +61,7 @@ def test_config_round_trip():
     cfg = tiny_config()
     assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
     # the shipped default config spells out every field
-    path = Path(__file__).resolve().parent.parent / "configs" / "default.json"
+    path = CONFIGS / "default.json"
     assert ExperimentConfig.from_json_file(path).to_dict() == json.loads(path.read_text())
 
 
@@ -91,6 +94,11 @@ def test_config_version_and_enums_validated():
         ExperimentConfig(scenarios=("warm",))
 
 
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json")))
+def test_shipped_configs_decode(name):
+    assert isinstance(ExperimentConfig.from_json_file(CONFIGS / name), ExperimentConfig)
+
+
 def test_config_from_json_file(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(tiny_config().to_dict()))
@@ -119,6 +127,11 @@ def test_train_and_score_each_kind(tiny_graph, kind):
     assert scores.shape == (len(eval_offers), 9)
     assert scores.dtype == np.float64
     assert (scores > 0).all() and (scores < 1).all()
+    # a scenario with no eval offers scores to an empty matrix for every kind
+    empty = ScenarioSpec(scenario="new_seller", seed=1)
+    masked, none = apply_scenario(g, empty)
+    scores = score_model(kind, model.arch, model.param_groups, masked, none, empty)
+    assert scores.shape == (0, 9) and scores.dtype == np.float64
 
 
 def test_unknown_kind_rejected(tiny_graph):

@@ -26,7 +26,7 @@ from coldgraph.graph import (
     validate,
 )
 from coldgraph.models import sibling_offer_summaries
-from coldgraph.sampling import OfferBatch, extract_ego_network
+from coldgraph.sampling import extract_ego_network
 from coldgraph.simulate import ScenarioSpec, apply_scenario
 from coldgraph.storage import load_graph, save_graph
 
@@ -264,7 +264,7 @@ def test_ego_network_matches_bfs_oracle(kw, data):
     g = HeteroGraph.from_arrays(**kw)
     offers = data.draw(st.lists(st.integers(0, g.n_offers - 1), min_size=1, unique=True))
     for hops in (1, 2, 3):
-        ego = extract_ego_network(g, OfferBatch(np.array(offers)), hops)
+        ego = extract_ego_network(g, np.array(offers), hops)
         got = dict(zip(ego.nodes.tolist(), ego.hop.tolist()))
         assert got == bfs_oracle(g, offers, hops)
 

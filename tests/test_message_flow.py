@@ -25,7 +25,7 @@ from coldgraph.models import (
     rgcn_layer,
     score_expanded_rgcn,
 )
-from coldgraph.sampling import OfferBatch, extract_ego_network, message_flow_plan
+from coldgraph.sampling import extract_ego_network, message_flow_plan
 from test_graph_properties import graph_arrays
 
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -90,7 +90,7 @@ def node_space_pairs(g):
 @given(graphs(), st.data())
 def test_pruned_ego_encoder_equals_dense_reference(g, data):
     offers = data.draw(st.lists(st.integers(0, g.n_offers - 1), min_size=1, unique=True))
-    batch = OfferBatch(np.sort(offers))
+    batch = np.sort(offers)
     mats = [dense_normalized(e, g.n_nodes) for e in node_space_pairs(g)]
     inputs = {"seller": g.seller_features, "product": g.product_features}
     for layers in (1, 2, 3):
@@ -98,15 +98,12 @@ def test_pruned_ego_encoder_equals_dense_reference(g, data):
                             edge_hidden=3, cls_hidden=3)
         params = cast_params(init_edge_gnn_params(cfg, seed=layers), np.float64)
         want = dense_encoder(inputs, mats, params, layers)
-        for hops in range(layers, 4):  # an ego may be deeper than the stack
-            ego = extract_ego_network(g, batch, hops)
-            emb_s, emb_p = node_embedder_forward(g, ego, params, cfg)
-            np.testing.assert_allclose(emb_s.data, want[g.offer_seller[batch.offers]],
-                                       rtol=1e-10, atol=1e-12)
-            np.testing.assert_allclose(
-                emb_p.data, want[g.offer_product[batch.offers] + g.n_sellers],
-                rtol=1e-10, atol=1e-12,
-            )
+        ego = extract_ego_network(g, batch, layers)
+        emb_s, emb_p = node_embedder_forward(g, ego, params, cfg)
+        np.testing.assert_allclose(emb_s.data, want[g.offer_seller[batch]],
+                                   rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(emb_p.data, want[g.offer_product[batch] + g.n_sellers],
+                                   rtol=1e-10, atol=1e-12)
 
 
 @SETTINGS
@@ -155,7 +152,7 @@ def test_rgcn_layer_gradients_match_finite_differences(g, seed):
     n = g.n_nodes
     layers = [(message_flow_plan(mats, np.arange(n), np.zeros(n, dtype=np.int32), 1)[0], n)]
     offers = np.flatnonzero(rng.random(g.n_offers) < 0.5)
-    ego = extract_ego_network(g, OfferBatch(offers if offers.size else np.array([0])), 2)
+    ego = extract_ego_network(g, offers if offers.size else np.array([0]), 2)
     layers += [(layer, int(np.count_nonzero(ego.hop <= 2 - k)))
                for k, layer in enumerate(ego.plan)]
     width = 3

@@ -3,7 +3,7 @@ import pytest
 
 from _helpers import bfs_oracle, make_random_graph
 from coldgraph.graph import GraphBuilder, NodeType, Relation, build_expanded_graph
-from coldgraph.sampling import OfferBatch, ego_network, extract_ego_network, sample_offer_batch
+from coldgraph.sampling import ego_network, extract_ego_network
 
 
 def path_graph():
@@ -21,9 +21,14 @@ def path_graph():
     return g.build(labels=labels)
 
 
+def offer_batch(g, size, seed):
+    """Sorted uniform sample of ``size`` distinct offer ids."""
+    return np.sort(np.random.default_rng(seed).choice(g.n_offers, size=size, replace=False))
+
+
 def test_path_graph_hop_growth():
     g = path_graph()
-    batch = OfferBatch(np.array([0]))
+    batch = np.array([0])
     # endpoints (s1, p1) are at hop 0; s2 is one edge away, p2 two.
     # Unified ids: sellers 0 and 1, then products 0 and 1 as 2 and 3.
     ego1 = extract_ego_network(g, batch, hops=1)
@@ -35,17 +40,17 @@ def test_path_graph_hop_growth():
 
 def test_whole_component_at_diameter():
     g = path_graph()
-    ego = extract_ego_network(g, OfferBatch(np.array([0])), hops=10)
+    ego = extract_ego_network(g, np.array([0]), hops=10)
     assert ego.n_local == g.n_nodes
 
 
 def test_ego_matches_bfs_oracle():
     for seed in range(6):
         g = make_random_graph(seed=seed, n_sellers=25, n_products=12, ss_p=0.05)
-        batch = sample_offer_batch(g, 3, rng_seed=seed)
+        batch = offer_batch(g, 3, seed)
         for hops in (1, 2, 3):
             ego = extract_ego_network(g, batch, hops)
-            want = bfs_oracle(g, batch.offers, hops)
+            want = bfs_oracle(g, batch, hops)
             # local order is ascending unified id: sellers, then products
             got = ego.nodes.tolist()
             assert set(got) == set(want)
@@ -54,7 +59,7 @@ def test_ego_matches_bfs_oracle():
 
 def test_ego_monotone_in_hops():
     g = make_random_graph(seed=3)
-    batch = sample_offer_batch(g, 2, rng_seed=0)
+    batch = offer_batch(g, 2, 0)
     prev = None
     for hops in (1, 2, 3, 4):
         ego = extract_ego_network(g, batch, hops)
@@ -66,7 +71,7 @@ def test_ego_monotone_in_hops():
 
 def test_ego_plan_blocks_are_global_normalized_rows():
     g = make_random_graph(seed=5)
-    batch = sample_offer_batch(g, 4, rng_seed=7)
+    batch = offer_batch(g, 4, 7)
     for hops in (1, 2, 3):
         ego = extract_ego_network(g, batch, hops)
         included = ego.nodes
@@ -98,10 +103,10 @@ def test_ego_plan_blocks_are_global_normalized_rows():
 
 def test_batch_endpoint_locals():
     g = make_random_graph(seed=8)
-    batch = sample_offer_batch(g, 5, rng_seed=2)
+    batch = offer_batch(g, 5, 2)
     ego = extract_ego_network(g, batch, hops=1)
     # seeds are the batch sellers, then the batch products, as unified ids
-    sellers, products = g.offer_seller[batch.offers], g.offer_product[batch.offers]
+    sellers, products = g.offer_seller[batch], g.offer_product[batch]
     np.testing.assert_array_equal(ego.seeds, np.concatenate([sellers, products + g.n_sellers]))
     local = np.searchsorted(ego.nodes, ego.seeds)
     np.testing.assert_array_equal(ego.nodes[local], ego.seeds)
@@ -119,57 +124,29 @@ def test_ego_inputs_split_node_types_by_id_range():
     g = make_random_graph(seed=9)
     eg = build_expanded_graph(g)
     seeds = g.n_nodes + np.array([4, 1, 4])
-    ego = ego_network(eg.union_csr(), eg.normalized_csrs(), seeds, 3)
     feats = {"seller": g.seller_features, "product": g.product_features,
              "offer": g.offer_features}
     starts = {"seller": 0, "product": g.n_sellers, "offer": g.n_nodes}
-    for layers in (1, 2, 3):
-        first = ego.nodes[ego.hop <= layers]
-        got = ego.inputs(layers, feats)
+    for hops in (1, 2, 3):
+        ego = ego_network(eg.union_csr(), eg.normalized_csrs(), seeds, hops)
+        got = ego.inputs(feats)
         assert list(got) == list(feats)
-        assert sum(x.shape[0] for x in got.values()) == first.shape[0]
+        assert sum(x.shape[0] for x in got.values()) == ego.n_local
         for name, x in feats.items():
             lo = starts[name]
-            ids = first[(first >= lo) & (first < lo + x.shape[0])]
+            ids = ego.nodes[(ego.nodes >= lo) & (ego.nodes < lo + x.shape[0])]
             np.testing.assert_array_equal(got[name], x[ids - lo])
-    np.testing.assert_array_equal(ego.seed_rows(), [1, 0, 1])
-
-
-def test_sample_offer_batch_uniform_frequency():
-    g = make_random_graph(seed=1, n_sellers=3, n_products=3, max_offers_per_seller=2)
-    n = g.n_offers
-    counts = np.zeros(n)
-    n_draws = 4000
-    for s in range(n_draws):
-        counts[sample_offer_batch(g, 1, rng_seed=s).offers[0]] += 1
-    freq = counts / n_draws
-    np.testing.assert_allclose(freq, 1.0 / n, atol=0.035)
-
-
-def test_sample_offer_batch_properties():
-    g = make_random_graph(seed=2)
-    b1 = sample_offer_batch(g, 10, rng_seed=42)
-    b2 = sample_offer_batch(g, 10, rng_seed=42)
-    np.testing.assert_array_equal(b1.offers, b2.offers)
-    assert len(np.unique(b1.offers)) == 10
-    big = sample_offer_batch(g, 10_000, rng_seed=0)
-    assert len(big) == g.n_offers
-    unlabeled = make_random_graph(seed=2, labeled=False)
-    with pytest.raises(ValueError, match="labeled"):
-        sample_offer_batch(unlabeled, 4, rng_seed=0)
-
-
-def test_batch_uniqueness_enforced():
-    with pytest.raises(ValueError, match="unique"):
-        OfferBatch(np.array([1, 1, 2]))
+        np.testing.assert_array_equal(ego.seed_rows(), [1, 0, 1])
 
 
 def test_extract_errors():
     g = make_random_graph(seed=4)
-    batch = sample_offer_batch(g, 2, rng_seed=0)
     with pytest.raises(ValueError, match="hops"):
-        extract_ego_network(g, batch, hops=0)
+        extract_ego_network(g, offer_batch(g, 2, 0), hops=0)
     with pytest.raises(ValueError, match="unknown offers"):
-        extract_ego_network(g, OfferBatch(np.array([g.n_offers + 3])), hops=1)
+        extract_ego_network(g, np.array([g.n_offers + 3]), hops=1)
     with pytest.raises(ValueError, match="unknown offers"):
-        extract_ego_network(g, OfferBatch(np.array([0, -1])), hops=1)
+        extract_ego_network(g, np.array([0, -1]), hops=1)
+    for offers in (np.array([], dtype=np.int64), np.array([[0, 1]])):
+        with pytest.raises(ValueError, match="non-empty flat index array"):
+            extract_ego_network(g, offers, hops=1)

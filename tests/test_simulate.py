@@ -336,3 +336,12 @@ def test_scenario_entity_ids_are_range_checked(small_graph, field, count):
         want = re.escape(f"scenario {field} index {bad} out of range [0, {n})")
         with pytest.raises(ValueError, match=f"^{want}$"):
             apply_scenario(g, broken)
+
+
+@pytest.mark.parametrize("field", ["eval_offers", "new_sellers", "new_products"])
+def test_apply_scenario_rejects_repeated_ids(small_graph, field):
+    spec = make_scenario(small_graph, "new_seller_new_product", seed=0)
+    ids = list(getattr(spec, field))
+    broken = ScenarioSpec.from_dict({**spec.to_dict(), field: ids + [ids[0]]})
+    with pytest.raises(ValueError, match=f"^scenario {field} index {ids[0]} repeats$"):
+        apply_scenario(small_graph, broken)
