@@ -19,15 +19,19 @@ which every copy that keeps the topology shares; all of them go through
 one accessor, ``HeteroGraph._derived(key, build)``:
 
 - ``unified_csr(r)``: the symmetric binary adjacency of relation ``r``;
-- ``normalized_csr(r)``: the same with each row scaled by 1/degree, whose
-  rows the edge classifier's ego networks and the diffusion features read;
+- ``normalized_stack()``: the nine matrices with each row scaled by
+  1/degree, stacked relation-major into one ``(9 n, n)`` CSR, whose rows
+  the edge classifier's ego networks gather; ``normalized_csr(r)`` is a
+  read-only view of relation ``r``'s row block, which the diffusion
+  features read, so the stack is the one stored copy;
 - ``union_csr()``: the binary OR of the nine, which ego extraction walks
   and whose seller block is the union of the seller-seller relations;
 - ``offers_of(node_type)``: the owner-by-offer incidence of sellers or
   products, which gives sibling-offer sums and a cold entity's offers;
-- ``ExpandedGraph.relation_csrs()``, ``normalized_csrs()`` and
-  ``union_csr()``: the ten matrices of the expanded form and their OR,
-  which the expanded baseline's ego networks walk and read.
+- ``ExpandedGraph.relation_csrs()``, ``normalized_stack()`` (with its
+  views ``normalized_csrs()``) and ``union_csr()``: the ten matrices of the
+  expanded form, normalized and stacked the same way, and their OR, which
+  the expanded baseline's ego networks read and walk.
 """
 
 from __future__ import annotations
@@ -136,6 +140,25 @@ def _binary_union(mats: Sequence[sp.csr_matrix]) -> sp.csr_matrix:
     mat = sum(mats)
     mat.data[:] = 1.0
     return _freeze_csr(mat)
+
+
+def _normalized_stack(mats: Sequence[sp.csr_matrix]) -> sp.csr_matrix:
+    """Read-only ``(R*n, n)`` CSR of the row-normalized ``mats``, stacked
+    relation-major: row ``r*n + i`` is row ``i`` of ``mats[r]``."""
+    return _freeze_csr(sp.vstack([row_mean_normalize(m) for m in mats], format="csr"))
+
+
+def _stack_block(stack: sp.csr_matrix, r: int) -> sp.csr_matrix:
+    """Read-only view of relation ``r``'s ``(n, n)`` row block of ``stack``:
+    its ``data`` and ``indices`` are slices of the stack's, its ``indptr``
+    the block's row pointer shifted to start at zero."""
+    n = stack.shape[1]
+    ptr = stack.indptr[r * n:(r + 1) * n + 1]
+    lo, hi = ptr[0], ptr[-1]
+    view = sp.csr_matrix((stack.data[lo:hi], stack.indices[lo:hi], ptr - lo), shape=(n, n))
+    # scipy copies a slice smaller than half its base; keep the stack's memory
+    view.data, view.indices = stack.data[lo:hi], stack.indices[lo:hi]
+    return _freeze_csr(view)
 
 
 def row_mean_normalize(mat: sp.csr_matrix) -> sp.csr_matrix:
@@ -329,13 +352,24 @@ class HeteroGraph:
 
         return self._derived(relation, build)
 
+    def normalized_stack(self) -> sp.csr_matrix:
+        """The nine ``unified_csr`` matrices with each nonempty row scaled
+        by 1/degree, stacked relation-major into one ``(9 * n_nodes,
+        n_nodes)`` CSR: row ``r * n_nodes + i`` is row ``i`` of relation
+        ``r``.  Read-only, built once per topology; the one stored copy of
+        the normalized matrices."""
+        return self._derived(
+            "normalized", lambda: _normalized_stack([self.unified_csr(r) for r in Relation])
+        )
+
     def normalized_csr(self, relation: Relation) -> sp.csr_matrix:
         """``unified_csr(relation)`` with each nonempty row scaled by
-        1/degree; read-only, built once per topology."""
+        1/degree: a read-only view of its row block of
+        ``normalized_stack()``, built once per topology."""
         relation = Relation(relation)
         return self._derived(
             f"normalized_{relation.name}",
-            lambda: _freeze_csr(row_mean_normalize(self.unified_csr(relation))),
+            lambda: _stack_block(self.normalized_stack(), relation),
         )
 
     def union_csr(self) -> sp.csr_matrix:
@@ -505,12 +539,22 @@ class ExpandedGraph:
 
         return g._derived("expanded", build)
 
+    def normalized_stack(self) -> sp.csr_matrix:
+        """``relation_csrs()`` with each nonempty row scaled by 1/degree,
+        stacked relation-major into one ``(10 * n_nodes, n_nodes)`` CSR
+        like ``HeteroGraph.normalized_stack``; cached and shared the same
+        way."""
+        return self.g._derived(
+            "expanded_normalized", lambda: _normalized_stack(self.relation_csrs())
+        )
+
     def normalized_csrs(self) -> tuple:
-        """``relation_csrs()`` with each nonempty row scaled by 1/degree;
+        """Read-only views of the ten row blocks of ``normalized_stack()``;
         cached and shared the same way."""
         return self.g._derived(
-            "expanded_normalized",
-            lambda: tuple(_freeze_csr(row_mean_normalize(m)) for m in self.relation_csrs()),
+            "expanded_normalized_blocks",
+            lambda: tuple(_stack_block(self.normalized_stack(), r)
+                          for r in range(self.N_RELATIONS)),
         )
 
     def union_csr(self) -> sp.csr_matrix:

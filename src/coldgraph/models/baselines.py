@@ -163,7 +163,7 @@ def init_expanded_rgcn_params(cfg: ExpandedRgcnConfig, seed: int) -> dict:
 
 def _expanded_ego(eg: ExpandedGraph, offers: np.ndarray, layers: int) -> EgoNetwork:
     """The ego network of ``offers``' offer nodes, ``layers`` deep."""
-    return ego_network(eg.union_csr(), eg.normalized_csrs(), eg.g.n_nodes + offers, layers)
+    return ego_network(eg.union_csr(), eg.normalized_stack(), eg.g.n_nodes + offers, layers)
 
 
 def _expanded_probs(eg: ExpandedGraph, ego: EgoNetwork, params: dict) -> Tensor:

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..autodiff import (
     Tensor,
@@ -44,7 +45,7 @@ from ..autodiff import (
 )
 from ..graph import N_CLASSES, N_RELATIONS, HeteroGraph, NodeType
 from ..records import Record
-from ..sampling import EgoNetwork, Layer, extract_ego_network
+from ..sampling import EgoNetwork, Layer, _row_entries, endpoint_seeds, extract_ego_network
 
 __all__ = [
     "EdgeGnnConfig",
@@ -293,17 +294,32 @@ def node_embedder_forward(
 # module 2: edge embedder
 
 
+def _owner_sums(inc: sp.csr_matrix, owners: np.ndarray, feats64: np.ndarray) -> np.ndarray:
+    """``inc[owners] @ feats64``: the owners' rows of the incidence are
+    gathered into one CSR, the same matrix scipy's row indexing builds but
+    without its overhead, so every sum adds the same terms in the same
+    order."""
+    indptr, take = _row_entries(inc, owners)
+    rows = sp.csr_matrix((inc.data[take], inc.indices[take], indptr),
+                         shape=(owners.shape[0], inc.shape[1]))
+    return rows @ feats64
+
+
 def sibling_offer_summaries(g: HeteroGraph, offer_ids: np.ndarray) -> tuple:
     """Mean feature rows of same-seller and same-product sibling offers.
 
     The target offer is excluded from both means; an offer with no sibling
     on one side gets a zero vector there.  Each owner's sum is its row of
-    the cached ``g.offers_of`` incidence times the feature table, so the
-    cost grows with the requested owners' offers, not with the table.
+    the cached ``g.offers_of`` incidence times the float64 feature table
+    (:func:`_owner_sums`), so the cost grows with the requested owners'
+    offers, not with the table.  Raises ValueError for an offer id outside
+    ``[0, n_offers)``.
     """
     feats = g.offer_features
     feats64 = feats.astype(np.float64, copy=False)
     offer_ids = np.asarray(offer_ids, dtype=np.int64)
+    if offer_ids.size and (offer_ids.min() < 0 or offer_ids.max() >= g.n_offers):
+        raise ValueError(f"offer ids must lie in [0, {g.n_offers})")
 
     out = []
     for node_type, owner in zip(NodeType, (g.offer_seller, g.offer_product)):
@@ -312,7 +328,8 @@ def sibling_offer_summaries(g: HeteroGraph, offer_ids: np.ndarray) -> tuple:
         k = np.diff(inc.indptr)[own]
         mean = np.zeros((offer_ids.shape[0], feats.shape[1]), dtype=np.float64)
         has = k > 1
-        mean[has] = (inc[own[has]] @ feats64 - feats64[offer_ids[has]]) / (k[has] - 1)[:, None]
+        sums = _owner_sums(inc, own[has], feats64)
+        mean[has] = (sums - feats64[offer_ids[has]]) / (k[has] - 1)[:, None]
         out.append(mean.astype(feats.dtype, copy=False))
     return out[0], out[1]
 
@@ -361,10 +378,14 @@ def edge_gnn_forward(
     """Per-class probabilities for a batch of offer ids.
 
     The ego network is extracted at depth ``cfg.gnn_layers`` unless one is
-    passed in.  ``rng`` enables dropout (training only).
+    passed in; a passed one must be seeded at this batch's endpoints
+    (``sampling.endpoint_seeds``), else ValueError.  ``rng`` enables
+    dropout (training only).
     """
     if ego is None:
         ego = extract_ego_network(g, offers, hops=cfg.gnn_layers)
+    elif not np.array_equal(ego.seeds, endpoint_seeds(g, offers)):
+        raise ValueError("ego network is seeded at other offers' endpoints than the batch's")
     emb_s, emb_p = node_embedder_forward(g, ego, params, cfg, rng=rng)
     o_s, o_p = sibling_offer_summaries(g, offers)
     o_o = g.offer_features[offers]

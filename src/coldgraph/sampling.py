@@ -15,8 +15,10 @@ Layers are pruned by message flow (the GraphSAGE minibatch algorithm, DGL's
 stack computes only the rows with ``hop <= L-1-l``, and those rows read only
 rows with ``hop <= L-l``.  Every neighbour of such a row is in the ego
 network, so its row of the cached row-normalised matrix is exact as is:
-:func:`message_flow_plan` gathers those rows and remaps their columns with
-plain numpy index arithmetic.  Within a layer each relation's block keeps
+:func:`message_flow_plan` gathers those rows of every relation in one step
+from the relation-stacked matrix (``normalized_stack()``) and remaps their
+columns with plain numpy index arithmetic, then cuts the gathered entries
+into one block per relation.  Within a layer each relation's block keeps
 only the outputs with a message of that relation (``rows``) and reads only
 the columns they reference (``cols``), so relation r adds
 ``adj @ (h[cols] @ W_r)`` at ``rows``.
@@ -29,18 +31,19 @@ grouped; each layer's rows keep that order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import HeteroGraph, Relation
+from .graph import HeteroGraph
 
 __all__ = [
     "EgoNetwork",
     "Block",
     "Layer",
     "extract_ego_network",
+    "endpoint_seeds",
     "ego_network",
     "message_flow_plan",
 ]
@@ -114,20 +117,29 @@ def _row_entries(m: sp.csr_matrix, rows: np.ndarray) -> tuple:
 
 
 def message_flow_plan(
-    mats: Sequence[sp.csr_matrix], nodes: np.ndarray, hop: np.ndarray, layers: int
+    stack: sp.csr_matrix, nodes: np.ndarray, hop: np.ndarray, layers: int
 ) -> tuple:
     """The :class:`Layer` of each of ``layers`` convolutions read at hop zero.
 
-    ``mats`` holds one row-normalized adjacency per relation over a global
-    node space; ``nodes`` are the ascending global ids within ``layers``
+    ``stack`` holds one row-normalized adjacency per relation over a global
+    node space of ``n = stack.shape[1]`` nodes, stacked relation-major (row
+    ``r*n + i`` is row ``i`` of relation ``r``, as ``normalized_stack()``
+    gives it); ``nodes`` are the ascending global ids within ``layers``
     hops of the seeds and ``hop`` their distances, as :func:`ego_network`
     gives them.  Layer k's input rows are the nodes with
     ``hop <= layers-k``, in order, and its outputs those with
     ``hop <= layers-1-k``.  A block row is the non-empty global row of an
     output with its columns renumbered; the renumbering is monotone, so
     each row sums its neighbours in the same order as the global matrix.
+
+    Each layer gathers its outputs' rows of every relation at once and
+    remaps all their columns to layer-input rows in one step; only the
+    per-relation renumbering and the block's CSR are built per relation.
     """
-    local = np.full(mats[0].shape[0], -1, dtype=np.int64)
+    n = stack.shape[1]
+    n_rel = stack.shape[0] // n
+    offsets = np.arange(0, n_rel * n, n)[:, None]
+    local = np.full(n, -1, dtype=np.int64)
     local[nodes] = np.arange(nodes.shape[0])
     inside = hop <= layers
     plan = []
@@ -136,30 +148,42 @@ def message_flow_plan(
         rank = np.cumsum(inside) - 1  # node -> row of this layer's input
         n_in = int(np.count_nonzero(inside))
         rows = nodes[out]
+        n_out = rows.shape[0]
+        indptr, take = _row_entries(stack, (offsets + rows).ravel())
+        col = rank[local[stack.indices[take]]]
+        data = stack.data[take]
+        # the gathered rows with entries, relation after relation, and their
+        # starts followed by the end: relation r's block owns wrote[a:b]
+        # and its row pointer is starts[a:b+1], shifted to zero
+        wrote = np.flatnonzero(np.diff(indptr))
+        starts = indptr[np.append(wrote, indptr.shape[0] - 1)]
+        cut = np.searchsorted(wrote, np.arange(0, (n_rel + 1) * n_out, n_out)).tolist()
+        bounds = starts[cut].tolist()
         blocks = []
-        for r, m in enumerate(mats):
-            indptr, take = _row_entries(m, rows)
-            if take.size == 0:
+        for r in range(n_rel):
+            a, b = cut[r], cut[r + 1]
+            if a == b:
                 continue
-            col = rank[local[m.indices[take]]]
+            lo, hi = bounds[r], bounds[r + 1]
+            c = col[lo:hi]
             used = np.zeros(n_in, dtype=bool)
-            used[col] = True
+            used[c] = True
             cols = np.flatnonzero(used)
-            renum = np.cumsum(used, dtype=m.indices.dtype) - 1
-            wrote = np.flatnonzero(np.diff(indptr))
-            adj = sp.csr_matrix((m.data[take], renum[col], np.append(indptr[wrote], take.size)),
-                                shape=(wrote.shape[0], cols.shape[0]))
-            blocks.append(Block(r, wrote, cols, adj))
+            renum = np.cumsum(used, dtype=stack.indices.dtype) - 1
+            adj = sp.csr_matrix((data[lo:hi], renum[c], starts[a:b + 1] - lo),
+                                shape=(b - a, cols.shape[0]))
+            blocks.append(Block(r, wrote[a:b] - r * n_out, cols, adj))
         plan.append(Layer(rank[out], tuple(blocks)))
         inside = out
     return tuple(plan)
 
 
 def ego_network(
-    union: sp.csr_matrix, mats: Sequence[sp.csr_matrix], seeds: np.ndarray, hops: int
+    union: sp.csr_matrix, stack: sp.csr_matrix, seeds: np.ndarray, hops: int
 ) -> EgoNetwork:
     """Breadth-first closure of ``seeds`` over ``union`` (the binary OR of
-    ``mats``) to depth ``hops``, with the ``hops``-layer plan over it."""
+    the relations of ``stack``) to depth ``hops``, with the ``hops``-layer
+    plan over it."""
     seeds = np.asarray(seeds, dtype=np.int64)
     hop = np.full(union.shape[0], -1, dtype=np.int32)
     frontier = np.unique(seeds)
@@ -170,7 +194,13 @@ def ego_network(
         frontier = np.flatnonzero(reached & (hop < 0))
         hop[frontier] = d
     nodes = np.flatnonzero(hop >= 0)
-    return EgoNetwork(seeds, nodes, hop[nodes], message_flow_plan(mats, nodes, hop[nodes], hops))
+    return EgoNetwork(seeds, nodes, hop[nodes], message_flow_plan(stack, nodes, hop[nodes], hops))
+
+
+def endpoint_seeds(g: HeteroGraph, offers: np.ndarray) -> np.ndarray:
+    """The ``offers``' sellers, then their products, as node ids: the seeds
+    of the edge classifier's ego network of the batch."""
+    return np.concatenate([g.offer_seller[offers], g.offer_product[offers] + g.n_sellers])
 
 
 def extract_ego_network(g: HeteroGraph, offers: np.ndarray, hops: int) -> EgoNetwork:
@@ -183,5 +213,4 @@ def extract_ego_network(g: HeteroGraph, offers: np.ndarray, hops: int) -> EgoNet
         raise ValueError("a batch is a non-empty flat index array")
     if offers.min() < 0 or offers.max() >= g.n_offers:
         raise ValueError("batch references unknown offers")
-    seeds = np.concatenate([g.offer_seller[offers], g.offer_product[offers] + g.n_sellers])
-    return ego_network(g.union_csr(), [g.normalized_csr(r) for r in Relation], seeds, hops)
+    return ego_network(g.union_csr(), g.normalized_stack(), endpoint_seeds(g, offers), hops)

@@ -1,11 +1,14 @@
 """Shared test helpers: small random graphs, graph equality, a reference
-breadth-first search and an ``os.replace`` that fails on demand."""
+breadth-first search, a reference message-flow plan and an ``os.replace``
+that fails on demand."""
 
 import os
 
 import numpy as np
+import scipy.sparse as sp
 
 from coldgraph.graph import N_CLASSES, HeteroGraph, Relation
+from coldgraph.sampling import Block, Layer
 
 
 def make_random_graph(
@@ -77,6 +80,38 @@ def bfs_oracle(g, offer_ids, hops):
             dist[v] = depth
         frontier = nxt
     return dist
+
+
+def reference_message_flow_plan(mats, nodes, hop, layers):
+    """``sampling.message_flow_plan`` built one relation at a time from a
+    list of per-relation matrices, with scipy's row indexing for the
+    gather: the plan the relation-stacked builder must reproduce."""
+    local = np.full(mats[0].shape[0], -1, dtype=np.int64)
+    local[nodes] = np.arange(nodes.shape[0])
+    inside = hop <= layers
+    plan = []
+    for k in range(layers):
+        out = hop <= layers - 1 - k
+        rank = np.cumsum(inside) - 1
+        n_in = int(np.count_nonzero(inside))
+        rows = nodes[out]
+        blocks = []
+        for r, m in enumerate(mats):
+            sub = m[rows]
+            if sub.nnz == 0:
+                continue
+            col = rank[local[sub.indices]]
+            used = np.zeros(n_in, dtype=bool)
+            used[col] = True
+            cols = np.flatnonzero(used)
+            renum = np.cumsum(used) - 1
+            wrote = np.flatnonzero(np.diff(sub.indptr))
+            adj = sp.csr_matrix((sub.data, renum[col], np.append(sub.indptr[wrote], sub.nnz)),
+                                shape=(wrote.shape[0], cols.shape[0]))
+            blocks.append(Block(r, wrote, cols, adj))
+        plan.append(Layer(rank[out], tuple(blocks)))
+        inside = out
+    return tuple(plan)
 
 
 def assert_same_graph(g, h):

@@ -26,6 +26,7 @@ from coldgraph.graph import (
     validate,
 )
 from coldgraph.models import sibling_offer_summaries
+from coldgraph.models.core import _owner_sums
 from coldgraph.sampling import extract_ego_network
 from coldgraph.simulate import ScenarioSpec, apply_scenario
 from coldgraph.storage import load_graph, save_graph
@@ -282,6 +283,49 @@ def test_sibling_summaries_match_enumeration(kw, data):
             sib = [j for j in range(g.n_offers) if owner[j] == owner[k] and j != k]
             want = feats[sib].mean(axis=0) if sib else np.zeros(g.d_o)
             np.testing.assert_allclose(row, want, rtol=1e-5, atol=1e-6)
+
+
+@st.composite
+def hub_owner_graphs(draw):
+    """A graph whose seller 0 offers 64-600 products, whose other sellers
+    offer a random few, and whose offer features span seven orders of
+    magnitude, so that summation order shows in float64 sums."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_hub = draw(st.integers(64, 600))
+    n_s, n_p = draw(st.integers(2, 5)), n_hub + draw(st.integers(0, 4))
+    pairs = {(0, int(p)) for p in rng.choice(n_p, n_hub, replace=False)}
+    pairs |= {(int(s), int(p)) for s, p in rng.integers(0, [n_s, n_p], size=(3 * n_s, 2))}
+    offers = np.array(sorted(pairs), dtype=np.int64)
+    rng.shuffle(offers)
+    m, d_o = offers.shape[0], draw(st.integers(1, 4))
+    scale = 10.0 ** rng.integers(-3, 4, size=(m, 1))
+    return HeteroGraph.from_arrays(
+        rng.normal(size=(n_s, 2)).astype(np.float32), rng.normal(size=(n_p, 2)).astype(np.float32),
+        offers[:, 0], offers[:, 1], (rng.normal(size=(m, d_o)) * scale).astype(np.float32),
+        [np.zeros((0, 2), dtype=np.int64)] * len(SS),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(hub_owner_graphs(), st.data())
+def test_sibling_sums_equal_indexed_product_bitwise(g, data):
+    """Repeated ids in any order; the sums and the means match the
+    ``inc[owners] @ feats`` formula bit for bit."""
+    ids = np.array(data.draw(st.lists(st.integers(0, g.n_offers - 1), min_size=1, max_size=40)))
+    if data.draw(st.booleans()):  # every offer of the hub seller too
+        ids = np.concatenate([ids, np.flatnonzero(g.offer_seller == 0)])
+    feats64 = g.offer_features.astype(np.float64)
+    want = []
+    for node_type, owner in zip(NodeType, (g.offer_seller, g.offer_product)):
+        inc, own = g.offers_of(node_type), owner[ids]
+        assert np.array_equal(_owner_sums(inc, own, feats64), inc[own] @ feats64)
+        k = np.diff(inc.indptr)[own]
+        mean = np.zeros((ids.shape[0], g.d_o))
+        has = k > 1
+        mean[has] = (inc[own[has]] @ feats64 - feats64[ids[has]]) / (k[has] - 1)[:, None]
+        want.append(mean.astype(np.float32))
+    for got, w in zip(sibling_offer_summaries(g, ids), want):
+        assert got.dtype == w.dtype and np.array_equal(got, w)
 
 
 @FAST

@@ -1,7 +1,10 @@
 """Property tests for the message-flow-pruned, relation-blocked relational
 layer: on random graphs it must equal a dense float64 reference that runs
 every layer over every node and every relation, and its hand-written
-backward must agree with central differences.
+backward must agree with central differences.  The plan built from the
+relation-stacked matrix must equal, array for array, the plan built one
+relation at a time, and ego scoring of the whole edge classifier must
+equal a dense whole-graph forward that uses no plan at all.
 
 Graphs come from ``test_graph_properties.graph_arrays`` (isolated nodes,
 empty relations, single-offer sellers), optionally with seller 0 turned
@@ -12,12 +15,14 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from _helpers import reference_message_flow_plan
 from coldgraph.autodiff import Tensor, finite_diff_check, mul, parameter, sum_all
-from coldgraph.graph import HeteroGraph, Relation, build_expanded_graph
+from coldgraph.graph import HeteroGraph, Relation, build_expanded_graph, row_mean_normalize
 from coldgraph.models import (
     EdgeGnnConfig,
     ExpandedRgcnConfig,
     cast_params,
+    edge_gnn_forward,
     expanded_rgcn_forward,
     init_edge_gnn_params,
     init_expanded_rgcn_params,
@@ -25,7 +30,7 @@ from coldgraph.models import (
     rgcn_layer,
     score_expanded_rgcn,
 )
-from coldgraph.sampling import extract_ego_network, message_flow_plan
+from coldgraph.sampling import ego_network, extract_ego_network, message_flow_plan
 from test_graph_properties import graph_arrays
 
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -106,6 +111,107 @@ def test_pruned_ego_encoder_equals_dense_reference(g, data):
                                    rtol=1e-10, atol=1e-12)
 
 
+def dense_edge_gnn(g, batch, params, layers):
+    """Per-class probabilities of ``batch`` from the dense encoder over the
+    whole graph and sibling means enumerated offer by offer."""
+    p = {k: v.data.astype(np.float64) for k, v in params.items()}
+    mats = [dense_normalized(e, g.n_nodes) for e in node_space_pairs(g)]
+    inputs = {"seller": g.seller_features, "product": g.product_features}
+    h = dense_encoder(inputs, mats, params, layers)
+    feats = g.offer_features.astype(np.float64)
+
+    def sibling_mean(owner, k):
+        sib = [j for j in range(g.n_offers) if owner[j] == owner[k] and j != k]
+        # the model hands the edge embedder float32 means
+        return feats[sib].mean(axis=0).astype(np.float32) if sib else np.zeros(g.d_o)
+
+    o_s = np.array([sibling_mean(g.offer_seller, k) for k in batch], dtype=np.float64)
+    o_p = np.array([sibling_mean(g.offer_product, k) for k in batch], dtype=np.float64)
+    x = np.concatenate([feats[batch], o_p, o_s], axis=1)
+    emb_o = np.maximum(np.maximum(x @ p["edge0_w"] + p["edge0_b"], 0) @ p["edge1_w"]
+                       + p["edge1_b"], 0)
+    z = np.concatenate([h[g.offer_seller[batch]], h[g.offer_product[batch] + g.n_sellers],
+                        emb_o], axis=1)
+    z = np.maximum(z @ p["cls0_w"] + p["cls0_b"], 0) @ p["cls1_w"] + p["cls1_b"]
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+@SETTINGS
+@given(graphs(), st.data())
+def test_ego_scoring_equals_dense_whole_graph_forward(g, data):
+    """Repeats and any order in the batch; dropout off."""
+    batch = np.array(data.draw(st.lists(st.integers(0, g.n_offers - 1), min_size=1)))
+    for layers in (1, 2, 3):
+        cfg = EdgeGnnConfig(d_s=g.d_s, d_p=g.d_p, d_o=g.d_o, hidden=4, gnn_layers=layers,
+                            edge_hidden=3, cls_hidden=3)
+        params = cast_params(init_edge_gnn_params(cfg, seed=layers), np.float64)
+        np.testing.assert_allclose(edge_gnn_forward(g, batch, params, cfg).data,
+                                   dense_edge_gnn(g, batch, params, layers),
+                                   rtol=1e-6, atol=1e-9)
+
+
+def assert_same_plan(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a.keep, b.keep)
+        assert [x.relation for x in a.blocks] == [y.relation for y in b.blocks]
+        for x, y in zip(a.blocks, b.blocks):
+            assert np.array_equal(x.rows, y.rows) and np.array_equal(x.cols, y.cols)
+            assert x.adj.shape == y.adj.shape
+            for part in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(x.adj, part), getattr(y.adj, part)), part
+
+
+@SETTINGS
+@given(graphs(), st.data())
+def test_stacked_plan_equals_per_relation_reference(g, data):
+    """The whole-graph layer and every ego plan of depth 1-3, for both the
+    edge classifier's graph and the expanded graph."""
+    offers = np.array(data.draw(st.lists(st.integers(0, g.n_offers - 1), min_size=1)))
+    eg = build_expanded_graph(g)
+    forms = (  # union, stack, reference matrices, ego of a depth
+        (g.union_csr(), g.normalized_stack(),
+         [row_mean_normalize(g.unified_csr(r)) for r in Relation],
+         lambda hops: extract_ego_network(g, offers, hops)),
+        (eg.union_csr(), eg.normalized_stack(),
+         [row_mean_normalize(m) for m in eg.relation_csrs()],
+         lambda hops: ego_network(eg.union_csr(), eg.normalized_stack(),
+                                  g.n_nodes + offers, hops)),
+    )
+    for union, stack, mats, ego_of in forms:
+        n = union.shape[0]
+        whole = (np.arange(n), np.zeros(n, dtype=np.int32), 1)
+        assert_same_plan(message_flow_plan(stack, *whole),
+                         reference_message_flow_plan(mats, *whole))
+        for hops in (1, 2, 3):
+            ego = ego_of(hops)
+            assert_same_plan(ego.plan,
+                             reference_message_flow_plan(mats, ego.nodes, ego.hop, hops))
+
+
+@SETTINGS
+@given(graphs())
+def test_normalized_matrices_are_views_of_the_stack(g):
+    eg = build_expanded_graph(g)
+    for stack, views, binary in (
+        (g.normalized_stack(), [g.normalized_csr(r) for r in Relation],
+         [g.unified_csr(r) for r in Relation]),
+        (eg.normalized_stack(), eg.normalized_csrs(), eg.relation_csrs()),
+    ):
+        n = stack.shape[1]
+        assert stack.shape == (len(binary) * n, n)
+        for view, b in zip(views, binary):
+            want = row_mean_normalize(b)
+            assert view.shape == want.shape
+            for part in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(view, part), getattr(want, part)), part
+            if view.nnz:
+                assert np.shares_memory(view.data, stack.data)
+                assert np.shares_memory(view.indices, stack.indices)
+            for mat in (view, stack):
+                assert not any(a.flags.writeable for a in (mat.data, mat.indices, mat.indptr))
+
+
 @SETTINGS
 @given(graphs(), st.integers(1, 3), st.data())
 def test_expanded_forward_equals_dense_reference(g, layers, data):
@@ -148,9 +254,9 @@ def test_rgcn_layer_gradients_match_finite_differences(g, seed):
     """The fused layer's backward, into its input rows and every weight, on
     the whole-graph layer and on each layer of a depth-2 ego plan."""
     rng = np.random.default_rng(seed)
-    mats = [g.normalized_csr(r) for r in Relation]
     n = g.n_nodes
-    layers = [(message_flow_plan(mats, np.arange(n), np.zeros(n, dtype=np.int32), 1)[0], n)]
+    stack = g.normalized_stack()
+    layers = [(message_flow_plan(stack, np.arange(n), np.zeros(n, dtype=np.int32), 1)[0], n)]
     offers = np.flatnonzero(rng.random(g.n_offers) < 0.5)
     ego = extract_ego_network(g, offers if offers.size else np.array([0]), 2)
     layers += [(layer, int(np.count_nonzero(ego.hop <= 2 - k)))

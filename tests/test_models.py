@@ -55,7 +55,8 @@ def small_cfg(g, **kw):
 def one_layer(mats):
     """The plan layer that computes every node of local matrices ``mats``."""
     n = mats[0].shape[0]
-    return message_flow_plan(mats, np.arange(n), np.zeros(n, dtype=np.int32), 1)[0]
+    stack = sp.vstack(mats, format="csr")
+    return message_flow_plan(stack, np.arange(n), np.zeros(n, dtype=np.int32), 1)[0]
 
 
 def test_rgcn_layer_hand_example():
@@ -208,6 +209,15 @@ def test_summarize_single_matches_batch():
         np.testing.assert_array_equal(o_p[0], o_p_all[k])
 
 
+def test_sibling_summaries_reject_unknown_offers():
+    g = make_random_graph(seed=14)
+    for ids in ([-1], [0, g.n_offers]):
+        with pytest.raises(ValueError, match=rf"offer ids must lie in \[0, {g.n_offers}\)"):
+            sibling_offer_summaries(g, np.array(ids))
+    o_s, o_p = sibling_offer_summaries(g, np.array([], dtype=np.int64))
+    assert o_s.shape == o_p.shape == (0, g.d_o)
+
+
 def lone_offer_graph():
     """Offer 0 has no sibling on either side; offers 1 and 2 share everything."""
     g = GraphBuilder(d_s=2, d_p=2, d_o=3)
@@ -342,6 +352,17 @@ def test_forward_rejects_shallow_ego():
         ego = extract_ego_network(g, batch, hops=hops)
         with pytest.raises(ValueError, match=f"depth {hops} does not fit 3 layers"):
             edge_gnn_forward(g, batch, params, cfg, ego=ego)
+
+
+def test_forward_rejects_ego_of_other_offers():
+    g = make_random_graph(seed=23)
+    cfg = small_cfg(g)
+    params = init_edge_gnn_params(cfg, seed=0)
+    ego = extract_ego_network(g, np.array([0]), hops=cfg.gnn_layers)
+    for batch in ([5], [0, 5], [0, 0]):  # other offers, more offers, a repeat
+        with pytest.raises(ValueError, match="other offers' endpoints"):
+            edge_gnn_forward(g, np.array(batch), params, cfg, ego=ego)
+    assert edge_gnn_forward(g, np.array([0]), params, cfg, ego=ego).shape == (1, 9)
 
 
 def test_ego_scores_match_whole_graph_scores():
