@@ -7,10 +7,11 @@ The model scores offer edges.  Per batch offer it consumes
   stack run over the message-flow plan of the batch endpoints' ego network
   (``sampling.ego_network``, which the expanded-graph baseline runs too):
   layer l of L computes only the ego nodes within L-1-l hops of the
-  endpoints, and each relation multiplies only the rows its block reads and
-  adds only at the rows it writes (``block.adj @ (h[block.cols] @ W_r)``
-  at ``block.rows``), so the last layer computes the endpoints alone; each
-  layer is one tape op with a hand-written backward,
+  endpoints, so the last layer computes the endpoints alone; each part of
+  a layer aggregates its rows of every relation at once (``m = part.adj @
+  h``) and each relation transforms only its slice, adding
+  ``m[block.lo:block.hi] @ W_r`` at ``block.rows``; each layer is one tape
+  op with a hand-written backward,
 - an edge embedding built from the offer's own features concatenated with
   the mean features of its sibling offers (other offers of the same
   product, and other offers of the same seller; the offer itself is
@@ -178,17 +179,19 @@ def rgcn_layer(
 
     Per output row: the self path ``h @ self_w + bias`` plus, for every
     relation block, the neighbour-mean of ``h`` times that relation's
-    weight ``rel_ws[block.relation]``; each block reads only its ``cols``
-    of ``h`` and adds only at its ``rows``.  Block matrices are
+    weight ``rel_ws[block.relation]``.  Each part aggregates first,
+    ``m = part.adj @ h``, and each of its blocks adds
+    ``m[lo:hi] @ W_r`` at its ``rows``.  Block matrices are
     row-mean-normalized, so a relation a node does not participate in
     contributes nothing to it.
 
-    The op keeps ``h`` and its output alone.  Its backward visits the
-    blocks in reverse and the self path last, accumulating into one input
-    gradient: the order in which a tape of one op per term would sum them.
+    The op keeps ``h`` and its output alone.  Its backward recomputes each
+    part's ``m`` in reverse, takes ``gW_r = m[lo:hi].T @ g[rows]``, then
+    overwrites ``m[lo:hi]`` with ``g[rows] @ W_r.T`` and adds
+    ``part.adj.T @ m`` into one input gradient; the self path comes last.
     """
     x = h.data
-    ws = [rel_ws[block.relation] for block in layer.blocks]
+    ws = [rel_ws[block.relation] for part in layer.parts for block in part.blocks]
 
     def at(a, idx):
         return a if idx.shape[0] == a.shape[0] else a[idx]
@@ -200,21 +203,30 @@ def rgcn_layer(
             a[idx] += v
 
     pre = at(x, layer.keep) @ self_w.data + self_b.data
-    for block, w in zip(layer.blocks, ws):
-        add_at(pre, block.rows, block.adj @ (at(x, block.cols) @ w.data))
+    k = 0
+    for part in layer.parts:
+        m = part.adj @ x
+        for block in part.blocks:
+            add_at(pre, block.rows, m[block.lo:block.hi] @ ws[k].data)
+            k += 1
     out = Tensor(np.maximum(pre, 0, out=pre))
 
     def bwd(g, needs):
         g = g * (out.data > 0)
         gh = np.zeros(x.shape, dtype=g.dtype) if needs[0] else None
         gws = [None] * len(ws)
-        for k in reversed(range(len(ws))):
-            block = layer.blocks[k]
-            gm = block.adj.T @ at(g, block.rows)
-            if needs[3 + k]:
-                gws[k] = at(x, block.cols).T @ gm
+        k = len(ws)
+        for part in reversed(layer.parts):
+            m = part.adj @ x
+            for block in reversed(part.blocks):
+                k -= 1
+                gr = at(g, block.rows)
+                if needs[3 + k]:
+                    gws[k] = m[block.lo:block.hi].T @ gr
+                if needs[0]:
+                    m[block.lo:block.hi] = gr @ ws[k].data.T
             if needs[0]:
-                add_at(gh, block.cols, gm @ ws[k].data.T)
+                gh += part.adj.T @ m
         if needs[0]:
             add_at(gh, layer.keep, g @ self_w.data.T)
         gw = at(x, layer.keep).T @ g if needs[1] else None
@@ -254,7 +266,8 @@ def relational_encoder_forward(
         h = rgcn_layer(
             layer,
             h,
-            {b.relation: params[f"gnn{i}_rel{b.relation}_w"] for b in layer.blocks},
+            {b.relation: params[f"gnn{i}_rel{b.relation}_w"]
+             for part in layer.parts for b in part.blocks},
             params[f"gnn{i}_self_w"],
             params[f"gnn{i}_self_b"],
         )

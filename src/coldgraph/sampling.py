@@ -16,12 +16,15 @@ stack computes only the rows with ``hop <= L-1-l``, and those rows read only
 rows with ``hop <= L-l``.  Every neighbour of such a row is in the ego
 network, so its row of the cached row-normalised matrix is exact as is:
 :func:`message_flow_plan` gathers those rows of every relation in one step
-from the relation-stacked matrix (``normalized_stack()``) and remaps their
-columns with plain numpy index arithmetic, then cuts the gathered entries
-into one block per relation.  Within a layer each relation's block keeps
-only the outputs with a message of that relation (``rows``) and reads only
-the columns they reference (``cols``), so relation r adds
-``adj @ (h[cols] @ W_r)`` at ``rows``.
+from the relation-stacked matrix (``normalized_stack()``) and replaces
+each column by that node's row in the layer input, with plain numpy index
+arithmetic.  The gathered rows stay stacked: a layer's non-empty rows,
+relation after relation, are cut into a few parts of at most ``n_in``
+rows (the layer-input row count), one CSR each, and each relation's block
+is the row slice ``lo:hi`` of its part that holds the outputs with a
+message of that relation (``rows``).  So relation r adds
+``(part @ h)[lo:hi] @ W_r`` at ``rows``: aggregate first, then transform,
+with one sparse product per part and no per-relation gather of ``h``.
 
 Local node order is ascending global id, so node types that own
 consecutive id ranges (sellers, then products, then offer nodes) stay
@@ -41,6 +44,7 @@ from .graph import HeteroGraph
 __all__ = [
     "EgoNetwork",
     "Block",
+    "Part",
     "Layer",
     "extract_ego_network",
     "endpoint_seeds",
@@ -50,19 +54,27 @@ __all__ = [
 
 
 class Block(NamedTuple):
-    """One relation's messages into one layer: ``adj @ h[cols]``, added at ``rows``."""
+    """One relation's messages into one layer: rows ``lo:hi`` of its part's
+    matrix, one per entry of ``rows``."""
 
     relation: int
     rows: np.ndarray  # ascending layer outputs with at least one message of the relation
-    cols: np.ndarray  # ascending rows of the layer input that the relation reads
-    adj: sp.csr_matrix  # (len(rows), len(cols)): normalized rows, columns remapped
+    lo: int
+    hi: int
+
+
+class Part(NamedTuple):
+    """Consecutive relation blocks of one layer stacked in one matrix."""
+
+    adj: sp.csr_matrix  # (rows of its blocks, n_in): normalized rows, layer-input columns
+    blocks: tuple
 
 
 class Layer(NamedTuple):
     """One relational convolution of a plan."""
 
     keep: np.ndarray  # ascending rows of the layer input that are its outputs
-    blocks: tuple  # a Block per relation with at least one message into the layer
+    parts: tuple  # Parts holding a Block per relation with a message into the layer
 
 
 @dataclass
@@ -71,7 +83,7 @@ class EgoNetwork:
     caller's order, repeats allowed): ``nodes`` in ascending global id,
     ``hop`` their distances, and a ``plan`` of ``hops`` layers read at the
     seeds, whose first reads every node.  ``rel_adj`` lists the plan's
-    block matrices.
+    part matrices.
     """
 
     seeds: np.ndarray
@@ -89,7 +101,7 @@ class EgoNetwork:
 
     @property
     def rel_adj(self) -> list:
-        return [b.adj for layer in self.plan for b in layer.blocks]
+        return [part.adj for layer in self.plan for part in layer.parts]
 
     def inputs(self, feats: dict) -> dict:
         """Each node type's rows of ``feats`` (type -> features; the types
@@ -129,12 +141,16 @@ def message_flow_plan(
     gives them.  Layer k's input rows are the nodes with
     ``hop <= layers-k``, in order, and its outputs those with
     ``hop <= layers-1-k``.  A block row is the non-empty global row of an
-    output with its columns renumbered; the renumbering is monotone, so
-    each row sums its neighbours in the same order as the global matrix.
+    output with each column replaced by that node's layer-input row; the
+    replacement is monotone, so each row sums its neighbours in the same
+    order as the global matrix.
 
     Each layer gathers its outputs' rows of every relation at once and
-    remaps all their columns to layer-input rows in one step; only the
-    per-relation renumbering and the block's CSR are built per relation.
+    maps all their columns to layer-input rows in one step.  The non-empty
+    rows, relation after relation, are then cut into parts: runs of
+    consecutive relation blocks with at most ``n_in`` rows in all (a block
+    has at most ``n_out <= n_in``), so a part's product with the layer
+    input is never larger than the input.
     """
     n = stack.shape[1]
     n_rel = stack.shape[0] // n
@@ -145,7 +161,7 @@ def message_flow_plan(
     plan = []
     for k in range(layers):
         out = hop <= layers - 1 - k
-        rank = np.cumsum(inside) - 1  # node -> row of this layer's input
+        rank = np.cumsum(inside, dtype=stack.indices.dtype) - 1  # node -> layer-input row
         n_in = int(np.count_nonzero(inside))
         rows = nodes[out]
         n_out = rows.shape[0]
@@ -154,26 +170,28 @@ def message_flow_plan(
         data = stack.data[take]
         # the gathered rows with entries, relation after relation, and their
         # starts followed by the end: relation r's block owns wrote[a:b]
-        # and its row pointer is starts[a:b+1], shifted to zero
         wrote = np.flatnonzero(np.diff(indptr))
         starts = indptr[np.append(wrote, indptr.shape[0] - 1)]
         cut = np.searchsorted(wrote, np.arange(0, (n_rel + 1) * n_out, n_out)).tolist()
-        bounds = starts[cut].tolist()
-        blocks = []
+
+        def part(a, b, blocks):  # the blocks of wrote[a:b] in one matrix
+            lo, hi = starts[a], starts[b]
+            adj = sp.csr_matrix((data[lo:hi], col[lo:hi], starts[a:b + 1] - lo),
+                                shape=(b - a, n_in))
+            return Part(adj, tuple(blocks))
+
+        parts, blocks, first = [], [], 0
         for r in range(n_rel):
             a, b = cut[r], cut[r + 1]
             if a == b:
                 continue
-            lo, hi = bounds[r], bounds[r + 1]
-            c = col[lo:hi]
-            used = np.zeros(n_in, dtype=bool)
-            used[c] = True
-            cols = np.flatnonzero(used)
-            renum = np.cumsum(used, dtype=stack.indices.dtype) - 1
-            adj = sp.csr_matrix((data[lo:hi], renum[c], starts[a:b + 1] - lo),
-                                shape=(b - a, cols.shape[0]))
-            blocks.append(Block(r, wrote[a:b] - r * n_out, cols, adj))
-        plan.append(Layer(rank[out], tuple(blocks)))
+            if b - first > n_in:
+                parts.append(part(first, a, blocks))
+                blocks, first = [], a
+            blocks.append(Block(r, wrote[a:b] - r * n_out, a - first, b - first))
+        if blocks:
+            parts.append(part(first, cut[-1], blocks))
+        plan.append(Layer(rank[out], tuple(parts)))
         inside = out
     return tuple(plan)
 

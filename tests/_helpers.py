@@ -1,14 +1,14 @@
 """Shared test helpers: small random graphs, graph equality, a reference
-breadth-first search, a reference message-flow plan and an ``os.replace``
-that fails on demand."""
+breadth-first search, a reference message-flow plan with its comparison,
+and an ``os.replace`` that fails on demand."""
 
 import os
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from coldgraph.graph import N_CLASSES, HeteroGraph, Relation
-from coldgraph.sampling import Block, Layer
 
 
 def make_random_graph(
@@ -82,10 +82,26 @@ def bfs_oracle(g, offer_ids, hops):
     return dist
 
 
+class ReferenceBlock(NamedTuple):
+    """One relation's messages into one layer: ``adj @ h[cols]``, added at ``rows``."""
+
+    relation: int
+    rows: np.ndarray  # ascending layer outputs with at least one message of the relation
+    cols: np.ndarray  # ascending rows of the layer input that the relation reads
+    adj: sp.csr_matrix  # (len(rows), len(cols)): normalized rows, columns renumbered
+
+
+class ReferenceLayer(NamedTuple):
+    keep: np.ndarray
+    n_in: int
+    blocks: tuple
+
+
 def reference_message_flow_plan(mats, nodes, hop, layers):
-    """``sampling.message_flow_plan`` built one relation at a time from a
-    list of per-relation matrices, with scipy's row indexing for the
-    gather: the plan the relation-stacked builder must reproduce."""
+    """The message-flow plan built one relation at a time from a list of
+    per-relation matrices, with scipy's row indexing for the gather and
+    each relation's columns renumbered to the layer-input rows it reads:
+    the blocks that ``sampling.message_flow_plan``'s parts must hold."""
     local = np.full(mats[0].shape[0], -1, dtype=np.int64)
     local[nodes] = np.arange(nodes.shape[0])
     inside = hop <= layers
@@ -108,10 +124,36 @@ def reference_message_flow_plan(mats, nodes, hop, layers):
             wrote = np.flatnonzero(np.diff(sub.indptr))
             adj = sp.csr_matrix((sub.data, renum[col], np.append(sub.indptr[wrote], sub.nnz)),
                                 shape=(wrote.shape[0], cols.shape[0]))
-            blocks.append(Block(r, wrote, cols, adj))
-        plan.append(Layer(rank[out], tuple(blocks)))
+            blocks.append(ReferenceBlock(r, wrote, cols, adj))
+        plan.append(ReferenceLayer(rank[out], n_in, tuple(blocks)))
         inside = out
     return tuple(plan)
+
+
+def assert_plan_holds_reference(plan, reference):
+    """``plan`` (from ``sampling.message_flow_plan``) holds the reference's
+    blocks in the same order: each block's ``rows`` are the reference's,
+    and rows ``lo:hi`` of its part, restricted to the reference's columns,
+    are the reference's matrix array for array, with no entry in any other
+    column.  Each part has at most ``n_in`` rows, tiled by its blocks."""
+    assert len(plan) == len(reference)
+    for layer, ref in zip(plan, reference):
+        np.testing.assert_array_equal(layer.keep, ref.keep)
+        got = [(part, b) for part in layer.parts for b in part.blocks]
+        assert [b.relation for _, b in got] == [b.relation for b in ref.blocks]
+        assert sum(part.adj.nnz for part in layer.parts) == sum(b.adj.nnz for b in ref.blocks)
+        for part in layer.parts:
+            assert part.adj.shape[0] <= ref.n_in and part.adj.shape[1] == ref.n_in
+            ends = [0] + [b.hi for b in part.blocks]
+            assert [b.lo for b in part.blocks] == ends[:-1]
+            assert ends[-1] == part.adj.shape[0]
+            assert all(b.hi - b.lo == b.rows.shape[0] for b in part.blocks)
+        for (part, b), want in zip(got, ref.blocks):
+            np.testing.assert_array_equal(b.rows, want.rows)
+            sub = part.adj[b.lo:b.hi]
+            assert np.array_equal(sub.indptr, want.adj.indptr)
+            assert np.array_equal(sub.data, want.adj.data)
+            assert np.array_equal(sub.indices, want.cols[want.adj.indices])
 
 
 def assert_same_graph(g, h):

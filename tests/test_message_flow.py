@@ -1,10 +1,11 @@
 """Property tests for the message-flow-pruned, relation-blocked relational
 layer: on random graphs it must equal a dense float64 reference that runs
 every layer over every node and every relation, and its hand-written
-backward must agree with central differences.  The plan built from the
-relation-stacked matrix must equal, array for array, the plan built one
-relation at a time, and ego scoring of the whole edge classifier must
-equal a dense whole-graph forward that uses no plan at all.
+backward must agree with central differences.  The parts of the plan
+built from the relation-stacked matrix must hold, array for array, the
+blocks built one relation at a time, and ego scoring of the whole edge
+classifier must equal a dense whole-graph forward that uses no plan at
+all.
 
 Graphs come from ``test_graph_properties.graph_arrays`` (isolated nodes,
 empty relations, single-offer sellers), optionally with seller 0 turned
@@ -15,7 +16,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _helpers import reference_message_flow_plan
+from _helpers import assert_plan_holds_reference, make_random_graph, reference_message_flow_plan
 from coldgraph.autodiff import Tensor, finite_diff_check, mul, parameter, sum_all
 from coldgraph.graph import HeteroGraph, Relation, build_expanded_graph, row_mean_normalize
 from coldgraph.models import (
@@ -150,18 +151,6 @@ def test_ego_scoring_equals_dense_whole_graph_forward(g, data):
                                    rtol=1e-6, atol=1e-9)
 
 
-def assert_same_plan(got, want):
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        np.testing.assert_array_equal(a.keep, b.keep)
-        assert [x.relation for x in a.blocks] == [y.relation for y in b.blocks]
-        for x, y in zip(a.blocks, b.blocks):
-            assert np.array_equal(x.rows, y.rows) and np.array_equal(x.cols, y.cols)
-            assert x.adj.shape == y.adj.shape
-            for part in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(x.adj, part), getattr(y.adj, part)), part
-
-
 @SETTINGS
 @given(graphs(), st.data())
 def test_stacked_plan_equals_per_relation_reference(g, data):
@@ -181,12 +170,12 @@ def test_stacked_plan_equals_per_relation_reference(g, data):
     for union, stack, mats, ego_of in forms:
         n = union.shape[0]
         whole = (np.arange(n), np.zeros(n, dtype=np.int32), 1)
-        assert_same_plan(message_flow_plan(stack, *whole),
-                         reference_message_flow_plan(mats, *whole))
+        assert_plan_holds_reference(message_flow_plan(stack, *whole),
+                                    reference_message_flow_plan(mats, *whole))
         for hops in (1, 2, 3):
             ego = ego_of(hops)
-            assert_same_plan(ego.plan,
-                             reference_message_flow_plan(mats, ego.nodes, ego.hop, hops))
+            assert_plan_holds_reference(
+                ego.plan, reference_message_flow_plan(mats, ego.nodes, ego.hop, hops))
 
 
 @SETTINGS
@@ -239,12 +228,36 @@ def test_expanded_forward_equals_dense_reference(g, layers, data):
 
 def one_offer_product_graph():
     """Two sellers that both offer the only product: its whole-graph layer
-    keeps every row, its offer block writes every output row and reads
-    every input row (no gather), and the eight seller-seller relations are
-    empty."""
+    keeps every row, its offer block writes every output row (no scatter),
+    and the eight seller-seller relations are empty."""
     ones = np.ones((2, 1), dtype=np.float32)
     return HeteroGraph.from_arrays(ones, ones[:1], np.array([0, 1]), np.array([0, 0]), ones,
                                    [np.zeros((0, 2), dtype=np.int64)] * 8)
+
+
+def whole_and_ego_layers(g, offers, hops):
+    """(layer, input rows) of the whole-graph layer and of each layer of the
+    ``offers``' ego plan of depth ``hops``."""
+    n = g.n_nodes
+    whole = message_flow_plan(g.normalized_stack(), np.arange(n), np.zeros(n, dtype=np.int32), 1)
+    ego = extract_ego_network(g, offers, hops)
+    return [(whole[0], n)] + [(layer, int(np.count_nonzero(ego.hop <= hops - k)))
+                              for k, layer in enumerate(ego.plan)]
+
+
+def layer_gradient_error(layer, n_in, rng, width=3):
+    """Worst float64 finite-difference error of ``rgcn_layer``'s backward
+    into its input rows and every weight, under a random linear loss."""
+    h = parameter(rng.normal(size=(n_in, width)), dtype=np.float64)
+    rel_ws = [parameter(rng.normal(size=(width, width)), dtype=np.float64) for _ in Relation]
+    self_w = parameter(rng.normal(size=(width, width)), dtype=np.float64)
+    self_b = parameter(rng.normal(size=width), dtype=np.float64)
+    c = Tensor(rng.normal(size=(layer.keep.shape[0], width)), dtype=np.float64)
+
+    def f():
+        return sum_all(mul(rgcn_layer(layer, h, rel_ws, self_w, self_b), c))
+
+    return finite_diff_check(f, [h, self_w, self_b, *rel_ws], h=1e-6)
 
 
 @SETTINGS
@@ -254,22 +267,34 @@ def test_rgcn_layer_gradients_match_finite_differences(g, seed):
     """The fused layer's backward, into its input rows and every weight, on
     the whole-graph layer and on each layer of a depth-2 ego plan."""
     rng = np.random.default_rng(seed)
-    n = g.n_nodes
-    stack = g.normalized_stack()
-    layers = [(message_flow_plan(stack, np.arange(n), np.zeros(n, dtype=np.int32), 1)[0], n)]
     offers = np.flatnonzero(rng.random(g.n_offers) < 0.5)
-    ego = extract_ego_network(g, offers if offers.size else np.array([0]), 2)
-    layers += [(layer, int(np.count_nonzero(ego.hop <= 2 - k)))
-               for k, layer in enumerate(ego.plan)]
-    width = 3
-    for layer, n_in in layers:
-        h = parameter(rng.normal(size=(n_in, width)), dtype=np.float64)
-        rel_ws = [parameter(rng.normal(size=(width, width)), dtype=np.float64) for _ in Relation]
-        self_w = parameter(rng.normal(size=(width, width)), dtype=np.float64)
-        self_b = parameter(rng.normal(size=width), dtype=np.float64)
-        c = Tensor(rng.normal(size=(layer.keep.shape[0], width)), dtype=np.float64)
+    for layer, n_in in whole_and_ego_layers(g, offers if offers.size else np.array([0]), 2):
+        assert layer_gradient_error(layer, n_in, rng) < 1e-6
 
-        def f():
-            return sum_all(mul(rgcn_layer(layer, h, rel_ws, self_w, self_b), c))
 
-        assert finite_diff_check(f, [h, self_w, self_b, *rel_ws], h=1e-6) < 1e-6
+def test_layers_cut_into_several_parts():
+    """Dense seller relations give every seller a message of most relations,
+    so a layer's relation blocks outgrow its input and are cut into several
+    parts.  Each part is at most as tall as the layer input, and adding the
+    next part's first block would overflow it; the backward through every
+    part matches central differences, and ego scoring still equals the dense
+    whole-graph forward."""
+    g = make_random_graph(seed=4, n_sellers=12, n_products=6, ss_p=0.5)
+    batch = np.array([0, 5, 9])
+    rng = np.random.default_rng(0)
+    for hops in (1, 2, 3):
+        layers = whole_and_ego_layers(g, batch, hops)
+        for layer, n_in in layers:
+            heights = [part.adj.shape[0] for part in layer.parts]
+            assert max(heights) <= n_in
+            assert all(height + after.blocks[0].hi > n_in
+                       for height, after in zip(heights, layer.parts[1:]))
+        assert max(len(layer.parts) for layer, _ in layers[1:]) >= 2
+        for layer, n_in in layers:
+            assert layer_gradient_error(layer, n_in, rng) < 1e-6
+        cfg = EdgeGnnConfig(d_s=g.d_s, d_p=g.d_p, d_o=g.d_o, hidden=4, gnn_layers=hops,
+                            edge_hidden=3, cls_hidden=3)
+        params = cast_params(init_edge_gnn_params(cfg, seed=hops), np.float64)
+        np.testing.assert_allclose(edge_gnn_forward(g, batch, params, cfg).data,
+                                   dense_edge_gnn(g, batch, params, hops),
+                                   rtol=1e-6, atol=1e-9)

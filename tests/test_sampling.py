@@ -82,20 +82,26 @@ def test_ego_plan_blocks_are_global_normalized_rows():
             outputs = included[ego.hop <= hops - 1 - k]
             np.testing.assert_array_equal(inputs[layer.keep], outputs)
             with_block = set()
-            for block in layer.blocks:
-                with_block.add(block.relation)
-                full = g.normalized_csr(block.relation)[outputs]
-                # the block's rows are exactly the outputs with a message of
-                # the relation, and each is its global normalized row
-                # restricted to the columns, which hold the whole row
-                np.testing.assert_array_equal(block.rows, np.flatnonzero(full.getnnz(axis=1)))
-                np.testing.assert_array_equal(
-                    block.adj.toarray(), full[block.rows][:, inputs[block.cols]].toarray()
-                )
-                np.testing.assert_array_equal(block.adj.getnnz(axis=1),
-                                              full.getnnz(axis=1)[block.rows])
-                assert np.all(block.adj.getnnz(axis=0) > 0)  # every column is read
-                assert np.all(np.diff(block.cols) > 0)
+            for part in layer.parts:
+                # a part holds its blocks' rows in order and is no taller
+                # than the layer input, whose rows are its columns
+                assert part.adj.shape == (part.blocks[-1].hi, inputs.shape[0])
+                assert part.adj.shape[0] <= inputs.shape[0]
+                ends = [0] + [block.hi for block in part.blocks]
+                assert [block.lo for block in part.blocks] == ends[:-1]
+                for block in part.blocks:
+                    with_block.add(block.relation)
+                    full = g.normalized_csr(block.relation)[outputs]
+                    # the block's rows are exactly the outputs with a message
+                    # of the relation, and each is its global normalized row
+                    # restricted to the layer inputs, which hold the whole row
+                    np.testing.assert_array_equal(block.rows,
+                                                  np.flatnonzero(full.getnnz(axis=1)))
+                    adj = part.adj[block.lo:block.hi]
+                    np.testing.assert_array_equal(adj.toarray(),
+                                                  full[block.rows][:, inputs].toarray())
+                    np.testing.assert_array_equal(adj.getnnz(axis=1),
+                                                  full.getnnz(axis=1)[block.rows])
             for r in set(Relation) - with_block:
                 assert g.normalized_csr(r)[outputs].nnz == 0
             inputs = outputs
