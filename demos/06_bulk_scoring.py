@@ -1,0 +1,155 @@
+"""
+Memory and time of bulk scoring
+===============================
+
+One ``EdgeGnnModel.score`` call over every offer of a generated graph, at
+1x, 4x and 10x the default generator config (sellers, products and
+communities scaled together, so the edges grow in step).  Each run is a
+fresh Python process at one BLAS thread, so its peak RSS is its own.  A
+run reports:
+
+- ``seconds``: the median of three timed calls;
+- ``peak_rss_growth_mib``: the process's peak RSS after the calls minus
+  its peak before them (graph generation and one warm-up call of one
+  offer, which casts the parameters and builds the graph's caches);
+- ``traced_peak_mib``: the tracemalloc peak of one more call, the memory
+  that call allocated;
+- ``ego_nodes``: the nodes of the call's ego network.
+
+A run named ``4x3`` scores every offer of the 4x graph three times over
+(``np.tile``): the same ego network as ``4x1``, three times the offers.
+So ``traced_peak`` of ``4x3`` minus that of ``4x1`` is what the offer side
+adds per extra offer, and ``traced_peak`` over ``ego_nodes`` across scales
+is the node side's cost per ego node.
+
+``--source NAME=SRC`` (repeatable) measures the ``coldgraph`` package
+under ``SRC``, for instance an older checkout's ``src`` next to this
+one's; results go into ``--out`` under ``NAME``, next to the sources
+already recorded there:
+
+    python demos/06_bulk_scoring.py --source before=/path/to/old/src \\
+        --runs 1x1 1x3 4x1 --out BENCH_score_bulk.json
+    python demos/06_bulk_scoring.py --source after=src \\
+        --runs 1x1 1x3 4x1 4x3 10x1 --out BENCH_score_bulk.json
+
+With no arguments it measures ``src`` at ``1x1`` and ``1x3`` and prints
+the result.
+"""
+
+import argparse
+import dataclasses
+import json
+import os
+import platform
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+TIMED_CALLS = 3
+
+
+def _peak_rss_mib() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
+
+
+def measure(scale: int, repeat: int) -> dict:
+    """One run, in this process; ``coldgraph`` must be importable."""
+    import time
+    import tracemalloc
+
+    import numpy as np
+
+    import coldgraph as cg
+    from coldgraph.simulate import GeneratorConfig
+
+    base = GeneratorConfig()
+    g = cg.generate_synthetic_graph(dataclasses.replace(
+        base, n_sellers=scale * base.n_sellers, n_products=scale * base.n_products,
+        n_communities=scale * base.n_communities))
+    cfg = cg.EdgeGnnConfig(d_s=g.d_s, d_p=g.d_p, d_o=g.d_o)
+    model = cg.EdgeGnnModel(cfg=cfg, param_groups=[cg.models.init_edge_gnn_params(cfg, 0)])
+    offers = np.tile(np.arange(g.n_offers), repeat)
+    model.score(g, offers[:1])
+
+    before = _peak_rss_mib()
+    seconds = []
+    for _ in range(TIMED_CALLS):
+        t = time.perf_counter()
+        model.score(g, offers)
+        seconds.append(time.perf_counter() - t)
+    after = _peak_rss_mib()
+
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        model.score(g, offers)
+        traced = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    ego = cg.extract_ego_network(g, offers, hops=cfg.gnn_layers)
+    return {
+        "offers_in_graph": int(g.n_offers),
+        "offers_scored": int(offers.shape[0]),
+        "ego_nodes": int(ego.n_local),
+        "seconds": round(float(np.median(seconds)), 4),
+        "peak_rss_before_mib": round(before, 1),
+        "peak_rss_growth_mib": round(after - before, 1),
+        "traced_peak_mib": round(traced / 2**20, 2),
+    }
+
+
+def machine_block() -> dict:
+    import numpy as np
+    import scipy
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "blas_threads": 1,
+    }
+
+
+def run_child(src: Path, run: str) -> dict:
+    scale, repeat = (int(x) for x in run.split("x"))
+    env = dict(os.environ, PYTHONPATH=str(src), **{v: "1" for v in BLAS_VARS})
+    out = subprocess.run(
+        [sys.executable, __file__, "--child", str(scale), str(repeat)],
+        env=env, check=True, capture_output=True, text=True,
+    )
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def main(argv=None) -> None:
+    p = argparse.ArgumentParser(description="Memory and time of bulk scoring")
+    p.add_argument("--source", action="append", default=[], metavar="NAME=SRC")
+    p.add_argument("--runs", nargs="+", default=["1x1", "1x3"], metavar="SCALExREPEAT")
+    p.add_argument("--out", type=Path)
+    p.add_argument("--child", nargs=2, type=int, help=argparse.SUPPRESS)
+    args = p.parse_args(argv)
+    if args.child:
+        print(json.dumps(measure(*args.child)))
+        return
+
+    sources = dict(s.split("=", 1) for s in args.source) or {"src": str(ROOT / "src")}
+    doc = json.loads(args.out.read_text()) if args.out and args.out.exists() else {}
+    doc["machine"] = machine_block()
+    results = doc.setdefault("results", {})
+    for name, src in sources.items():
+        results[name] = {run: run_child(Path(src).resolve(), run) for run in args.runs}
+        for run, r in results[name].items():
+            print(f"{name:>8} {run:>5}: {r['offers_scored']:7d} offers, {r['ego_nodes']:6d} ego "
+                  f"nodes, {r['seconds']:7.3f} s, peak RSS +{r['peak_rss_growth_mib']:6.1f} MiB, "
+                  f"traced peak {r['traced_peak_mib']:7.2f} MiB")
+    if args.out:
+        args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    main()

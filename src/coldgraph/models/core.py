@@ -19,6 +19,14 @@ The model scores offer edges.  Per batch offer it consumes
 
 and emits independent per-class probabilities through sigmoid heads.
 
+Training runs the whole batch at once (:func:`edge_gnn_forward`).
+Scoring (:func:`edge_gnn_scores`) works in two stages, so its memory does
+not grow with the number of offers scored beyond their index arrays and
+output: the node side runs the encoder once per parameter group and keeps
+only the endpoint rows; the offer side walks the offers in chunks of
+:func:`score_chunk_rows`, with one sibling summary per chunk shared by
+every head.
+
 Two head modes exist: ``multi_task`` trains one parameter set with a
 nine-column head on the summed per-class loss; ``nine_binary`` trains
 nine independent single-column models.  Binary head k is initialized as
@@ -60,6 +68,9 @@ __all__ = [
     "edge_embedder_forward",
     "classifier_forward",
     "edge_gnn_forward",
+    "SCORE_CHUNK_BYTES",
+    "score_chunk_rows",
+    "edge_gnn_scores",
 ]
 
 
@@ -84,10 +95,6 @@ class EdgeGnnConfig(Record):
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0 <= self.dropout < 1:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
-
-    @property
-    def head_width(self) -> int:
-        return self.n_classes if self.mode == "multi_task" else 1
 
 
 def glorot(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -287,11 +294,14 @@ def node_embedder_forward(
     cfg: EdgeGnnConfig,
     rng: Optional[np.random.Generator] = None,
 ) -> tuple:
-    """Seller and product embeddings for the ego's batch endpoints.
+    """Node embeddings of the ego's batch endpoints: ``(h, sellers,
+    products)``, the encoder states of the hop-zero nodes (one row each,
+    in ascending node order) and each batch offer's seller and product
+    row of ``h``.
 
     Runs the ego's whole plan, which must be ``cfg.gnn_layers`` deep: its
     first layer reads every ego node and its last computes only the batch
-    endpoints (the hop-zero nodes).
+    endpoints.
     """
     if ego.hops != cfg.gnn_layers:
         raise ValueError(
@@ -300,36 +310,38 @@ def node_embedder_forward(
     inputs = ego.inputs({"seller": g.seller_features, "product": g.product_features})
     h = relational_encoder_forward(inputs, ego.plan, params, cfg.dropout, rng)
     sellers, products = np.split(ego.seed_rows(), 2)
-    return take_rows(h, sellers), take_rows(h, products)
+    return h, sellers, products
 
 
 # ---------------------------------------------------------------------------
 # module 2: edge embedder
 
 
-def _owner_sums(inc: sp.csr_matrix, owners: np.ndarray, feats64: np.ndarray) -> np.ndarray:
-    """``inc[owners] @ feats64``: the owners' rows of the incidence are
-    gathered into one CSR, the same matrix scipy's row indexing builds but
-    without its overhead, so every sum adds the same terms in the same
-    order."""
+def _owner_sums(inc: sp.csr_matrix, owners: np.ndarray, feats: np.ndarray) -> np.ndarray:
+    """``inc[owners] @ feats`` in float64, reading only the feature rows
+    that the owners' entries touch.
+
+    The owners' rows of the incidence are gathered into one CSR whose
+    column j is the j-th touched entry, next to those entries' feature
+    rows cast to float64; every sum adds the same terms in the same order
+    as the indexed product over the whole float64 table."""
     indptr, take = _row_entries(inc, owners)
-    rows = sp.csr_matrix((inc.data[take], inc.indices[take], indptr),
-                         shape=(owners.shape[0], inc.shape[1]))
-    return rows @ feats64
+    rows = sp.csr_matrix((inc.data[take], np.arange(take.shape[0]), indptr),
+                         shape=(owners.shape[0], take.shape[0]))
+    return rows @ feats[inc.indices[take]].astype(np.float64)
 
 
 def sibling_offer_summaries(g: HeteroGraph, offer_ids: np.ndarray) -> tuple:
     """Mean feature rows of same-seller and same-product sibling offers.
 
     The target offer is excluded from both means; an offer with no sibling
-    on one side gets a zero vector there.  Each owner's sum is its row of
-    the cached ``g.offers_of`` incidence times the float64 feature table
-    (:func:`_owner_sums`), so the cost grows with the requested owners'
-    offers, not with the table.  Raises ValueError for an offer id outside
-    ``[0, n_offers)``.
+    on one side gets a zero vector there.  Each distinct owner's sum is
+    its row of the cached ``g.offers_of`` incidence times its offers'
+    float64 feature rows (:func:`_owner_sums`), so the cost grows with the
+    requested owners' offers, not with the table.  Raises ValueError for
+    an offer id outside ``[0, n_offers)``.
     """
     feats = g.offer_features
-    feats64 = feats.astype(np.float64, copy=False)
     offer_ids = np.asarray(offer_ids, dtype=np.int64)
     if offer_ids.size and (offer_ids.min() < 0 or offer_ids.max() >= g.n_offers):
         raise ValueError(f"offer ids must lie in [0, {g.n_offers})")
@@ -338,11 +350,12 @@ def sibling_offer_summaries(g: HeteroGraph, offer_ids: np.ndarray) -> tuple:
     for node_type, owner in zip(NodeType, (g.offer_seller, g.offer_product)):
         inc = g.offers_of(node_type)
         own = owner[offer_ids]
-        k = np.diff(inc.indptr)[own]
+        k = inc.indptr[own + 1] - inc.indptr[own]
         mean = np.zeros((offer_ids.shape[0], feats.shape[1]), dtype=np.float64)
         has = k > 1
-        sums = _owner_sums(inc, own[has], feats64)
-        mean[has] = (sums - feats64[offer_ids[has]]) / (k[has] - 1)[:, None]
+        owners, which = np.unique(own[has], return_inverse=True)
+        sums = _owner_sums(inc, owners, feats)[which]
+        mean[has] = (sums - feats[offer_ids[has]].astype(np.float64)) / (k[has] - 1)[:, None]
         out.append(mean.astype(feats.dtype, copy=False))
     return out[0], out[1]
 
@@ -399,8 +412,70 @@ def edge_gnn_forward(
         ego = extract_ego_network(g, offers, hops=cfg.gnn_layers)
     elif not np.array_equal(ego.seeds, endpoint_seeds(g, offers)):
         raise ValueError("ego network is seeded at other offers' endpoints than the batch's")
-    emb_s, emb_p = node_embedder_forward(g, ego, params, cfg, rng=rng)
+    h, sellers, products = node_embedder_forward(g, ego, params, cfg, rng=rng)
     o_s, o_p = sibling_offer_summaries(g, offers)
     o_o = g.offer_features[offers]
     emb_o = edge_embedder_forward(o_o, o_s, o_p, params)
-    return classifier_forward(emb_s, emb_p, emb_o, params)
+    return classifier_forward(take_rows(h, sellers), take_rows(h, products), emb_o, params)
+
+
+# ---------------------------------------------------------------------------
+# bulk scoring
+
+# Bytes of offer-side activations one scoring chunk may hold, counted as
+# float64 rows of the classifier input, the widest offer-side array.
+SCORE_CHUNK_BYTES = 4 << 20
+
+
+def score_chunk_rows(cfg: EdgeGnnConfig) -> int:
+    """Offers per scoring chunk: ``SCORE_CHUNK_BYTES`` over one float64 row
+    of the classifier input (``2*hidden + edge_hidden`` wide), rounded down
+    to whole 16-row tiles.
+
+    BLAS kernels work on small row tiles and finish leftover rows with
+    other code, so a chunk without leftover rows computes each row's bits
+    as one call over every offer would (except that call's leftovers).
+    """
+    rows = SCORE_CHUNK_BYTES // (8 * (2 * cfg.hidden + cfg.edge_hidden))
+    return max(16, rows - rows % 16)
+
+
+def edge_gnn_scores(
+    g: HeteroGraph, offers: np.ndarray, param_groups: Sequence, cfg: EdgeGnnConfig
+) -> np.ndarray:
+    """Per-class probabilities of a non-empty batch of offer ids, one column
+    block per parameter group, in the groups' dtype.
+
+    Node side, once per call: one ego network of the batch, and per group
+    one encoder pass that keeps only the endpoint rows, with each offer's
+    seller and product row index (:func:`node_embedder_forward`).  Offer
+    side, in chunks of :func:`score_chunk_rows` offers: the sibling
+    summaries once per chunk, then each group's edge embedder and
+    classifier, written into one preallocated output; a call of more than
+    one chunk runs every chunk at the full row count.  So no array of
+    ``hidden`` width or wider holds a row per offer outside a chunk.  The
+    scores are those of :func:`edge_gnn_forward` over the whole batch, bit
+    for bit where the BLAS rounds a row alike at every row count.
+    """
+    offers = np.asarray(offers, dtype=np.int64)
+    ego = extract_ego_network(g, offers, hops=cfg.gnn_layers)
+    states = []
+    for params in param_groups:
+        h, sellers, products = node_embedder_forward(g, ego, params, cfg)
+        states.append(h.data)
+    n, step = offers.shape[0], score_chunk_rows(cfg)
+    out = np.empty((n, cfg.n_classes), dtype=states[0].dtype)
+    for lo in range(0, n, step):
+        # the last chunk ends at n with a full step of rows, overlapping the
+        # one before: BLAS may pick another kernel for fewer rows, so this
+        # keeps each row's bits independent of where the call ends
+        rows = slice(min(lo, max(n - step, 0)), lo + step)
+        chunk = offers[rows]
+        o_s, o_p = sibling_offer_summaries(g, chunk)
+        o_o = g.offer_features[chunk]
+        out[rows] = np.concatenate([
+            classifier_forward(Tensor(h[sellers[rows]]), Tensor(h[products[rows]]),
+                               edge_embedder_forward(o_o, o_s, o_p, params), params).data
+            for params, h in zip(param_groups, states)
+        ], axis=1)
+    return out

@@ -31,8 +31,14 @@ from ..autodiff import (
     scale,
 )
 from ..graph import HeteroGraph
-from ..sampling import extract_ego_network
-from .core import EdgeGnnConfig, cast_params, edge_gnn_forward, glorot, init_edge_gnn_params
+from .core import (
+    EdgeGnnConfig,
+    cast_params,
+    edge_gnn_forward,
+    edge_gnn_scores,
+    glorot,
+    init_edge_gnn_params,
+)
 
 __all__ = [
     "TrainConfig",
@@ -121,17 +127,17 @@ class EdgeGnnModel:
 
         Scoring runs with 64-bit accumulation by default; parameters stay
         float32 in memory and on disk, and each dtype's copy is cast on
-        first use.  The ego network is extracted once and shared across
-        heads.
+        first use.  Memory is bounded as in ``core.edge_gnn_scores``: one
+        ego network and one encoder pass per head, keeping the endpoint
+        rows alone, then the offers in fixed-size chunks, whose sibling
+        summaries every head shares.
         """
         dtype = np.dtype(dtype)
         if len(offers) == 0:
             return np.zeros((0, self.cfg.n_classes), dtype=dtype)
         if dtype not in self._cast:
             self._cast[dtype] = [cast_params(p, dtype) for p in self.param_groups]
-        ego = extract_ego_network(g, offers, hops=self.cfg.gnn_layers)
-        cols = [edge_gnn_forward(g, offers, p, self.cfg, ego=ego).data for p in self._cast[dtype]]
-        return np.concatenate(cols, axis=1)
+        return edge_gnn_scores(g, offers, self._cast[dtype], self.cfg)
 
 
 def train_edge_gnn(g: HeteroGraph, cfg: EdgeGnnConfig, tc: TrainConfig) -> EdgeGnnModel:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -36,7 +38,9 @@ from coldgraph.models import (
     train_expanded_rgcn,
     train_mlp_heads,
 )
+from coldgraph.models.core import SCORE_CHUNK_BYTES, score_chunk_rows
 from coldgraph.sampling import extract_ego_network, message_flow_plan
+from coldgraph.simulate import GeneratorConfig, generate_synthetic_graph
 
 
 def small_cfg(g, **kw):
@@ -395,6 +399,60 @@ def test_score_casts_parameters_once_per_dtype(monkeypatch):
     # a fresh model that casts on its first call scores the same bytes
     fresh = EdgeGnnModel(cfg=cfg, param_groups=model.param_groups).score(g, offers)
     assert fresh.tobytes() == first.tobytes()
+
+
+def edge_gnn_model(cfg, seed):
+    heads = [None] if cfg.mode == "multi_task" else range(cfg.n_classes)
+    return EdgeGnnModel(cfg=cfg, param_groups=[
+        init_edge_gnn_params(cfg, seed, head_class=k) for k in heads
+    ])
+
+
+@pytest.mark.parametrize("mode", ["multi_task", "nine_binary"])
+def test_chunked_scores_equal_unchunked_forward(mode):
+    """Just under, at and past one chunk, and past two: repeated offer ids
+    reach the chunk row count on a small graph."""
+    g = make_random_graph(seed=28, n_sellers=16, n_products=8)
+    cfg = small_cfg(g, hidden=64, edge_hidden=64, cls_hidden=64, mode=mode)
+    model = edge_gnn_model(cfg, seed=4)
+    c = score_chunk_rows(cfg)
+    assert c % 16 == 0 and c * 8 * (2 * cfg.hidden + cfg.edge_hidden) <= SCORE_CHUNK_BYTES
+    rng = np.random.default_rng(0)
+    for dtype, atol in ((np.float64, 1e-15), (np.float32, 1e-7)):
+        groups = [cast_params(p, dtype) for p in model.param_groups]
+        for n in (c - 1, c, c + 1, 2 * c + 1):
+            offers = rng.integers(0, g.n_offers, size=n)
+            got = model.score(g, offers, dtype=dtype)
+            want = np.concatenate([edge_gnn_forward(g, offers, p, cfg).data for p in groups],
+                                  axis=1)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            if mode == "multi_task":
+                assert got.tobytes() == want.tobytes(), (np.dtype(dtype).name, n)
+            else:  # the one-column head's BLAS call rounds by row count
+                np.testing.assert_allclose(got, want, rtol=0, atol=atol)
+
+
+def test_scoring_memory_is_flat_in_offers_scored():
+    """Three times the offers over the same ego network: the peak grows by
+    less than one chunk's worth of offer-side activations."""
+    g = generate_synthetic_graph(GeneratorConfig(
+        n_sellers=800, n_products=1200, n_communities=5, n_categories=4, seed=3))
+    cfg = EdgeGnnConfig(d_s=g.d_s, d_p=g.d_p, d_o=g.d_o, gnn_layers=2)
+    model = edge_gnn_model(cfg, seed=0)
+    once = np.arange(g.n_offers)
+    assert g.n_offers > score_chunk_rows(cfg)
+    model.score(g, once)  # casts the parameters and builds the graph's caches
+    peaks = []
+    tracemalloc.start()
+    try:
+        for offers in (once, np.tile(once, 3)):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            model.score(g, offers)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] - peaks[0] < SCORE_CHUNK_BYTES, peaks
 
 
 def test_scores_invariant_under_node_relabeling():
