@@ -28,15 +28,12 @@ __all__ = [
     "backward",
     "parameter",
     "affine",
-    "matmul",
     "const_matmul",
     "take_rows",
     "stack_rows",
     "concat_cols",
     "activation",
-    "mul",
     "scale",
-    "sum_all",
     "dropout",
     "bce_loss",
     "AdamState",
@@ -197,19 +194,6 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return record(out, (x, w, b), bwd)
 
 
-def matmul(x: Tensor, w: Tensor) -> Tensor:
-    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {x.shape} @ {w.shape}")
-    out = Tensor(x.data @ w.data)
-
-    def bwd(g, needs):
-        gx = g @ w.data.T if needs[0] else None
-        gw = x.data.T @ g if needs[1] else None
-        return gx, gw
-
-    return record(out, (x, w), bwd)
-
-
 def const_matmul(m, x: Tensor) -> Tensor:
     """Multiply by a constant dense or scipy.sparse matrix; no gradient into ``m``."""
     if x.ndim != 2:
@@ -327,35 +311,11 @@ def activation(x: Tensor, kind: str = "relu") -> Tensor:
     raise ValueError(f"unknown activation {kind!r}, expected one of {_ACTIVATIONS}")
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ValueError(f"mul shape mismatch: {a.shape} vs {b.shape}")
-    out = Tensor(a.data * b.data)
-
-    def bwd(g, needs):
-        ga = g * b.data if needs[0] else None
-        gb = g * a.data if needs[1] else None
-        return ga, gb
-
-    return record(out, (a, b), bwd)
-
-
 def scale(x: Tensor, c: float) -> Tensor:
     out = Tensor(x.data * x.dtype.type(c))
 
     def bwd(g, needs):
         return (g * c if needs[0] else None,)
-
-    return record(out, (x,), bwd)
-
-
-def sum_all(x: Tensor) -> Tensor:
-    out = Tensor(np.asarray(x.data.sum(), dtype=x.dtype))
-
-    def bwd(g, needs):
-        if not needs[0]:
-            return (None,)
-        return (np.full(x.shape, g.item(), dtype=g.dtype),)
 
     return record(out, (x,), bwd)
 

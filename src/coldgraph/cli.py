@@ -30,6 +30,7 @@ from .evaluate import (
 from .experiment import (
     MODEL_KINDS,
     ExperimentConfig,
+    check_checkpoint_params,
     read_scores_csv,
     run_repro,
     score_model,
@@ -112,6 +113,7 @@ def cmd_train(args) -> int:
 
 def cmd_score(args) -> int:
     kind, arch, groups = load_checkpoint(args.checkpoint)
+    check_checkpoint_params(kind, arch, groups)
     g = load_graph(args.graph)
     spec = load_scenario(args.scenario)
     masked, eval_offers = apply_scenario(g, spec)

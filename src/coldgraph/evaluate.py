@@ -255,6 +255,7 @@ def _default_task(task: str, seed: int) -> Callable:
 
 
 BENCH_MIN_INTERVAL_S = 0.1
+BENCH_PASSES = 2
 
 
 def _interleaved_seconds(thunks: list, min_seconds: float) -> np.ndarray:
@@ -275,14 +276,13 @@ def scaling_benchmark(
     sizes: Sequence[int],
     task,
     seed: int = 0,
-    repeats: int = 2,
 ) -> BenchmarkResult:
     """Time ``task`` on graphs of increasing edge count and fit time = a*edges + b.
 
     ``task`` is "train_epoch", "inference", or a callable ``task(graph) ->
     thunk`` for injecting a custom workload (the no-op control in tests).
     Every size's graph and thunk are built and warmed up first.  Each of
-    the ``repeats`` passes then calls the sizes round-robin, one call each
+    ``BENCH_PASSES`` passes then calls the sizes round-robin, one call each
     per round, until every size has run for ``BENCH_MIN_INTERVAL_S`` in
     all, and takes each size's mean time per call.  A slow stretch of the
     host thus slows every size in proportion to its own share of the time,
@@ -311,7 +311,7 @@ def scaling_benchmark(
     for thunk in thunks:
         thunk()  # warm-up
     best = np.full(len(thunks), np.inf)
-    for _ in range(max(1, repeats)):
+    for _ in range(BENCH_PASSES):
         best = np.minimum(best, _interleaved_seconds(thunks, BENCH_MIN_INTERVAL_S))
     measured = [g.n_edges for g in graphs]
     x = np.array(measured, dtype=np.float64)

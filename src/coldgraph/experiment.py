@@ -25,6 +25,8 @@ from .models import (
     ExpandedRgcnConfig,
     TrainConfig,
     build_listing_table,
+    init_edge_gnn_params,
+    init_expanded_rgcn_params,
     naive_fill_seller_features,
     save_checkpoint,
     score_expanded_rgcn,
@@ -34,6 +36,7 @@ from .models import (
     train_expanded_rgcn,
     train_mlp_heads,
 )
+from .models.train import init_mlp_head
 from .records import Record
 from .simulate import (
     SCENARIOS,
@@ -55,6 +58,7 @@ __all__ = [
     "TrainedModel",
     "train_model",
     "score_model",
+    "check_checkpoint_params",
     "write_scores_csv",
     "read_scores_csv",
     "run_repro",
@@ -159,7 +163,6 @@ class TableArch(Record):
     d_o: int
     d_in: int
     hidden: int
-    n_classes: int
 
 
 @dataclass(frozen=True)
@@ -174,8 +177,15 @@ ARCH_RECORDS = {"edge_gnn": EdgeGnnConfig, "tabular": TableArch, "naive": TableA
                 "sign": SignArch, "rgcn_expanded": ExpandedRgcnConfig}
 
 
+def _decode_arch(kind: str, arch: dict):
+    """``arch`` decoded through the kind's record in ``ARCH_RECORDS``."""
+    if kind not in ARCH_RECORDS:
+        raise ValueError(f"unknown model kind {kind!r}")
+    return ARCH_RECORDS[kind].from_dict(arch)
+
+
 def _table_arch(g: HeteroGraph, mc: ModelConfig, kind: str) -> dict:
-    dims = dict(d_s=g.d_s, d_p=g.d_p, d_o=g.d_o, hidden=mc.mlp_hidden, n_classes=N_CLASSES)
+    dims = dict(d_s=g.d_s, d_p=g.d_p, d_o=g.d_o, hidden=mc.mlp_hidden)
     if kind == "sign":
         d_in = 2 * (mc.sign_hops + 1) * (g.d_s + g.d_p) + g.d_o
         return SignArch(d_in=d_in, hops=mc.sign_hops, **dims).to_dict()
@@ -217,9 +227,7 @@ def score_model(
     ``arch`` is decoded through the kind's record in ``ARCH_RECORDS``, so a
     malformed one raises ValueError naming the record and key.
     """
-    if kind not in ARCH_RECORDS:
-        raise ValueError(f"unknown model kind {kind!r}")
-    cfg = ARCH_RECORDS[kind].from_dict(arch)
+    cfg = _decode_arch(kind, arch)
     for name, have in (("d_s", masked.d_s), ("d_p", masked.d_p), ("d_o", masked.d_o)):
         if getattr(cfg, name) != have:
             raise ValueError(
@@ -244,6 +252,40 @@ def score_model(
         return score_mlp_heads(param_groups, table[eval_offers])
     return score_expanded_rgcn(build_expanded_graph(masked), param_groups[0], cfg,
                                offers=eval_offers)
+
+
+def check_checkpoint_params(kind: str, arch: dict, param_groups: list) -> None:
+    """Raise ValueError unless ``param_groups`` hold exactly the tensors,
+    by name and shape, that the kind's own init makes from ``arch``: one
+    group per edge classifier head, one for the expanded RGCN, one MLP
+    head per class for the table kinds.  The message names the first
+    missing, extra or misshapen tensor.
+
+    For parameters read from a file; ``score_model`` does not run it.
+    """
+    cfg = _decode_arch(kind, arch)
+    if kind == "edge_gnn":
+        heads = [None] if cfg.mode == "multi_task" else range(N_CLASSES)
+        want = [init_edge_gnn_params(cfg, 0, head_class=k) for k in heads]
+    elif kind == "rgcn_expanded":
+        want = [init_expanded_rgcn_params(cfg, 0)]
+    else:
+        rng = np.random.default_rng(0)
+        want = [init_mlp_head(rng, cfg.d_in, cfg.hidden) for _ in range(N_CLASSES)]
+    if len(param_groups) != len(want):
+        raise ValueError(f"{kind} checkpoint holds {len(param_groups)} parameter groups, "
+                         f"its architecture makes {len(want)}")
+    for i, (have, need) in enumerate(zip(param_groups, want)):
+        where = f"{kind} checkpoint group {i}"
+        for name, p in need.items():
+            if name not in have:
+                raise ValueError(f"{where} lacks tensor {name!r}")
+            if have[name].shape != p.shape:
+                raise ValueError(f"{where} tensor {name!r} has shape {list(have[name].shape)}, "
+                                 f"its architecture makes {list(p.shape)}")
+        extra = [name for name in have if name not in need]
+        if extra:
+            raise ValueError(f"{where} has tensor {extra[0]!r}, which its architecture lacks")
 
 
 # ---------------------------------------------------------------------------

@@ -20,18 +20,17 @@ one accessor, ``HeteroGraph._derived(key, build)``:
 
 - ``unified_csr(r)``: the symmetric binary adjacency of relation ``r``;
 - ``normalized_stack()``: the nine matrices with each row scaled by
-  1/degree, stacked relation-major into one ``(9 n, n)`` CSR, whose rows
-  the edge classifier's ego networks gather; ``normalized_csr(r)`` is a
-  read-only view of relation ``r``'s row block, which the diffusion
-  features read, so the stack is the one stored copy;
+  1/degree, stacked relation-major into one ``(9 n, n)`` CSR, the only
+  normalized form: the edge classifier's ego networks gather its rows and
+  the diffusion features sum its row blocks;
 - ``union_csr()``: the binary OR of the nine, which ego extraction walks
   and whose seller block is the union of the seller-seller relations;
 - ``offers_of(node_type)``: the owner-by-offer incidence of sellers or
   products, which gives sibling-offer sums and a cold entity's offers;
-- ``ExpandedGraph.relation_csrs()``, ``normalized_stack()`` (with its
-  views ``normalized_csrs()``) and ``union_csr()``: the ten matrices of the
-  expanded form, normalized and stacked the same way, and their OR, which
-  the expanded baseline's ego networks read and walk.
+- ``ExpandedGraph.relation_csrs()``, ``normalized_stack()`` and
+  ``union_csr()``: the ten matrices of the expanded form, normalized and
+  stacked the same way, and their OR, which the expanded baseline's ego
+  networks read and walk.
 """
 
 from __future__ import annotations
@@ -146,19 +145,6 @@ def _normalized_stack(mats: Sequence[sp.csr_matrix]) -> sp.csr_matrix:
     """Read-only ``(R*n, n)`` CSR of the row-normalized ``mats``, stacked
     relation-major: row ``r*n + i`` is row ``i`` of ``mats[r]``."""
     return _freeze_csr(sp.vstack([row_mean_normalize(m) for m in mats], format="csr"))
-
-
-def _stack_block(stack: sp.csr_matrix, r: int) -> sp.csr_matrix:
-    """Read-only view of relation ``r``'s ``(n, n)`` row block of ``stack``:
-    its ``data`` and ``indices`` are slices of the stack's, its ``indptr``
-    the block's row pointer shifted to start at zero."""
-    n = stack.shape[1]
-    ptr = stack.indptr[r * n:(r + 1) * n + 1]
-    lo, hi = ptr[0], ptr[-1]
-    view = sp.csr_matrix((stack.data[lo:hi], stack.indices[lo:hi], ptr - lo), shape=(n, n))
-    # scipy copies a slice smaller than half its base; keep the stack's memory
-    view.data, view.indices = stack.data[lo:hi], stack.indices[lo:hi]
-    return _freeze_csr(view)
 
 
 def row_mean_normalize(mat: sp.csr_matrix) -> sp.csr_matrix:
@@ -316,9 +302,6 @@ class HeteroGraph:
             raise ValueError("ss_edges takes a seller-seller relation")
         return self._ss_edges[relation]
 
-    def ss_edge_count(self, relation: Relation) -> int:
-        return self.ss_edges(relation).shape[0]
-
     @property
     def n_edges(self) -> int:
         """Total edge count across all nine relations."""
@@ -356,20 +339,10 @@ class HeteroGraph:
         """The nine ``unified_csr`` matrices with each nonempty row scaled
         by 1/degree, stacked relation-major into one ``(9 * n_nodes,
         n_nodes)`` CSR: row ``r * n_nodes + i`` is row ``i`` of relation
-        ``r``.  Read-only, built once per topology; the one stored copy of
-        the normalized matrices."""
+        ``r``.  Read-only, built once per topology; the only normalized
+        form of the relations."""
         return self._derived(
             "normalized", lambda: _normalized_stack([self.unified_csr(r) for r in Relation])
-        )
-
-    def normalized_csr(self, relation: Relation) -> sp.csr_matrix:
-        """``unified_csr(relation)`` with each nonempty row scaled by
-        1/degree: a read-only view of its row block of
-        ``normalized_stack()``, built once per topology."""
-        relation = Relation(relation)
-        return self._derived(
-            f"normalized_{relation.name}",
-            lambda: _stack_block(self.normalized_stack(), relation),
         )
 
     def union_csr(self) -> sp.csr_matrix:
@@ -512,9 +485,6 @@ class ExpandedGraph:
         """Edges touching offer nodes: one to the seller plus one to the product."""
         return 2 * self.g.n_offers
 
-    def offer_node_ids(self) -> np.ndarray:
-        return np.arange(self.g.n_nodes, self.n_nodes, dtype=np.int64)
-
     def relation_csrs(self) -> tuple:
         """Ten symmetric binary adjacency matrices over the unified space.
 
@@ -532,7 +502,7 @@ class ExpandedGraph:
                 base = g.unified_csr(r)
                 indptr = np.concatenate([base.indptr, np.full(g.n_offers, base.indptr[-1])])
                 mats.append(_freeze_csr(sp.csr_matrix((base.data, base.indices, indptr), shape=(n, n))))
-            offer_ids = self.offer_node_ids()
+            offer_ids = np.arange(g.n_nodes, n, dtype=np.int64)
             mats.append(_symmetric_csr(g.offer_seller, offer_ids, n))
             mats.append(_symmetric_csr(offer_ids, g.offer_product + g.n_sellers, n))
             return tuple(mats)
@@ -546,15 +516,6 @@ class ExpandedGraph:
         way."""
         return self.g._derived(
             "expanded_normalized", lambda: _normalized_stack(self.relation_csrs())
-        )
-
-    def normalized_csrs(self) -> tuple:
-        """Read-only views of the ten row blocks of ``normalized_stack()``;
-        cached and shared the same way."""
-        return self.g._derived(
-            "expanded_normalized_blocks",
-            lambda: tuple(_stack_block(self.normalized_stack(), r)
-                          for r in range(self.N_RELATIONS)),
         )
 
     def union_csr(self) -> sp.csr_matrix:

@@ -96,7 +96,8 @@ def sign_features(g: HeteroGraph, hops: int = 3) -> np.ndarray:
     relations that node actually participates in: summing the per-relation
     neighbor means and dividing by the node's count of active relations.
     A node with a single neighbor under a single relation therefore
-    receives exactly that neighbor's features.
+    receives exactly that neighbor's features.  The per-relation means are
+    the row blocks of ``g.normalized_stack()``, summed in relation order.
     """
     if hops < 0:
         raise ValueError("hops must be non-negative")
@@ -106,10 +107,11 @@ def sign_features(g: HeteroGraph, hops: int = 3) -> np.ndarray:
     x[: g.n_sellers, : g.d_s] = g.seller_features
     x[g.n_sellers:, g.d_s:] = g.product_features
 
+    stack = g.normalized_stack()
     summed = sp.csr_matrix((n, n), dtype=np.float64)
     active = np.zeros(n, dtype=np.float64)
     for r in Relation:
-        mat = g.normalized_csr(r)
+        mat = stack[r * n:(r + 1) * n]
         active += np.diff(mat.indptr) > 0
         summed = summed + mat.astype(np.float64)
     inv = np.zeros(n, dtype=np.float64)
@@ -146,7 +148,11 @@ class ExpandedRgcnConfig(Record):
     d_o: int
     hidden: int = 64
     layers: int = 6
-    n_classes: int = N_CLASSES
+
+    def __post_init__(self):
+        for name in ("hidden", "layers"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 def init_expanded_rgcn_params(cfg: ExpandedRgcnConfig, seed: int) -> dict:
@@ -156,8 +162,8 @@ def init_expanded_rgcn_params(cfg: ExpandedRgcnConfig, seed: int) -> dict:
         rng, {"seller": cfg.d_s, "product": cfg.d_p, "offer": cfg.d_o},
         h, cfg.layers, ExpandedGraph.N_RELATIONS,
     )
-    params["head_w"] = Tensor(glorot(rng, h, cfg.n_classes), requires_grad=True)
-    params["head_b"] = Tensor(np.zeros(cfg.n_classes, dtype=np.float32), requires_grad=True)
+    params["head_w"] = Tensor(glorot(rng, h, N_CLASSES), requires_grad=True)
+    params["head_b"] = Tensor(np.zeros(N_CLASSES, dtype=np.float32), requires_grad=True)
     return params
 
 
@@ -196,7 +202,7 @@ def train_expanded_rgcn(
     ego = _expanded_ego(eg, np.arange(eg.g.n_offers), cfg.layers)
 
     def loss_fn(full_batch):
-        return scale(bce_loss(_expanded_probs(eg, full_batch, params), targets), cfg.n_classes)
+        return scale(bce_loss(_expanded_probs(eg, full_batch, params), targets), N_CLASSES)
 
     return params, fit(params, lambda: (ego,), loss_fn, tc)
 
@@ -210,5 +216,5 @@ def score_expanded_rgcn(
         offers = np.arange(eg.g.n_offers)
     offers = np.asarray(offers, dtype=np.int64)
     if offers.size == 0:
-        return np.zeros((0, cfg.n_classes))
+        return np.zeros((0, N_CLASSES))
     return expanded_rgcn_forward(eg, cast_params(params, np.float64), cfg, offers).data

@@ -54,7 +54,7 @@ from ..autodiff import (
 )
 from ..graph import N_CLASSES, N_RELATIONS, HeteroGraph, NodeType
 from ..records import Record
-from ..sampling import EgoNetwork, Layer, _row_entries, endpoint_seeds, extract_ego_network
+from ..sampling import EgoNetwork, Layer, _row_entries, extract_ego_network
 
 __all__ = [
     "EdgeGnnConfig",
@@ -83,7 +83,6 @@ class EdgeGnnConfig(Record):
     gnn_layers: int = 3
     edge_hidden: int = 64
     cls_hidden: int = 64
-    n_classes: int = N_CLASSES
     mode: str = "multi_task"  # or "nine_binary"
     dropout: float = 0.0
 
@@ -114,7 +113,7 @@ def init_edge_gnn_params(
     """
     if (head_class is not None) != (cfg.mode == "nine_binary"):
         raise ValueError("head_class is required exactly when mode is nine_binary")
-    if head_class is not None and not 0 <= head_class < cfg.n_classes:
+    if head_class is not None and not 0 <= head_class < N_CLASSES:
         raise ValueError(f"head_class out of range: {head_class}")
     rng = np.random.default_rng(seed)
     h = cfg.hidden
@@ -129,8 +128,8 @@ def init_edge_gnn_params(
         glorot(rng, 2 * h + cfg.edge_hidden, cfg.cls_hidden), requires_grad=True
     )
     params["cls0_b"] = Tensor(np.zeros(cfg.cls_hidden, dtype=np.float32), requires_grad=True)
-    head_w = glorot(rng, cfg.cls_hidden, cfg.n_classes)
-    head_b = np.zeros(cfg.n_classes, dtype=np.float32)
+    head_w = glorot(rng, cfg.cls_hidden, N_CLASSES)
+    head_b = np.zeros(N_CLASSES, dtype=np.float32)
     if head_class is not None:
         head_w = head_w[:, head_class:head_class + 1].copy()
         head_b = head_b[head_class:head_class + 1].copy()
@@ -398,20 +397,13 @@ def edge_gnn_forward(
     offers: np.ndarray,
     params: dict,
     cfg: EdgeGnnConfig,
-    ego: Optional[EgoNetwork] = None,
     rng: Optional[np.random.Generator] = None,
 ) -> Tensor:
-    """Per-class probabilities for a batch of offer ids.
-
-    The ego network is extracted at depth ``cfg.gnn_layers`` unless one is
-    passed in; a passed one must be seeded at this batch's endpoints
-    (``sampling.endpoint_seeds``), else ValueError.  ``rng`` enables
-    dropout (training only).
+    """Per-class probabilities for a batch of offer ids, over the batch's
+    ego network at depth ``cfg.gnn_layers``.  ``rng`` enables dropout
+    (training only).
     """
-    if ego is None:
-        ego = extract_ego_network(g, offers, hops=cfg.gnn_layers)
-    elif not np.array_equal(ego.seeds, endpoint_seeds(g, offers)):
-        raise ValueError("ego network is seeded at other offers' endpoints than the batch's")
+    ego = extract_ego_network(g, offers, hops=cfg.gnn_layers)
     h, sellers, products = node_embedder_forward(g, ego, params, cfg, rng=rng)
     o_s, o_p = sibling_offer_summaries(g, offers)
     o_o = g.offer_features[offers]
@@ -464,7 +456,7 @@ def edge_gnn_scores(
         h, sellers, products = node_embedder_forward(g, ego, params, cfg)
         states.append(h.data)
     n, step = offers.shape[0], score_chunk_rows(cfg)
-    out = np.empty((n, cfg.n_classes), dtype=states[0].dtype)
+    out = np.empty((n, N_CLASSES), dtype=states[0].dtype)
     for lo in range(0, n, step):
         # the last chunk ends at n with a full step of rows, overlapping the
         # one before: BLAS may pick another kernel for fewer rows, so this

@@ -30,7 +30,7 @@ from ..autodiff import (
     bce_loss,
     scale,
 )
-from ..graph import HeteroGraph
+from ..graph import N_CLASSES, HeteroGraph
 from .core import (
     EdgeGnnConfig,
     cast_params,
@@ -123,7 +123,7 @@ class EdgeGnnModel:
 
     def score(self, g: HeteroGraph, offers: np.ndarray, dtype=np.float64) -> np.ndarray:
         """Per-class probability matrix for the given offer ids; no offers
-        give a ``(0, n_classes)`` matrix.
+        give a ``(0, 9)`` matrix.
 
         Scoring runs with 64-bit accumulation by default; parameters stay
         float32 in memory and on disk, and each dtype's copy is cast on
@@ -134,7 +134,7 @@ class EdgeGnnModel:
         """
         dtype = np.dtype(dtype)
         if len(offers) == 0:
-            return np.zeros((0, self.cfg.n_classes), dtype=dtype)
+            return np.zeros((0, N_CLASSES), dtype=dtype)
         if dtype not in self._cast:
             self._cast[dtype] = [cast_params(p, dtype) for p in self.param_groups]
         return edge_gnn_scores(g, offers, self._cast[dtype], self.cfg)
@@ -149,7 +149,7 @@ def train_edge_gnn(g: HeteroGraph, cfg: EdgeGnnConfig, tc: TrainConfig) -> EdgeG
     if cfg.mode == "multi_task":
         head_specs = [(None, labels)]
     else:
-        head_specs = [(k, labels[:, k:k + 1]) for k in range(cfg.n_classes)]
+        head_specs = [(k, labels[:, k:k + 1]) for k in range(N_CLASSES)]
 
     groups, history = [], []
     for head_class, targets in head_specs:
@@ -166,7 +166,7 @@ def train_edge_gnn(g: HeteroGraph, cfg: EdgeGnnConfig, tc: TrainConfig) -> EdgeG
             loss = bce_loss(probs, targets[offers])
             if cfg.mode == "multi_task":
                 # mean over elements -> sum of the nine per-class means
-                loss = scale(loss, cfg.n_classes)
+                loss = scale(loss, N_CLASSES)
             return loss
 
         history.append(_fit_head(head_class, params, batches, loss_fn, tc))

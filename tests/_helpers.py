@@ -1,6 +1,7 @@
 """Shared test helpers: small random graphs, graph equality, a reference
 breadth-first search, a reference message-flow plan with its comparison,
-and an ``os.replace`` that fails on demand."""
+an ``os.replace`` that fails on demand, and three tape ops that only tests
+use (``matmul``, ``mul``, ``sum_all``) to build losses and programs."""
 
 import os
 from typing import NamedTuple
@@ -8,6 +9,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
+from coldgraph.autodiff import Tensor, record
 from coldgraph.graph import N_CLASSES, HeteroGraph, Relation
 
 
@@ -186,3 +188,25 @@ def fail_nth_replace(monkeypatch, n):
 
     monkeypatch.setattr(os, "replace", replace)
     return calls
+
+
+def matmul(x, w):
+    """Taped ``x @ w`` of two matrices."""
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise ValueError(f"matmul shape mismatch: {x.shape} @ {w.shape}")
+    return record(Tensor(x.data @ w.data), (x, w), lambda g, needs: (
+        g @ w.data.T if needs[0] else None, x.data.T @ g if needs[1] else None))
+
+
+def mul(a, b):
+    """Taped elementwise product of two same-shape tensors."""
+    if a.shape != b.shape:
+        raise ValueError(f"mul shape mismatch: {a.shape} vs {b.shape}")
+    return record(Tensor(a.data * b.data), (a, b), lambda g, needs: (
+        g * b.data if needs[0] else None, g * a.data if needs[1] else None))
+
+
+def sum_all(x):
+    """Taped scalar sum of every element."""
+    return record(Tensor(np.asarray(x.data.sum(), dtype=x.dtype)), (x,), lambda g, needs: (
+        np.full(x.shape, g.item(), dtype=g.dtype) if needs[0] else None,))

@@ -18,7 +18,7 @@ from coldgraph.autodiff import bce_loss, finite_diff_check, scale
 from coldgraph.cli import main
 from coldgraph.evaluate import roc_auc, roc_auc_pairwise, scaling_benchmark
 from coldgraph.experiment import ExperimentConfig, ModelConfig, run_repro
-from coldgraph.graph import build_expanded_graph
+from coldgraph.graph import N_CLASSES, build_expanded_graph
 from coldgraph.models import (
     CheckpointError,
     EdgeGnnConfig,
@@ -99,7 +99,7 @@ def test_criterion_1_full_model_gradients():
     def loss_fn(params, z):
         def f():
             probs = edge_gnn_forward(g, batch, params, cfg)
-            return scale(bce_loss(probs, z), cfg.n_classes)
+            return scale(bce_loss(probs, z), N_CLASSES)
         return f
 
     p32 = offset_biases(init_edge_gnn_params(cfg, seed=0))
@@ -157,7 +157,7 @@ def test_criterion_4_offer_edges_exactly_double_when_expanded():
         incident = (csrs[8].nnz + csrs[9].nnz) // 2
         assert incident == 2 * g.n_offers
         for r in range(8):  # node-node relations are copied unchanged
-            assert csrs[r].nnz // 2 == g.ss_edge_count(r)
+            assert csrs[r].nnz // 2 == g.ss_edges(r).shape[0]
 
 
 def test_criterion_5_masking_exact_nested_idempotent():

@@ -6,6 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _helpers import matmul, mul, sum_all
 from coldgraph.autodiff import (
     AdamState,
     Tape,
@@ -19,13 +20,10 @@ from coldgraph.autodiff import (
     const_matmul,
     dropout,
     finite_diff_check,
-    matmul,
-    mul,
     parameter,
     scale,
     sgd_step,
     stack_rows,
-    sum_all,
     take_rows,
 )
 

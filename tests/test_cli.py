@@ -266,7 +266,7 @@ def test_malformed_checkpoint_arch_exits_2(ws, tmp_path, capsys):
 @pytest.mark.parametrize("kind, arch, fragment", [
     ("tabular", [1], "TableArch: expected an object, got [1]"),
     ("naive", {"d_s": 5}, "TableArch: missing key"),
-    ("sign", {"d_s": 5, "d_p": 4, "d_o": 6, "d_in": 78, "hidden": 8, "n_classes": 9},
+    ("sign", {"d_s": 5, "d_p": 4, "d_o": 6, "d_in": 78, "hidden": 8},
      "SignArch: missing key 'hops'"),
 ])
 def test_malformed_table_checkpoint_arch_exits_2(ws, tmp_path, capsys, kind, arch, fragment):
@@ -276,6 +276,32 @@ def test_malformed_table_checkpoint_arch_exits_2(ws, tmp_path, capsys, kind, arc
                "--scenario", str(ws["scen"] / "scenario_full.json"),
                "--out", str(tmp_path / "s.csv")])
     _assert_named_error(capsys, rc, fragment)
+
+
+@pytest.mark.parametrize("kind, change, fragment", [
+    ("edge_gnn", {"gnn_layers": 3}, "edge_gnn checkpoint group 0 lacks tensor 'gnn2_rel0_w'"),
+    ("edge_gnn", {"gnn_layers": 1},
+     "edge_gnn checkpoint group 0 has tensor 'gnn1_rel0_w', which its architecture lacks"),
+    ("edge_gnn", {"mode": "nine_binary"},
+     "edge_gnn checkpoint holds 1 parameter groups, its architecture makes 9"),
+    ("rgcn_expanded", {"hidden": 4}, "rgcn_expanded checkpoint group 0 tensor 'proj_seller_w' "
+                                     "has shape [5, 8], its architecture makes [5, 4]"),
+    ("tabular", {"d_in": 12}, "tabular checkpoint group 0 tensor 'w0' has shape [13, 8], "
+                              "its architecture makes [12, 8]"),
+], ids=["more_layers", "fewer_layers", "more_heads", "narrower", "fewer_inputs"])
+def test_checkpoint_arch_disagreeing_with_tensors_exits_2(ws, tmp_path, capsys, kind, change,
+                                                          fragment):
+    ckpt = tmp_path / f"{kind}.ckpt"
+    assert main(["train", "--config", str(ws["config"]), "--graph", str(ws["graph"]),
+                 "--model", kind, "--epochs", "0", "--out", str(ckpt)]) == 0
+    _, arch, groups = load_checkpoint(ckpt)
+    save_checkpoint(ckpt, kind, {**arch, **change}, groups)
+    out = tmp_path / "s.csv"
+    capsys.readouterr()
+    rc = main(["score", "--checkpoint", str(ckpt), "--graph", str(ws["graph"]),
+               "--scenario", str(ws["scen"] / "scenario_full.json"), "--out", str(out)])
+    _assert_named_error(capsys, rc, fragment)
+    assert not out.exists()
 
 
 def test_missing_graph_path_exits_2(tmp_path, capsys):

@@ -12,6 +12,7 @@ from coldgraph.experiment import (
     MODEL_KINDS,
     ExperimentConfig,
     ModelConfig,
+    check_checkpoint_params,
     read_scores_csv,
     run_repro,
     score_model,
@@ -132,6 +133,17 @@ def test_train_and_score_each_kind(tiny_graph, kind):
     masked, none = apply_scenario(g, empty)
     scores = score_model(kind, model.arch, model.param_groups, masked, none, empty)
     assert scores.shape == (0, 9) and scores.dtype == np.float64
+
+
+@pytest.mark.parametrize("kind, mode", [(k, "multi_task") for k in MODEL_KINDS]
+                         + [("edge_gnn", "nine_binary")])
+def test_trained_params_match_their_architecture(tiny_graph, kind, mode):
+    mc = dataclasses.replace(tiny_config().model, mode=mode, epochs=0, mlp_epochs=0,
+                             expanded_epochs=0)
+    model = train_model(tiny_graph, kind, 0, mc)
+    check_checkpoint_params(kind, model.arch, model.param_groups)
+    with pytest.raises(ValueError, match=f"^{kind} checkpoint holds 0 parameter groups"):
+        check_checkpoint_params(kind, model.arch, [])
 
 
 def test_unknown_kind_rejected(tiny_graph):

@@ -163,7 +163,7 @@ def test_expanded_graph_doubles_offer_incident_edges():
             sub = mats[r][: g.n_sellers, : g.n_sellers]
             assert (sub != g.unified_csr(r)[: g.n_sellers, : g.n_sellers]).nnz == 0
         # every offer node has degree exactly 2: one seller edge, one product edge
-        off = eg.offer_node_ids()
+        off = np.arange(g.n_nodes, eg.n_nodes)
         deg = np.zeros(eg.n_nodes)
         for mat in mats[8:]:
             deg += np.asarray(mat.sum(axis=1)).ravel()
@@ -176,18 +176,19 @@ def test_expanded_graph_doubles_offer_incident_edges():
 def test_expanded_matrices_built_once_per_topology():
     g = make_random_graph(seed=3)
     ref = build_expanded_graph(g)
-    binary, normalized = ref.relation_csrs(), ref.normalized_csrs()
+    binary, stack = ref.relation_csrs(), ref.normalized_stack()
     for name in SCENARIOS:
         masked, _ = apply_scenario(g, make_scenario(g, name, seed=1))
         eg = build_expanded_graph(masked)
+        assert eg.normalized_stack() is stack
         for r in range(ExpandedGraph.N_RELATIONS):
             assert eg.relation_csrs()[r] is binary[r]
-            assert eg.normalized_csrs()[r] is normalized[r]
+    n = eg.n_nodes
     for r in range(ExpandedGraph.N_RELATIONS):
         want = row_mean_normalize(binary[r])
-        assert (normalized[r] != want).nnz == 0
-        for mat in (binary[r], normalized[r]):
-            assert not any(a.flags.writeable for a in (mat.data, mat.indices, mat.indptr))
+        assert (stack[r * n:(r + 1) * n] != want).nnz == 0
+    for mat in (*binary, stack):
+        assert not any(a.flags.writeable for a in (mat.data, mat.indices, mat.indptr))
     for r in Relation.seller_seller():
         unified = g.unified_csr(r)
         assert np.shares_memory(binary[r].indices, unified.indices)

@@ -107,10 +107,10 @@ def test_unified_csr_is_symmetric_with_two_entries_per_edge(kw):
         mat = g.unified_csr(r)
         assert mat.shape == (g.n_nodes, g.n_nodes)
         assert (mat != mat.T).nnz == 0
-        edges = g.n_offers if r.is_offer else g.ss_edge_count(r)
+        edges = g.n_offers if r.is_offer else g.ss_edges(r).shape[0]
         assert mat.nnz == 2 * edges
         assert mat.has_sorted_indices
-    assert g.n_edges == g.n_offers + sum(g.ss_edge_count(r) for r in SS)
+    assert g.n_edges == g.n_offers + sum(g.ss_edges(r).shape[0] for r in SS)
 
 
 def rejects(kw, message):

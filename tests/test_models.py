@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from _helpers import make_random_graph
 from coldgraph.autodiff import Tape, Tensor, bce_loss, finite_diff_check, parameter, scale
 from coldgraph.graph import (
+    N_CLASSES,
     GraphBuilder,
     HeteroGraph,
     NodeType,
@@ -27,6 +28,7 @@ from coldgraph.models import (
     init_edge_gnn_params,
     init_expanded_rgcn_params,
     naive_fill_seller_features,
+    node_embedder_forward,
     relational_encoder_forward,
     rgcn_layer,
     score_expanded_rgcn,
@@ -355,18 +357,7 @@ def test_forward_rejects_shallow_ego():
     for hops in (2, 4):  # an ego is exactly as deep as the model
         ego = extract_ego_network(g, batch, hops=hops)
         with pytest.raises(ValueError, match=f"depth {hops} does not fit 3 layers"):
-            edge_gnn_forward(g, batch, params, cfg, ego=ego)
-
-
-def test_forward_rejects_ego_of_other_offers():
-    g = make_random_graph(seed=23)
-    cfg = small_cfg(g)
-    params = init_edge_gnn_params(cfg, seed=0)
-    ego = extract_ego_network(g, np.array([0]), hops=cfg.gnn_layers)
-    for batch in ([5], [0, 5], [0, 0]):  # other offers, more offers, a repeat
-        with pytest.raises(ValueError, match="other offers' endpoints"):
-            edge_gnn_forward(g, np.array(batch), params, cfg, ego=ego)
-    assert edge_gnn_forward(g, np.array([0]), params, cfg, ego=ego).shape == (1, 9)
+            node_embedder_forward(g, ego, params, cfg)
 
 
 def test_ego_scores_match_whole_graph_scores():
@@ -402,7 +393,7 @@ def test_score_casts_parameters_once_per_dtype(monkeypatch):
 
 
 def edge_gnn_model(cfg, seed):
-    heads = [None] if cfg.mode == "multi_task" else range(cfg.n_classes)
+    heads = [None] if cfg.mode == "multi_task" else range(N_CLASSES)
     return EdgeGnnModel(cfg=cfg, param_groups=[
         init_edge_gnn_params(cfg, seed, head_class=k) for k in heads
     ])
@@ -492,7 +483,7 @@ def test_full_model_finite_diff_f64():
 
     def f():
         probs = edge_gnn_forward(g, batch, params, cfg)
-        return scale(bce_loss(probs, z), cfg.n_classes)
+        return scale(bce_loss(probs, z), N_CLASSES)
 
     assert finite_diff_check(f, params, h=1e-5) < 1e-5
 

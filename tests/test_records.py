@@ -23,9 +23,9 @@ BASES = {  # one valid instance per record class
     ),
     "edge_gnn": lambda: EdgeGnnConfig(d_s=5, d_p=4, d_o=6),
     "rgcn_expanded": lambda: ExpandedRgcnConfig(d_s=5, d_p=4, d_o=6),
-    "tabular": lambda: TableArch(d_s=5, d_p=4, d_o=6, d_in=15, hidden=8, n_classes=9),
-    "naive": lambda: TableArch(d_s=5, d_p=4, d_o=6, d_in=15, hidden=8, n_classes=9),
-    "sign": lambda: SignArch(d_s=5, d_p=4, d_o=6, d_in=78, hidden=8, n_classes=9, hops=3),
+    "tabular": lambda: TableArch(d_s=5, d_p=4, d_o=6, d_in=15, hidden=8),
+    "naive": lambda: TableArch(d_s=5, d_p=4, d_o=6, d_in=15, hidden=8),
+    "sign": lambda: SignArch(d_s=5, d_p=4, d_o=6, d_in=78, hidden=8, hops=3),
 }
 
 FILE_LOADERS = {
@@ -87,7 +87,10 @@ MALFORMED = [
     ("edge_gnn", "hidden", "8", ["EdgeGnnConfig.hidden: expected an integer"]),
     ("edge_gnn", "cls_hidden", 0, ["EdgeGnnConfig:", "cls_hidden must be >= 1"]),
     ("edge_gnn", "fanout_cap", 3, ["EdgeGnnConfig: unknown key 'fanout_cap'"]),
+    ("edge_gnn", "n_classes", 9, ["EdgeGnnConfig: unknown key 'n_classes'"]),
     ("rgcn_expanded", "layers", [6], ["ExpandedRgcnConfig.layers: expected an integer"]),
+    ("rgcn_expanded", "n_classes", 9, ["ExpandedRgcnConfig: unknown key 'n_classes'"]),
+    ("tabular", "n_classes", 9, ["TableArch: unknown key 'n_classes'"]),
     ("tabular", "", [1], ["TableArch: expected an object, got [1]"]),
     ("tabular", "hidden", "8", ["TableArch.hidden: expected an integer"]),
     ("naive", "d_in", _DROP, ["TableArch: missing key 'd_in'"]),
@@ -118,6 +121,13 @@ def test_malformed_record_names_record_and_key(tmp_path, arch_graph, record, pat
             score_model(record, blob, [{}], arch_graph, np.zeros(0, dtype=np.int64))
     for fragment in fragments:
         assert fragment in str(info.value)
+
+
+@pytest.mark.parametrize("key, value", [("layers", 0), ("layers", -1), ("hidden", 0)])
+def test_expanded_arch_rejects_width_or_depth_below_one(arch_graph, key, value):
+    blob = {**BASES["rgcn_expanded"]().to_dict(), key: value}
+    with pytest.raises(ValueError, match=f"^ExpandedRgcnConfig: {key} must be >= 1, got {value}$"):
+        score_model("rgcn_expanded", blob, [{}], arch_graph, np.zeros(0, dtype=np.int64))
 
 
 @pytest.mark.parametrize("record", sorted(BASES))

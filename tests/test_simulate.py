@@ -96,7 +96,7 @@ def test_determinism():
     c = generate_synthetic_graph(small_config(seed=6))
     assert a.offer_features.tobytes() == b.offer_features.tobytes()
     assert a.labels.tobytes() == b.labels.tobytes()
-    assert a.ss_edge_count(0) == b.ss_edge_count(0)
+    assert a.ss_edges(0).shape == b.ss_edges(0).shape
     assert a.offer_features.tobytes() != c.offer_features.tobytes()
 
 
@@ -128,9 +128,9 @@ def test_intra_edge_rate_matches_config():
     g = generate_synthetic_graph(cfg)
     pairs = 6 * (100 * 99 // 2)
     for r, p in ((0, 0.05), (1, 0.04)):
-        measured = g.ss_edge_count(r) / pairs
+        measured = g.ss_edges(r).shape[0] / pairs
         assert abs(measured - p) < 0.1 * p
-    assert g.ss_edge_count(5) == 0
+    assert g.ss_edges(5).shape[0] == 0
 
 
 def test_risk_clusters_by_community(small_graph):

@@ -1,13 +1,16 @@
-"""Every imported name in src/, tests/ and demos/ is used.
+"""Every imported name in src/, tests/ and demos/ is used, and every op the
+autodiff engine exports is read outside tests.
 
 A name counts as used when the module reads it anywhere or lists it in
 ``__all__``; an import statement marked ``# noqa: F401`` on any of its
 lines is a deliberate re-export and is skipped.  ``perfbench/`` is left
-out: it is the benchmark's own contract.
+out of the import scan: it is the benchmark's own contract.
 """
 
 import ast
 from pathlib import Path
+
+from coldgraph import autodiff
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(p for d in ("src", "tests", "demos") for p in (ROOT / d).rglob("*.py"))
@@ -58,3 +61,22 @@ def test_no_unused_imports():
     ]
     assert len(FILES) > 30
     assert found == []
+
+
+def read_names(source: str) -> set:
+    """Every bare name and attribute name that ``source`` reads."""
+    tree = ast.parse(source)
+    return ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)})
+
+
+def test_every_autodiff_export_is_read_outside_tests():
+    own = ROOT / "src" / "coldgraph" / "autodiff.py"
+    readers = [p for d in ("src", "demos", "perfbench") for p in (ROOT / d).rglob("*.py")
+               if p != own]
+    read = set().union(*(read_names(p.read_text()) for p in readers))
+    # a perfbench probe names the function it wraps in a string
+    read |= {c.value for p in readers if p.parts[-2] == "perfbench"
+             for c in ast.walk(ast.parse(p.read_text()))
+             if isinstance(c, ast.Constant) and isinstance(c.value, str)}
+    assert sorted(set(autodiff.__all__) - read) == []
