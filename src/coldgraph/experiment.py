@@ -147,13 +147,6 @@ class TrainedModel:
     history: list
 
 
-def _expanded_config(g: HeteroGraph, mc: ModelConfig) -> ExpandedRgcnConfig:
-    return ExpandedRgcnConfig(
-        d_s=g.d_s, d_p=g.d_p, d_o=g.d_o,
-        hidden=mc.expanded_hidden, layers=mc.expanded_layers,
-    )
-
-
 @dataclass(frozen=True)
 class TableArch(Record):
     """Checkpoint architecture of the ``tabular`` and ``naive`` MLP heads."""
@@ -161,8 +154,16 @@ class TableArch(Record):
     d_s: int
     d_p: int
     d_o: int
-    d_in: int
     hidden: int
+
+    def __post_init__(self):
+        if self.hidden < 1:
+            raise ValueError(f"hidden must be >= 1, got {self.hidden}")
+
+    @property
+    def d_in(self) -> int:
+        """Width of a listing-table row: seller, product and offer features."""
+        return self.d_s + self.d_p + self.d_o
 
 
 @dataclass(frozen=True)
@@ -170,6 +171,16 @@ class SignArch(TableArch):
     """Checkpoint architecture of the ``sign`` MLP heads."""
 
     hops: int
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.hops < 0:
+            raise ValueError(f"hops must be >= 0, got {self.hops}")
+
+    @property
+    def d_in(self) -> int:
+        """Width of a sign table row: ``hops + 1`` blocks per endpoint, then the offer."""
+        return 2 * (self.hops + 1) * (self.d_s + self.d_p) + self.d_o
 
 
 # model kind -> the record its checkpoint architecture decodes through
@@ -184,34 +195,40 @@ def _decode_arch(kind: str, arch: dict):
     return ARCH_RECORDS[kind].from_dict(arch)
 
 
-def _table_arch(g: HeteroGraph, mc: ModelConfig, kind: str) -> dict:
-    dims = dict(d_s=g.d_s, d_p=g.d_p, d_o=g.d_o, hidden=mc.mlp_hidden)
+def _listing_table(g: HeteroGraph, kind: str, arch: TableArch,
+                   new_sellers: np.ndarray) -> np.ndarray:
+    """One input row per offer of ``g`` for table kind ``kind``; ``naive``
+    fills the features of ``new_sellers`` from their seller neighbours."""
     if kind == "sign":
-        d_in = 2 * (mc.sign_hops + 1) * (g.d_s + g.d_p) + g.d_o
-        return SignArch(d_in=d_in, hops=mc.sign_hops, **dims).to_dict()
-    return TableArch(d_in=g.d_s + g.d_p + g.d_o, **dims).to_dict()
+        return sign_listing_table(g, arch.hops)
+    if kind == "naive":
+        return build_listing_table(g, naive_fill_seller_features(g, new_sellers))
+    return build_listing_table(g)
 
 
 def train_model(g: HeteroGraph, kind: str, seed: int, mc: ModelConfig) -> TrainedModel:
     """Train one model kind on the (unmasked) graph."""
+    dims = dict(d_s=g.d_s, d_p=g.d_p, d_o=g.d_o)
     if kind == "edge_gnn":
-        cfg = mc.edge_gnn_config(g.d_s, g.d_p, g.d_o)
-        model = train_edge_gnn(g, cfg, mc.train_config(seed))
-        return TrainedModel(kind, cfg.to_dict(), model.param_groups, model.history)
-    if kind in ("tabular", "naive", "sign"):
-        table = (sign_listing_table(g, hops=mc.sign_hops) if kind == "sign"
-                 else build_listing_table(g))
-        heads, history = train_mlp_heads(
-            table, g.labels, mc.train_config(seed, mc.mlp_epochs), hidden=mc.mlp_hidden
+        arch = mc.edge_gnn_config(**dims)
+        model = train_edge_gnn(g, arch, mc.train_config(seed))
+        groups, history = model.param_groups, model.history
+    elif kind == "rgcn_expanded":
+        arch = ExpandedRgcnConfig(**dims, hidden=mc.expanded_hidden, layers=mc.expanded_layers)
+        params, losses = train_expanded_rgcn(
+            build_expanded_graph(g), arch, mc.train_config(seed, mc.expanded_epochs)
         )
-        return TrainedModel(kind, _table_arch(g, mc, kind), heads, history)
-    if kind == "rgcn_expanded":
-        cfg = _expanded_config(g, mc)
-        params, history = train_expanded_rgcn(
-            build_expanded_graph(g), cfg, mc.train_config(seed, mc.expanded_epochs)
+        groups, history = [params], [losses]
+    elif kind in ("tabular", "naive", "sign"):
+        arch = (SignArch(**dims, hidden=mc.mlp_hidden, hops=mc.sign_hops) if kind == "sign"
+                else TableArch(**dims, hidden=mc.mlp_hidden))
+        table = _listing_table(g, kind, arch, np.zeros(0, dtype=np.int64))
+        groups, history = train_mlp_heads(
+            table, g.labels, mc.train_config(seed, mc.mlp_epochs), hidden=arch.hidden
         )
-        return TrainedModel(kind, cfg.to_dict(), [params], [history])
-    raise ValueError(f"unknown model kind {kind!r}")
+    else:
+        raise ValueError(f"unknown model kind {kind!r}")
+    return TrainedModel(kind, arch.to_dict(), groups, history)
 
 
 def score_model(
@@ -235,23 +252,13 @@ def score_model(
             )
     eval_offers = np.asarray(eval_offers, dtype=np.int64)
     if kind == "edge_gnn":
-        model = EdgeGnnModel(cfg=cfg, param_groups=param_groups)
-        return model.score(masked, eval_offers)
-    if kind == "tabular":
-        table = build_listing_table(masked)
-        return score_mlp_heads(param_groups, table[eval_offers])
-    if kind == "naive":
-        new_sellers = np.asarray(
-            spec.new_sellers if spec is not None else (), dtype=np.int64
-        )
-        filled = naive_fill_seller_features(masked, new_sellers)
-        table = build_listing_table(masked, seller_features=filled)
-        return score_mlp_heads(param_groups, table[eval_offers])
-    if kind == "sign":
-        table = sign_listing_table(masked, hops=cfg.hops)
-        return score_mlp_heads(param_groups, table[eval_offers])
-    return score_expanded_rgcn(build_expanded_graph(masked), param_groups[0], cfg,
-                               offers=eval_offers)
+        return EdgeGnnModel(cfg=cfg, param_groups=param_groups).score(masked, eval_offers)
+    if kind == "rgcn_expanded":
+        return score_expanded_rgcn(build_expanded_graph(masked), param_groups[0], cfg,
+                                   eval_offers)
+    new_sellers = np.asarray(spec.new_sellers if spec is not None else (), dtype=np.int64)
+    return score_mlp_heads(param_groups,
+                           _listing_table(masked, kind, cfg, new_sellers)[eval_offers])
 
 
 def check_checkpoint_params(kind: str, arch: dict, param_groups: list) -> None:

@@ -480,11 +480,6 @@ class ExpandedGraph:
     def n_nodes(self) -> int:
         return self.g.n_nodes + self.g.n_offers
 
-    @property
-    def n_offer_incident_edges(self) -> int:
-        """Edges touching offer nodes: one to the seller plus one to the product."""
-        return 2 * self.g.n_offers
-
     def relation_csrs(self) -> tuple:
         """Ten symmetric binary adjacency matrices over the unified space.
 

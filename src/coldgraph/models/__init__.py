@@ -24,7 +24,6 @@ from .train import (  # noqa: F401
 from .baselines import (  # noqa: F401
     ExpandedRgcnConfig,
     build_listing_table,
-    expanded_rgcn_forward,
     init_expanded_rgcn_params,
     naive_fill_seller_features,
     score_expanded_rgcn,

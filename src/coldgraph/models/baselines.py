@@ -46,7 +46,6 @@ __all__ = [
     "sign_listing_table",
     "ExpandedRgcnConfig",
     "init_expanded_rgcn_params",
-    "expanded_rgcn_forward",
     "train_expanded_rgcn",
     "score_expanded_rgcn",
 ]
@@ -88,8 +87,8 @@ def build_listing_table(g: HeteroGraph, seller_features: Optional[np.ndarray] = 
 # diffusion features
 
 
-def sign_features(g: HeteroGraph, hops: int = 3) -> np.ndarray:
-    """Concatenated operator powers ``[X, AX, ..., A^K X]``.
+def sign_features(g: HeteroGraph, hops: int) -> np.ndarray:
+    """Concatenated operator powers ``[X, AX, ..., A^K X]``, ``K = hops >= 0``.
 
     X stacks zero-padded seller and product features into one node space.
     A averages, per node, the row-mean-normalized adjacency of the
@@ -99,8 +98,6 @@ def sign_features(g: HeteroGraph, hops: int = 3) -> np.ndarray:
     receives exactly that neighbor's features.  The per-relation means are
     the row blocks of ``g.normalized_stack()``, summed in relation order.
     """
-    if hops < 0:
-        raise ValueError("hops must be non-negative")
     n = g.n_nodes
     d = g.d_s + g.d_p
     x = np.zeros((n, d), dtype=np.float64)
@@ -124,7 +121,7 @@ def sign_features(g: HeteroGraph, hops: int = 3) -> np.ndarray:
     return np.concatenate(blocks, axis=1).astype(np.float32)
 
 
-def sign_listing_table(g: HeteroGraph, hops: int = 3) -> np.ndarray:
+def sign_listing_table(g: HeteroGraph, hops: int) -> np.ndarray:
     """Diffusion features of both endpoints plus the raw offer features."""
     aug = sign_features(g, hops)
     return np.concatenate(
@@ -173,22 +170,14 @@ def _expanded_ego(eg: ExpandedGraph, offers: np.ndarray, layers: int) -> EgoNetw
 
 
 def _expanded_probs(eg: ExpandedGraph, ego: EgoNetwork, params: dict) -> Tensor:
+    """Class probabilities of the ego's seed offers (in seed order),
+    computing each layer only where the output reads it."""
     g = eg.g
     feats = {"seller": g.seller_features, "product": g.product_features,
              "offer": g.offer_features}
     h = relational_encoder_forward(ego.inputs(feats), ego.plan, params)
     probs = activation(affine(h, params["head_w"], params["head_b"]), "sigmoid")
     return take_rows(probs, ego.seed_rows())
-
-
-def expanded_rgcn_forward(
-    eg: ExpandedGraph, params: dict, cfg: ExpandedRgcnConfig, offers: Optional[np.ndarray] = None
-) -> Tensor:
-    """Class probabilities of ``offers`` (any order; default every offer),
-    computing each layer only where the output reads it."""
-    if offers is None:
-        offers = np.arange(eg.g.n_offers)
-    return _expanded_probs(eg, _expanded_ego(eg, offers, cfg.layers), params)
 
 
 def train_expanded_rgcn(
@@ -208,13 +197,11 @@ def train_expanded_rgcn(
 
 
 def score_expanded_rgcn(
-    eg: ExpandedGraph, params: dict, cfg: ExpandedRgcnConfig, offers: Optional[np.ndarray] = None
+    eg: ExpandedGraph, params: dict, cfg: ExpandedRgcnConfig, offers: np.ndarray
 ) -> np.ndarray:
-    """Float64 probability rows of ``offers`` (any order; default every
-    offer)."""
-    if offers is None:
-        offers = np.arange(eg.g.n_offers)
+    """Float64 probability rows of ``offers``, in any order."""
     offers = np.asarray(offers, dtype=np.int64)
     if offers.size == 0:
         return np.zeros((0, N_CLASSES))
-    return expanded_rgcn_forward(eg, cast_params(params, np.float64), cfg, offers).data
+    ego = _expanded_ego(eg, offers, cfg.layers)
+    return _expanded_probs(eg, ego, cast_params(params, np.float64)).data

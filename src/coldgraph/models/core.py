@@ -25,7 +25,8 @@ not grow with the number of offers scored beyond their index arrays and
 output: the node side runs the encoder once per parameter group and keeps
 only the endpoint rows; the offer side walks the offers in chunks of
 :func:`score_chunk_rows`, with one sibling summary per chunk shared by
-every head.
+every head.  Both run the same offer side (:func:`_offer_probs`): training
+over the whole batch, scoring chunk by chunk.
 
 Two head modes exist: ``multi_task`` trains one parameter set with a
 nine-column head on the summed per-class loss; ``nine_binary`` trains
@@ -406,7 +407,13 @@ def edge_gnn_forward(
     ego = extract_ego_network(g, offers, hops=cfg.gnn_layers)
     h, sellers, products = node_embedder_forward(g, ego, params, cfg, rng=rng)
     o_s, o_p = sibling_offer_summaries(g, offers)
-    o_o = g.offer_features[offers]
+    return _offer_probs(h, sellers, products, g.offer_features[offers], o_s, o_p, params)
+
+
+def _offer_probs(h: Tensor, sellers: np.ndarray, products: np.ndarray, o_o: np.ndarray,
+                 o_s: np.ndarray, o_p: np.ndarray, params: dict) -> Tensor:
+    """The offer side: the edge embedder, then the classifier over its output
+    and each offer's seller and product row of the node states ``h``."""
     emb_o = edge_embedder_forward(o_o, o_s, o_p, params)
     return classifier_forward(take_rows(h, sellers), take_rows(h, products), emb_o, params)
 
@@ -443,7 +450,8 @@ def edge_gnn_scores(
     seller and product row index (:func:`node_embedder_forward`).  Offer
     side, in chunks of :func:`score_chunk_rows` offers: the sibling
     summaries once per chunk, then each group's edge embedder and
-    classifier, written into one preallocated output; a call of more than
+    classifier (:func:`_offer_probs`, the code training differentiates),
+    written into one preallocated output; a call of more than
     one chunk runs every chunk at the full row count.  So no array of
     ``hidden`` width or wider holds a row per offer outside a chunk.  The
     scores are those of :func:`edge_gnn_forward` over the whole batch, bit
@@ -454,7 +462,7 @@ def edge_gnn_scores(
     states = []
     for params in param_groups:
         h, sellers, products = node_embedder_forward(g, ego, params, cfg)
-        states.append(h.data)
+        states.append(h)
     n, step = offers.shape[0], score_chunk_rows(cfg)
     out = np.empty((n, N_CLASSES), dtype=states[0].dtype)
     for lo in range(0, n, step):
@@ -466,8 +474,7 @@ def edge_gnn_scores(
         o_s, o_p = sibling_offer_summaries(g, chunk)
         o_o = g.offer_features[chunk]
         out[rows] = np.concatenate([
-            classifier_forward(Tensor(h[sellers[rows]]), Tensor(h[products[rows]]),
-                               edge_embedder_forward(o_o, o_s, o_p, params), params).data
+            _offer_probs(h, sellers[rows], products[rows], o_o, o_s, o_p, params).data
             for params, h in zip(param_groups, states)
         ], axis=1)
     return out

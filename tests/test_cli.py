@@ -266,7 +266,7 @@ def test_malformed_checkpoint_arch_exits_2(ws, tmp_path, capsys):
 @pytest.mark.parametrize("kind, arch, fragment", [
     ("tabular", [1], "TableArch: expected an object, got [1]"),
     ("naive", {"d_s": 5}, "TableArch: missing key"),
-    ("sign", {"d_s": 5, "d_p": 4, "d_o": 6, "d_in": 78, "hidden": 8},
+    ("sign", {"d_s": 5, "d_p": 4, "d_o": 6, "hidden": 8},
      "SignArch: missing key 'hops'"),
 ])
 def test_malformed_table_checkpoint_arch_exits_2(ws, tmp_path, capsys, kind, arch, fragment):
@@ -278,23 +278,33 @@ def test_malformed_table_checkpoint_arch_exits_2(ws, tmp_path, capsys, kind, arc
     _assert_named_error(capsys, rc, fragment)
 
 
-@pytest.mark.parametrize("kind, change, fragment", [
-    ("edge_gnn", {"gnn_layers": 3}, "edge_gnn checkpoint group 0 lacks tensor 'gnn2_rel0_w'"),
-    ("edge_gnn", {"gnn_layers": 1},
+@pytest.mark.parametrize("kind, change, trimmed, fragment", [
+    ("edge_gnn", {"gnn_layers": 3}, None,
+     "edge_gnn checkpoint group 0 lacks tensor 'gnn2_rel0_w'"),
+    ("edge_gnn", {"gnn_layers": 1}, None,
      "edge_gnn checkpoint group 0 has tensor 'gnn1_rel0_w', which its architecture lacks"),
-    ("edge_gnn", {"mode": "nine_binary"},
+    ("edge_gnn", {"mode": "nine_binary"}, None,
      "edge_gnn checkpoint holds 1 parameter groups, its architecture makes 9"),
-    ("rgcn_expanded", {"hidden": 4}, "rgcn_expanded checkpoint group 0 tensor 'proj_seller_w' "
-                                     "has shape [5, 8], its architecture makes [5, 4]"),
-    ("tabular", {"d_in": 12}, "tabular checkpoint group 0 tensor 'w0' has shape [13, 8], "
-                              "its architecture makes [12, 8]"),
-], ids=["more_layers", "fewer_layers", "more_heads", "narrower", "fewer_inputs"])
+    ("rgcn_expanded", {"hidden": 4}, None, "rgcn_expanded checkpoint group 0 tensor "
+                                           "'proj_seller_w' has shape [5, 8], its architecture "
+                                           "makes [5, 4]"),
+    # the table input width follows from the dims: 5 + 4 + 4 columns
+    ("tabular", {}, "w0", "tabular checkpoint group 0 tensor 'w0' has shape [12, 8], "
+                          "its architecture makes [13, 8]"),
+    # and for sign from hops as well: 2 * (hops + 1) * (5 + 4) + 4 columns
+    ("sign", {"hops": 1}, None, "sign checkpoint group 0 tensor 'w0' has shape [58, 8], "
+                                "its architecture makes [40, 8]"),
+], ids=["more_layers", "fewer_layers", "more_heads", "narrower", "fewer_inputs", "fewer_hops"])
 def test_checkpoint_arch_disagreeing_with_tensors_exits_2(ws, tmp_path, capsys, kind, change,
-                                                          fragment):
+                                                          trimmed, fragment):
+    """``change`` edits the architecture; the tensor named ``trimmed``
+    loses its last row in every group."""
     ckpt = tmp_path / f"{kind}.ckpt"
     assert main(["train", "--config", str(ws["config"]), "--graph", str(ws["graph"]),
                  "--model", kind, "--epochs", "0", "--out", str(ckpt)]) == 0
     _, arch, groups = load_checkpoint(ckpt)
+    if trimmed is not None:
+        groups = [{**group, trimmed: group[trimmed].data[:-1]} for group in groups]
     save_checkpoint(ckpt, kind, {**arch, **change}, groups)
     out = tmp_path / "s.csv"
     capsys.readouterr()

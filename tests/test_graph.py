@@ -155,7 +155,6 @@ def test_expanded_graph_doubles_offer_incident_edges():
     for seed in range(5):
         g = make_random_graph(seed=seed)
         eg = build_expanded_graph(g)
-        assert eg.n_offer_incident_edges == 2 * g.n_offers
         mats = eg.relation_csrs()
         assert len(mats) == 10
         # seller-seller copied unchanged
@@ -170,7 +169,7 @@ def test_expanded_graph_doubles_offer_incident_edges():
         np.testing.assert_array_equal(deg[off], 2.0)
         # count actual offer-incident edges in the two incidence relations
         incident = sum(int(mat.nnz) for mat in mats[8:]) // 2
-        assert incident == eg.n_offer_incident_edges
+        assert incident == 2 * g.n_offers
 
 
 def test_expanded_matrices_built_once_per_topology():

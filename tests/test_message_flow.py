@@ -30,13 +30,13 @@ from coldgraph.models import (
     ExpandedRgcnConfig,
     cast_params,
     edge_gnn_forward,
-    expanded_rgcn_forward,
     init_edge_gnn_params,
     init_expanded_rgcn_params,
     node_embedder_forward,
     rgcn_layer,
     score_expanded_rgcn,
 )
+from coldgraph.models.baselines import _expanded_ego, _expanded_probs
 from coldgraph.sampling import ego_network, extract_ego_network, message_flow_plan
 from test_graph_properties import graph_arrays
 
@@ -219,7 +219,8 @@ def test_expanded_forward_equals_dense_reference(g, layers, data):
     h = dense_encoder(inputs, mats, params, layers)[n:]
     want = 1.0 / (1.0 + np.exp(-(h @ params["head_w"].data + params["head_b"].data)))
 
-    full = expanded_rgcn_forward(eg, params, cfg)  # the full batch that training runs
+    ego = _expanded_ego(eg, np.arange(m), layers)  # the full batch that training runs
+    full = _expanded_probs(eg, ego, params)
     np.testing.assert_allclose(full.data, want, rtol=1e-10, atol=1e-12)
     some = data.draw(st.lists(st.integers(0, m - 1), min_size=1))
     np.testing.assert_allclose(score_expanded_rgcn(eg, params, cfg, offers=np.array(some)),

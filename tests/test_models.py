@@ -24,7 +24,6 @@ from coldgraph.models import (
     cast_params,
     edge_embedder_forward,
     edge_gnn_forward,
-    expanded_rgcn_forward,
     init_edge_gnn_params,
     init_expanded_rgcn_params,
     naive_fill_seller_features,
@@ -40,6 +39,7 @@ from coldgraph.models import (
     train_expanded_rgcn,
     train_mlp_heads,
 )
+from coldgraph.models.baselines import _expanded_ego, _expanded_probs
 from coldgraph.models.core import SCORE_CHUNK_BYTES, score_chunk_rows
 from coldgraph.sampling import extract_ego_network, message_flow_plan
 from coldgraph.simulate import GeneratorConfig, generate_synthetic_graph
@@ -647,7 +647,7 @@ def test_expanded_rgcn_forward_and_training():
     cfg = ExpandedRgcnConfig(d_s=g.d_s, d_p=g.d_p, d_o=g.d_o, hidden=8, layers=3)
     params, losses = train_expanded_rgcn(eg, cfg, TrainConfig(epochs=8, lr=5e-3, seed=0))
     assert losses[-1] < losses[0]
-    scores = score_expanded_rgcn(eg, params, cfg)
+    scores = score_expanded_rgcn(eg, params, cfg, np.arange(g.n_offers))
     assert scores.shape == (g.n_offers, 9)
     assert (scores > 0).all() and (scores < 1).all()
 
@@ -658,8 +658,9 @@ def test_expanded_rgcn_finite_diff():
     cfg = ExpandedRgcnConfig(d_s=2, d_p=2, d_o=2, hidden=3, layers=2)
     params = cast_params(init_expanded_rgcn_params(cfg, seed=1), np.float64)
     z = g.labels.astype(np.float64)
+    ego = _expanded_ego(eg, np.arange(g.n_offers), cfg.layers)
 
     def f():
-        return scale(bce_loss(expanded_rgcn_forward(eg, params, cfg), z), 9)
+        return scale(bce_loss(_expanded_probs(eg, ego, params), z), 9)
 
     assert finite_diff_check(f, params, h=1e-5) < 1e-5

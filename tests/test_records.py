@@ -23,9 +23,9 @@ BASES = {  # one valid instance per record class
     ),
     "edge_gnn": lambda: EdgeGnnConfig(d_s=5, d_p=4, d_o=6),
     "rgcn_expanded": lambda: ExpandedRgcnConfig(d_s=5, d_p=4, d_o=6),
-    "tabular": lambda: TableArch(d_s=5, d_p=4, d_o=6, d_in=15, hidden=8),
-    "naive": lambda: TableArch(d_s=5, d_p=4, d_o=6, d_in=15, hidden=8),
-    "sign": lambda: SignArch(d_s=5, d_p=4, d_o=6, d_in=78, hidden=8, hops=3),
+    "tabular": lambda: TableArch(d_s=5, d_p=4, d_o=6, hidden=8),
+    "naive": lambda: TableArch(d_s=5, d_p=4, d_o=6, hidden=8),
+    "sign": lambda: SignArch(d_s=5, d_p=4, d_o=6, hidden=8, hops=3),
 }
 
 FILE_LOADERS = {
@@ -93,10 +93,14 @@ MALFORMED = [
     ("tabular", "n_classes", 9, ["TableArch: unknown key 'n_classes'"]),
     ("tabular", "", [1], ["TableArch: expected an object, got [1]"]),
     ("tabular", "hidden", "8", ["TableArch.hidden: expected an integer"]),
-    ("naive", "d_in", _DROP, ["TableArch: missing key 'd_in'"]),
+    ("naive", "d_in", 15, ["TableArch: unknown key 'd_in'"]),  # derived from the dims
     ("naive", "hops", 3, ["TableArch: unknown key 'hops'"]),
     ("sign", "hops", _DROP, ["SignArch: missing key 'hops'"]),
     ("sign", "hops", 2.5, ["SignArch.hops: expected an integer"]),
+    ("sign", "hops", -1, ["SignArch: hops must be >= 0, got -1"]),
+    ("naive", "hidden", 0, ["TableArch: hidden must be >= 1, got 0"]),
+    ("naive", "hidden", -1, ["TableArch: hidden must be >= 1, got -1"]),
+    ("sign", "hidden", 0, ["SignArch: hidden must be >= 1, got 0"]),
 ]
 
 
