@@ -40,7 +40,6 @@ from .graph import (  # noqa: F401
     NodeType,
     Relation,
     build_expanded_graph,
-    validate,
 )
 from .models import (  # noqa: F401
     EdgeGnnConfig,

@@ -242,15 +242,19 @@ def score_model(
     """Probability matrix (|eval_offers|, 9) in float64, from masked features.
 
     ``arch`` is decoded through the kind's record in ``ARCH_RECORDS``, so a
-    malformed one raises ValueError naming the record and key.
+    malformed one raises ValueError naming the record and key; an offer id
+    outside ``[0, n_offers)`` raises ValueError naming the id.
     """
+    eval_offers = np.asarray(eval_offers, dtype=np.int64)
+    bad = eval_offers[(eval_offers < 0) | (eval_offers >= masked.n_offers)]
+    if bad.size:
+        raise ValueError(f"offer id {int(bad[0])} out of range [0, {masked.n_offers})")
     cfg = _decode_arch(kind, arch)
     for name, have in (("d_s", masked.d_s), ("d_p", masked.d_p), ("d_o", masked.d_o)):
         if getattr(cfg, name) != have:
             raise ValueError(
                 f"{kind} checkpoint expects {name}={getattr(cfg, name)}, graph has {have}"
             )
-    eval_offers = np.asarray(eval_offers, dtype=np.int64)
     if kind == "edge_gnn":
         return EdgeGnnModel(cfg=cfg, param_groups=param_groups).score(masked, eval_offers)
     if kind == "rgcn_expanded":

@@ -11,8 +11,10 @@ A graph is immutable.  Its only storage is read-only numpy arrays: three
 float32 feature matrices, the int64 offer endpoints ``offer_seller`` and
 ``offer_product``, one sorted ``(k, 2)`` int64 edge array per
 seller-seller relation, and optional uint8 labels.
-``HeteroGraph.from_arrays`` checks and freezes them; ``GraphBuilder``
-assembles small graphs edge by edge and ends in ``from_arrays``.
+``HeteroGraph.from_arrays`` is the only constructor and the only check:
+it freezes the arrays and refuses a malformed one, a non-finite feature
+value included.  ``copy_with_features`` puts each new matrix through the
+same per-matrix check, so no graph holds a value a fresh one would refuse.
 
 Matrices derived from the topology are built on first use into one cache,
 which every copy that keeps the topology shares; all of them go through
@@ -36,7 +38,6 @@ one accessor, ``HeteroGraph._derived(key, build)``:
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
 from enum import IntEnum
 from typing import Callable, Optional, Sequence
 
@@ -46,13 +47,9 @@ import scipy.sparse as sp
 __all__ = [
     "NodeType",
     "Relation",
-    "NodeRef",
     "HeteroGraph",
-    "GraphBuilder",
     "ExpandedGraph",
     "build_expanded_graph",
-    "row_mean_normalize",
-    "validate",
     "N_RELATIONS",
     "N_CLASSES",
     "CLASS_NAMES",
@@ -93,12 +90,6 @@ class Relation(IntEnum):
         return tuple(r for r in cls if r is not cls.OFFER)
 
 
-@dataclass(frozen=True)
-class NodeRef:
-    node_type: NodeType
-    index: int
-
-
 def _frozen(a, dtype) -> np.ndarray:
     """Read-only C-contiguous array of ``a``; copies unless ``a`` already is one."""
     a = np.asarray(a, dtype=dtype)
@@ -106,6 +97,24 @@ def _frozen(a, dtype) -> np.ndarray:
         a = np.array(a, dtype=dtype, order="C")
         a.flags.writeable = False
     return a
+
+
+def _feature_matrix(x, what: str, shape: Optional[tuple] = None) -> np.ndarray:
+    """``x`` frozen as float32 (see ``_frozen``) and checked: ``shape`` if
+    given, else a matrix with at least one column; every value finite.
+    Raises ValueError naming ``what`` features and, for a non-finite value,
+    its row and column."""
+    x = _frozen(x, np.float32)
+    if shape is not None and x.shape != shape:
+        raise ValueError(f"{what} features must have shape {shape}, got {x.shape}")
+    if x.ndim != 2 or x.shape[1] < 1:
+        raise ValueError(f"{what} features must be a matrix with at least one column, "
+                         f"got shape {x.shape}")
+    finite = np.isfinite(x)
+    if not finite.all():
+        r, c = np.argwhere(~finite)[0]
+        raise ValueError(f"non-finite value in {what} features at row {r}, column {c}")
+    return x
 
 
 def _canonical_edges(edges) -> np.ndarray:
@@ -169,8 +178,7 @@ def _topology_error(
     """First violation in a graph's index arrays, or None.
 
     ``ss_edges`` holds one canonical array per seller-seller relation (see
-    ``_canonical_edges``).  Shared by :meth:`HeteroGraph.from_arrays` and
-    :func:`validate`.
+    ``_canonical_edges``).
     """
     m = offer_seller.shape[0]
     for ids, count, what in (
@@ -215,11 +223,10 @@ def _topology_error(
 class HeteroGraph:
     """One seller-product graph as read-only arrays.
 
-    Build it with :meth:`from_arrays` (or :class:`GraphBuilder` for small
-    hand-made graphs).  ``seller_features``, ``product_features`` and
-    ``offer_features`` are float32 matrices; offer ``k`` joins seller
-    ``offer_seller[k]`` to product ``offer_product[k]``; ``labels`` is an
-    optional ``(n_offers, 9)`` uint8 matrix.
+    Build it with :meth:`from_arrays`.  ``seller_features``,
+    ``product_features`` and ``offer_features`` are float32 matrices; offer
+    ``k`` joins seller ``offer_seller[k]`` to product ``offer_product[k]``;
+    ``labels`` is an optional ``(n_offers, 9)`` uint8 matrix.
     """
 
     @classmethod
@@ -237,15 +244,11 @@ class HeteroGraph:
 
         ``ss_edges`` holds one ``(k, 2)`` seller index array per
         seller-seller relation, in either orientation.  Raises ValueError
-        naming the first malformed input.
+        naming the first malformed input; a non-finite feature value is
+        named by matrix, row and column.
         """
-        sf, pf, of = (
-            _frozen(x, np.float32) for x in (seller_features, product_features, offer_features)
-        )
-        if sf.ndim != 2 or pf.ndim != 2 or of.ndim != 2:
-            raise ValueError("feature arrays must be matrices")
-        if min(sf.shape[1], pf.shape[1], of.shape[1]) < 1:
-            raise ValueError("feature dimensions must be positive")
+        sf, pf, of = (_feature_matrix(x, what) for x, what in (
+            (seller_features, "seller"), (product_features, "product"), (offer_features, "offer")))
         os_, op_ = _frozen(offer_seller, np.int64), _frozen(offer_product, np.int64)
         if os_.shape != (of.shape[0],) or op_.shape != (of.shape[0],):
             raise ValueError("offer endpoint arrays must match the offer feature rows")
@@ -374,88 +377,18 @@ class HeteroGraph:
     ) -> "HeteroGraph":
         """Same topology and labels, different feature matrices.
 
-        The copy shares this graph's index arrays, labels and CSR cache;
-        only the new matrices' shapes are checked.
+        The copy shares this graph's index arrays, labels and CSR cache.
+        Each new matrix must have the old one's shape and, as in
+        :meth:`from_arrays`, only finite values.
         """
         g = copy.copy(self)
-        new = []
-        for x, old, what in (
-            (seller_features, self.seller_features, "seller"),
-            (product_features, self.product_features, "product"),
-            (offer_features, self.offer_features, "offer"),
-        ):
-            x = _frozen(x, np.float32)
-            if x.shape != old.shape:
-                raise ValueError(f"{what} features must have shape {old.shape}, got {x.shape}")
-            new.append(x)
-        g.seller_features, g.product_features, g.offer_features = new
+        g.seller_features, g.product_features, g.offer_features = (
+            _feature_matrix(x, what, old.shape) for x, old, what in (
+                (seller_features, self.seller_features, "seller"),
+                (product_features, self.product_features, "product"),
+                (offer_features, self.offer_features, "offer"),
+            ))
         return g
-
-
-class GraphBuilder:
-    """Assembles a small graph node by node and edge by edge.
-
-    Checks that need only the new node or edge run as it is added; the
-    rest (duplicate and self edges, labels) run once in :meth:`build`,
-    which hands everything to :meth:`HeteroGraph.from_arrays`.
-    """
-
-    def __init__(self, d_s: int, d_p: int, d_o: int):
-        self._dims = {NodeType.SELLER: int(d_s), NodeType.PRODUCT: int(d_p)}
-        self._d_o = int(d_o)
-        self._rows = {NodeType.SELLER: [], NodeType.PRODUCT: []}
-        self._offers: list = []  # (seller, product, feature row)
-        self._ss: list = [[] for _ in range(N_RELATIONS - 1)]
-
-    def add_node(self, node_type: NodeType, features) -> NodeRef:
-        node_type = NodeType(node_type)
-        row = np.asarray(features, dtype=np.float32).reshape(-1)
-        want = self._dims[node_type]
-        if row.shape[0] != want:
-            raise ValueError(
-                f"{node_type.name.lower()} features must have length {want}, got {row.shape[0]}"
-            )
-        self._rows[node_type].append(row)
-        return NodeRef(node_type, len(self._rows[node_type]) - 1)
-
-    def add_edge(self, relation: Relation, src: NodeRef, dst: NodeRef, offer_features=None) -> int:
-        """Add one edge; returns the offer index for offer edges, else the
-        edge's position within its relation."""
-        relation = Relation(relation)
-        for ref in (src, dst):
-            if not 0 <= ref.index < len(self._rows[ref.node_type]):
-                raise ValueError(f"unknown node {ref}")
-        if relation.is_offer:
-            if offer_features is None:
-                raise ValueError("offer edges require offer_features")
-            if {src.node_type, dst.node_type} != {NodeType.SELLER, NodeType.PRODUCT}:
-                raise ValueError("offer edges connect a seller and a product")
-            s, p = (src, dst) if src.node_type == NodeType.SELLER else (dst, src)
-            row = np.asarray(offer_features, dtype=np.float32).reshape(-1)
-            if row.shape[0] != self._d_o:
-                raise ValueError(f"offer features must have length {self._d_o}, got {row.shape[0]}")
-            self._offers.append((s.index, p.index, row))
-            return len(self._offers) - 1
-        if offer_features is not None:
-            raise ValueError("only offer edges carry features")
-        if src.node_type != NodeType.SELLER or dst.node_type != NodeType.SELLER:
-            raise ValueError(f"relation {relation.name} connects sellers")
-        self._ss[relation].append((src.index, dst.index))
-        return len(self._ss[relation]) - 1
-
-    def build(self, labels: Optional[np.ndarray] = None) -> HeteroGraph:
-        def matrix(rows, width):
-            return np.array(rows, dtype=np.float32).reshape(-1, width)
-
-        return HeteroGraph.from_arrays(
-            matrix(self._rows[NodeType.SELLER], self._dims[NodeType.SELLER]),
-            matrix(self._rows[NodeType.PRODUCT], self._dims[NodeType.PRODUCT]),
-            np.array([o[0] for o in self._offers], dtype=np.int64),
-            np.array([o[1] for o in self._offers], dtype=np.int64),
-            matrix([o[2] for o in self._offers], self._d_o),
-            self._ss,
-            labels=labels,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -528,36 +461,3 @@ def build_expanded_graph(g: HeteroGraph) -> ExpandedGraph:
     edges.
     """
     return ExpandedGraph(g)
-
-
-# ---------------------------------------------------------------------------
-# validation
-
-
-def _first_nonfinite(matrix: np.ndarray, what: str) -> Optional[str]:
-    bad = ~np.isfinite(matrix)
-    if bad.any():
-        r, c = np.argwhere(bad)[0]
-        return f"non-finite value in {what} at row {r}, column {c}"
-    return None
-
-
-def validate(g: HeteroGraph) -> Optional[str]:
-    """Full check; returns None if the graph is sound, else a message
-    locating the first violation.
-
-    Runs the checks of ``HeteroGraph.from_arrays`` again and adds one it
-    leaves out: every feature value must be finite.
-    """
-    for matrix, what in (
-        (g.seller_features, "seller features"),
-        (g.product_features, "product features"),
-        (g.offer_features, "offer features"),
-    ):
-        msg = _first_nonfinite(matrix, what)
-        if msg:
-            return msg
-    return _topology_error(
-        g.n_sellers, g.n_products, g.offer_seller, g.offer_product,
-        [g.ss_edges(r) for r in Relation.seller_seller()], g.labels,
-    )

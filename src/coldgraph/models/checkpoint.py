@@ -11,8 +11,8 @@ Layout, all integers little-endian:
 - the payload: every tensor as row-major little-endian float32
 - u32 CRC32 over all preceding bytes
 
-Loading verifies magic, version, CRC, hash, and payload size, and refuses
-anything inconsistent.  A round trip is bitwise lossless because
+Loading verifies magic, version, CRC, hash, group count and payload size,
+and refuses anything inconsistent.  A round trip is bitwise lossless because
 parameters are stored as float32 in memory as well.
 """
 
@@ -136,6 +136,9 @@ def load_checkpoint(path) -> tuple:
         raise CheckpointError("descriptor does not match its stored hash")
 
     descriptor = manifest.descriptor
+    if not 0 <= descriptor.n_groups <= len(manifest.tensors):
+        raise CheckpointError(f"manifest n_groups {descriptor.n_groups} is outside "
+                              f"[0, {len(manifest.tensors)}], the tensor count")
     groups: list = [dict() for _ in range(descriptor.n_groups)]
     offset = manifest_end
     for spec in manifest.tensors:

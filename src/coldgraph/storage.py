@@ -24,8 +24,9 @@ old one, whose checksums reject the new data files beside it.  Saving an
 unlabeled graph removes a ``labels.csv`` left by an earlier save, before
 ``meta.json``.
 
-Loading verifies the magic, version, checksums and cross-file consistency
-and never returns a partially constructed graph.  The CSV files, and the
+Loading verifies the magic, version, checksums, cross-file consistency and
+finite feature values (through ``HeteroGraph.from_arrays``) and never
+returns a partially constructed graph.  The CSV files, and the
 score files, are parsed by :func:`read_table` one whole column at a time.
 """
 

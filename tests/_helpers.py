@@ -1,9 +1,14 @@
 """Shared test helpers: small random graphs, graph equality, a reference
 breadth-first search, a reference message-flow plan with its comparison,
-an ``os.replace`` that fails on demand, and three tape ops that only tests
+a bundle feature-cell edit that keeps the checksum valid, an
+``os.replace`` that fails on demand, and three tape ops that only tests
 use (``matmul``, ``mul``, ``sum_all``) to build losses and programs."""
 
+import json
 import os
+import struct
+import zlib
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -173,6 +178,20 @@ def assert_same_graph(g, h):
         a, b = g.unified_csr(r), h.unified_csr(r)
         for part in ("indptr", "indices", "data"):
             np.testing.assert_array_equal(getattr(a, part), getattr(b, part))
+
+
+def set_fbin_cell(bundle, name, row, col, value):
+    """Write ``value`` at ``(row, col)`` of the bundle's feature file
+    ``name`` and update its checksum in ``meta.json``, so only the value
+    itself is wrong."""
+    path, meta_path = Path(bundle) / name, Path(bundle) / "meta.json"
+    raw = bytearray(path.read_bytes())
+    (cols,) = struct.unpack_from("<I", raw, 8)  # header: magic, rows, cols, pad
+    struct.pack_into("<f", raw, 16 + 4 * (row * cols + col), value)
+    path.write_bytes(raw)
+    meta = json.loads(meta_path.read_text())
+    meta["checksums"][name] = zlib.crc32(raw)
+    meta_path.write_text(json.dumps(meta))
 
 
 def fail_nth_replace(monkeypatch, n):

@@ -1,4 +1,3 @@
-import json
 import os
 import re
 import struct
@@ -19,7 +18,7 @@ from coldgraph.models import (
     save_checkpoint,
     train_edge_gnn,
 )
-from coldgraph.models.checkpoint import config_hash
+from coldgraph.models.checkpoint import _descriptor_bytes, config_hash
 
 
 @pytest.fixture(scope="module")
@@ -168,7 +167,7 @@ def test_missing_file(tmp_path):
 
 def _craft(path, manifest, payload=b""):
     """A checkpoint whose CRC and descriptor hash agree with any manifest."""
-    body = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
+    body = _descriptor_bytes(manifest)
     blob = (b"CGCK" + struct.pack("<I", 1) + config_hash(manifest["descriptor"])
             + struct.pack("<I", len(body)) + body + payload)
     path.write_bytes(blob + struct.pack("<I", zlib.crc32(blob)))
@@ -203,9 +202,14 @@ def test_crafted_checkpoint_loads(tmp_path):
      "Manifest.tensors[0].shape[0]: expected an integer, got true"),
     (_tensors({"group": 0, "name": "w", "shape": [2 ** 40, 2 ** 40]}),
      "payload truncated at tensor 'w'"),
+    ({"descriptor": dict(_DESCRIPTOR, n_groups=-3), "tensors": []},
+     "manifest n_groups -3 is outside [0, 0], the tensor count"),
+    ({"descriptor": dict(_DESCRIPTOR, n_groups=2 ** 40),
+      "tensors": [{"group": 0, "name": "w", "shape": [0]}]},
+     f"manifest n_groups {2 ** 40} is outside [0, 1], the tensor count"),
 ], ids=["descriptor_not_an_object", "no_n_groups", "tensor_without_shape",
         "tensor_is_a_string", "negative_dimension", "float_dimension", "bool_dimension",
-        "huge_shape"])
+        "huge_shape", "negative_n_groups", "huge_n_groups"])
 def test_crafted_manifest_rejected_naming_the_field(tmp_path, manifest, fragment):
     _craft(tmp_path / "c.ckpt", manifest)
     with pytest.raises(CheckpointError, match=re.escape(fragment)):

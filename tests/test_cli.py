@@ -13,6 +13,7 @@ import zlib
 import numpy as np
 import pytest
 
+from _helpers import set_fbin_cell
 from coldgraph.cli import main
 from coldgraph.experiment import (
     MODEL_KINDS, ExperimentConfig, ModelConfig, read_scores_csv, write_scores_csv)
@@ -323,6 +324,23 @@ def test_missing_graph_path_exits_2(tmp_path, capsys):
     cap = capsys.readouterr()
     assert rc == 2
     assert "nope" in cap.err
+
+
+@pytest.mark.parametrize("command", ["train", "score"])
+def test_nonfinite_feature_in_bundle_exits_2(ws, tabular_ckpt, tmp_path, capsys, command):
+    bundle = tmp_path / "graph"
+    shutil.copytree(ws["graph"], bundle)
+    set_fbin_cell(bundle, "offers.fbin", 2, 1, float("nan"))
+    out = tmp_path / "out"
+    args = {
+        "train": ["train", "--config", str(ws["config"]), "--model", "tabular"],
+        "score": ["score", "--checkpoint", str(tabular_ckpt),
+                  "--scenario", str(ws["scen"] / "scenario_full.json")],
+    }[command]
+    capsys.readouterr()
+    rc = main([*args, "--graph", str(bundle), "--out", str(out)])
+    _assert_named_error(capsys, rc, "non-finite value in offer features at row 2, column 1")
+    assert not out.exists()
 
 
 def test_unknown_checkpoint_kind_exits_2(ws, tmp_path, capsys):

@@ -146,6 +146,16 @@ def test_trained_params_match_their_architecture(tiny_graph, kind, mode):
         check_checkpoint_params(kind, model.arch, [])
 
 
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_score_rejects_out_of_range_offer_id(tiny_graph, kind):
+    mc = dataclasses.replace(tiny_config().model, epochs=0, mlp_epochs=0, expanded_epochs=0)
+    model = train_model(tiny_graph, kind, 0, mc)
+    n = tiny_graph.n_offers
+    for bad in (-1, n):
+        with pytest.raises(ValueError, match=rf"^offer id {bad} out of range \[0, {n}\)$"):
+            score_model(kind, model.arch, model.param_groups, tiny_graph, np.array([0, bad]))
+
+
 def test_unknown_kind_rejected(tiny_graph):
     cfg = tiny_config()
     with pytest.raises(ValueError, match="kind"):

@@ -6,35 +6,28 @@ from coldgraph.graph import (
     CLASS_NAMES,
     N_CLASSES,
     ExpandedGraph,
-    GraphBuilder,
     HeteroGraph,
-    NodeRef,
-    NodeType,
     Relation,
     build_expanded_graph,
     row_mean_normalize,
-    validate,
 )
 from coldgraph.simulate import SCENARIOS, apply_scenario, make_scenario
 
 
-def tiny_builder():
-    g = GraphBuilder(d_s=2, d_p=2, d_o=3)
-    s0 = g.add_node(NodeType.SELLER, [1.0, 0.0])
-    s1 = g.add_node(NodeType.SELLER, [0.0, 1.0])
-    s2 = g.add_node(NodeType.SELLER, [1.0, 1.0])
-    p0 = g.add_node(NodeType.PRODUCT, [2.0, 0.0])
-    p1 = g.add_node(NodeType.PRODUCT, [0.0, 2.0])
-    g.add_edge(Relation.SS0, s0, s1)
-    g.add_edge(Relation.SS3, s2, s0)
-    g.add_edge(Relation.OFFER, s0, p0, offer_features=[1.0, 2.0, 3.0])
-    g.add_edge(Relation.OFFER, s1, p0, offer_features=[4.0, 5.0, 6.0])
-    g.add_edge(Relation.OFFER, p1, s1, offer_features=[7.0, 8.0, 9.0])
-    return g
-
-
-def tiny_graph():
-    return tiny_builder().build()
+def tiny_graph(labels=None):
+    """Three sellers and two products; offers (seller, product) (0, 0),
+    (1, 0) and (1, 1); SS0 joins sellers 0 and 1, SS3 sellers 2 and 0."""
+    ss = [[]] * len(Relation.seller_seller())
+    ss[Relation.SS0], ss[Relation.SS3] = [[0, 1]], [[2, 0]]
+    return HeteroGraph.from_arrays(
+        [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+        [[2.0, 0.0], [0.0, 2.0]],
+        [0, 1, 1],
+        [0, 0, 1],
+        [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]],
+        ss,
+        labels=labels,
+    )
 
 
 def csr_row(g, relation, node):
@@ -89,51 +82,16 @@ def test_neighbors_sorted_and_typed():
     assert g.ss_edges(Relation.SS3).tolist() == [[0, 2]]
 
 
-def test_add_edge_errors():
-    s0 = NodeRef(NodeType.SELLER, 0)
-    s1 = NodeRef(NodeType.SELLER, 1)
-    p0 = NodeRef(NodeType.PRODUCT, 0)
-    # duplicate and self edges are found when the builder hands its arrays
-    # to from_arrays; the other errors when the edge is added
-    g = tiny_builder()
-    g.add_edge(Relation.SS0, s1, s0)
-    with pytest.raises(ValueError, match="duplicate"):
-        g.build()
-    g = tiny_builder()
-    g.add_edge(Relation.OFFER, s0, p0, offer_features=[0.0, 0.0, 0.0])
-    with pytest.raises(ValueError, match="duplicate"):
-        g.build()
-    g = tiny_builder()
-    with pytest.raises(ValueError, match="seller and a product"):
-        g.add_edge(Relation.OFFER, s0, s1, offer_features=[0.0, 0.0, 0.0])
-    with pytest.raises(ValueError, match="connects sellers"):
-        g.add_edge(Relation.SS1, s0, p0)
-    with pytest.raises(ValueError, match="require offer_features"):
-        g.add_edge(Relation.OFFER, s0, p0)
-    g.add_edge(Relation.SS2, s0, s0)
-    with pytest.raises(ValueError, match="self edge"):
-        g.build()
-    with pytest.raises(ValueError, match="unknown node"):
-        g.add_edge(Relation.SS0, s0, NodeRef(NodeType.SELLER, 99))
-
-
-def test_add_node_dimension_mismatch():
-    g = GraphBuilder(d_s=2, d_p=2, d_o=3)
-    with pytest.raises(ValueError, match="length 2"):
-        g.add_node(NodeType.SELLER, [1.0, 2.0, 3.0])
-
-
 def test_labels_validation():
-    b = tiny_builder()
     with pytest.raises(ValueError, match="shape"):
-        b.build(labels=np.zeros((2, N_CLASSES)))
+        tiny_graph(labels=np.zeros((2, N_CLASSES)))
     bad = np.zeros((3, N_CLASSES))
     bad[0, 0] = 2
     with pytest.raises(ValueError, match="binary"):
-        b.build(labels=bad)
+        tiny_graph(labels=bad)
     ok = np.zeros((3, N_CLASSES), dtype=np.uint8)
     ok[:, 8] = 1
-    g = b.build(labels=ok)
+    g = tiny_graph(labels=ok)
     assert g.labels.shape == (3, N_CLASSES)
 
 
@@ -195,13 +153,18 @@ def test_expanded_matrices_built_once_per_topology():
         assert binary[r].indptr[g.n_nodes:].tolist() == [unified.nnz] * (g.n_offers + 1)
 
 
-def test_validate_ok_and_nan_location():
+def test_nonfinite_feature_rejected_at_construction():
     g = make_random_graph(seed=2)
-    assert validate(g) is None
-    sf = g.seller_features.copy()
+    sf = np.array(g.seller_features)
     sf[3, 1] = np.nan
-    msg = validate(g.copy_with_features(sf, g.product_features, g.offer_features))
-    assert msg is not None and "row 3" in msg and "column 1" in msg
+    want = "^non-finite value in seller features at row 3, column 1$"
+    with pytest.raises(ValueError, match=want):
+        g.copy_with_features(sf, g.product_features, g.offer_features)
+    with pytest.raises(ValueError, match=want):
+        HeteroGraph.from_arrays(
+            sf, g.product_features, g.offer_seller, g.offer_product, g.offer_features,
+            [g.ss_edges(r) for r in Relation.seller_seller()], labels=g.labels,
+        )
 
 
 def test_from_arrays_rejects_dangling_offer():

@@ -16,15 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _helpers import assert_same_graph, bfs_oracle
-from coldgraph.graph import (
-    N_CLASSES,
-    GraphBuilder,
-    HeteroGraph,
-    NodeRef,
-    NodeType,
-    Relation,
-    validate,
-)
+from coldgraph.graph import N_CLASSES, HeteroGraph, NodeType, Relation
 from coldgraph.models import sibling_offer_summaries
 from coldgraph.models.core import _owner_sums
 from coldgraph.sampling import extract_ego_network
@@ -68,22 +60,8 @@ def graph_arrays(draw, min_offers=0, min_ss_edges=0):
 
 @FAST
 @given(graph_arrays())
-def test_builder_and_from_arrays_agree(kw):
+def test_from_arrays_keeps_one_canonical_row_per_edge(kw):
     g = HeteroGraph.from_arrays(**kw)
-    assert validate(g) is None
-    b = GraphBuilder(kw["seller_features"].shape[1], kw["product_features"].shape[1],
-                     kw["offer_features"].shape[1])
-    for row in kw["seller_features"]:
-        b.add_node(NodeType.SELLER, row)
-    for row in kw["product_features"]:
-        b.add_node(NodeType.PRODUCT, row)
-    for s, p, row in zip(kw["offer_seller"], kw["offer_product"], kw["offer_features"]):
-        b.add_edge(Relation.OFFER, NodeRef(NodeType.SELLER, int(s)),
-                   NodeRef(NodeType.PRODUCT, int(p)), offer_features=row)
-    for r, edges in zip(SS, kw["ss_edges"]):
-        for a, c in edges.tolist():
-            b.add_edge(r, NodeRef(NodeType.SELLER, a), NodeRef(NodeType.SELLER, c))
-    assert_same_graph(g, b.build(labels=kw["labels"]))
     # each relation keeps one canonical row per input edge, a < b, sorted
     for r, edges in zip(SS, kw["ss_edges"]):
         want = sorted((min(a, c), max(a, c)) for a, c in edges.tolist())
@@ -197,6 +175,29 @@ def test_from_arrays_rejects_non_binary_labels(kw, data):
     labels = labels.astype(np.float64)
     labels[labels != 0] = 0.5
     rejects(dict(kw, labels=labels), "^labels must be binary")
+
+
+FEATURES = ("seller_features", "product_features", "offer_features")
+
+
+@FAST
+@given(graph_arrays(min_offers=1), st.data())
+def test_nonfinite_feature_rejected_at_its_location(kw, data):
+    """NaN or +-inf at a drawn cell, and optionally in every later cell of
+    the matrix: ``from_arrays`` and ``copy_with_features`` both refuse it,
+    naming the matrix and the first bad row and column."""
+    key = data.draw(st.sampled_from(FEATURES))
+    rows, cols = kw[key].shape
+    r, c = data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, cols - 1))
+    bad = kw[key].copy()
+    bad[r, c] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    if data.draw(st.booleans()):
+        bad.reshape(-1)[r * cols + c + 1:] = np.nan
+    want = f"^non-finite value in {key.split('_')[0]} features at row {r}, column {c}$"
+    rejects(dict(kw, **{key: bad}), want)
+    g = HeteroGraph.from_arrays(**kw)
+    with pytest.raises(ValueError, match=want):
+        g.copy_with_features(**{k: bad if k == key else kw[k] for k in FEATURES})
 
 
 # ---------------------------------------------------------------------------

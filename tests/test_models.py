@@ -6,14 +6,7 @@ import scipy.sparse as sp
 
 from _helpers import make_random_graph
 from coldgraph.autodiff import Tape, Tensor, bce_loss, finite_diff_check, parameter, scale
-from coldgraph.graph import (
-    N_CLASSES,
-    GraphBuilder,
-    HeteroGraph,
-    NodeType,
-    Relation,
-    build_expanded_graph,
-)
+from coldgraph.graph import N_CLASSES, HeteroGraph, Relation, build_expanded_graph
 from coldgraph.models import (
     EdgeGnnConfig,
     EdgeGnnModel,
@@ -226,18 +219,13 @@ def test_sibling_summaries_reject_unknown_offers():
 
 def lone_offer_graph():
     """Offer 0 has no sibling on either side; offers 1 and 2 share everything."""
-    g = GraphBuilder(d_s=2, d_p=2, d_o=3)
-    s0 = g.add_node(NodeType.SELLER, [1.0, 0.0])
-    s1 = g.add_node(NodeType.SELLER, [0.0, 1.0])
-    s2 = g.add_node(NodeType.SELLER, [1.0, 1.0])
-    p0 = g.add_node(NodeType.PRODUCT, [1.0, 0.0])
-    p1 = g.add_node(NodeType.PRODUCT, [0.0, 1.0])
-    g.add_edge(Relation.OFFER, s0, p0, offer_features=[1.0, 1.0, 1.0])
-    g.add_edge(Relation.OFFER, s1, p1, offer_features=[2.0, 2.0, 2.0])
-    g.add_edge(Relation.OFFER, s2, p1, offer_features=[3.0, 3.0, 3.0])
     labels = np.zeros((3, 9), dtype=np.uint8)
     labels[:, 8] = 1
-    return g.build(labels=labels)
+    return HeteroGraph.from_arrays(
+        [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]], [0, 1, 2], [0, 1, 1],
+        [[1.0, 1.0, 1.0], [2.0, 2.0, 2.0], [3.0, 3.0, 3.0]], [[]] * len(Relation.seller_seller()),
+        labels=labels,
+    )
 
 
 def test_no_sibling_offer_gets_zero_summaries():
@@ -546,13 +534,15 @@ def test_train_config_rejects_bad_lr_and_weight_decay(field, value):
 
 @pytest.mark.parametrize("trainer", ["edge_gnn", "edge_gnn_nine_binary", "mlp_heads", "expanded_rgcn"])
 def test_nan_feature_row_raises_training_diverged(trainer):
+    # a graph refuses NaN features, so the row holds the largest finite
+    # float32: the forward pass overflows to inf and the loss comes out NaN
     g = make_random_graph(seed=35, n_sellers=12, n_products=6)
     offers = g.offer_features.copy()
-    offers[3] = np.nan
+    offers[3] = np.finfo(np.float32).max
     g = g.copy_with_features(g.seller_features, g.product_features, offers)
     tc = TrainConfig(epochs=2, batch_size=g.n_offers, seed=0)
     per_head = trainer in ("edge_gnn_nine_binary", "mlp_heads")
-    with pytest.raises(TrainingDiverged) as info:
+    with pytest.raises(TrainingDiverged) as info, np.errstate(over="ignore", invalid="ignore"):
         if trainer == "mlp_heads":
             train_mlp_heads(build_listing_table(g), g.labels, tc, hidden=8)
         elif trainer == "expanded_rgcn":
@@ -571,15 +561,11 @@ def test_nan_feature_row_raises_training_diverged(trainer):
 
 
 def test_naive_fill_union_of_distinct_neighbors():
-    b = GraphBuilder(d_s=2, d_p=1, d_o=1)
-    s = [b.add_node(NodeType.SELLER, f) for f in ([0.0, 0.0], [2.0, 0.0], [0.0, 4.0], [6.0, 6.0])]
-    p = b.add_node(NodeType.PRODUCT, [0.0])
     # seller 0 linked to 1 under two relations (counted once) and to 2 under one
-    b.add_edge(Relation.SS0, s[0], s[1])
-    b.add_edge(Relation.SS1, s[0], s[1])
-    b.add_edge(Relation.SS2, s[0], s[2])
-    b.add_edge(Relation.OFFER, s[0], p, offer_features=[1.0])
-    g = b.build()
+    ss = [[]] * len(Relation.seller_seller())
+    ss[Relation.SS0], ss[Relation.SS1], ss[Relation.SS2] = [[0, 1]], [[0, 1]], [[0, 2]]
+    g = HeteroGraph.from_arrays(
+        [[0.0, 0.0], [2.0, 0.0], [0.0, 4.0], [6.0, 6.0]], [[0.0]], [0], [0], [[1.0]], ss)
     filled = naive_fill_seller_features(g, np.array([0, 3]))
     np.testing.assert_allclose(filled[0], [1.0, 2.0])  # mean of rows 1 and 2
     np.testing.assert_allclose(filled[3], [6.0, 6.0])  # isolated: unchanged
@@ -617,12 +603,10 @@ def test_sign_zero_hops_is_padded_features():
 
 
 def test_sign_single_edge_copies_neighbor():
-    b = GraphBuilder(d_s=2, d_p=2, d_o=1)
-    s0 = b.add_node(NodeType.SELLER, [1.0, 2.0])
-    s1 = b.add_node(NodeType.SELLER, [5.0, 7.0])
-    b.add_node(NodeType.PRODUCT, [9.0, 9.0])
-    b.add_edge(Relation.SS4, s0, s1)
-    g = b.build()
+    ss = [[]] * len(Relation.seller_seller())
+    ss[Relation.SS4] = [[0, 1]]
+    g = HeteroGraph.from_arrays(
+        [[1.0, 2.0], [5.0, 7.0]], [[9.0, 9.0]], [], [], np.zeros((0, 1)), ss)
     aug = sign_features(g, hops=1)
     d = g.d_s + g.d_p
     np.testing.assert_allclose(aug[0, d:d + 2], [5.0, 7.0])

@@ -2,23 +2,18 @@ import numpy as np
 import pytest
 
 from _helpers import bfs_oracle, make_random_graph
-from coldgraph.graph import GraphBuilder, NodeType, Relation, build_expanded_graph, row_mean_normalize
+from coldgraph.graph import HeteroGraph, Relation, build_expanded_graph, row_mean_normalize
 from coldgraph.sampling import ego_network, extract_ego_network
 
 
 def path_graph():
     """s1 - offer - p1, s1 - s2 (seller link), s2 - offer - p2."""
-    g = GraphBuilder(d_s=1, d_p=1, d_o=1)
-    s1 = g.add_node(NodeType.SELLER, [1.0])
-    s2 = g.add_node(NodeType.SELLER, [2.0])
-    p1 = g.add_node(NodeType.PRODUCT, [1.0])
-    p2 = g.add_node(NodeType.PRODUCT, [2.0])
-    g.add_edge(Relation.OFFER, s1, p1, offer_features=[0.5])
-    g.add_edge(Relation.SS0, s1, s2)
-    g.add_edge(Relation.OFFER, s2, p2, offer_features=[0.7])
+    ss = [[]] * len(Relation.seller_seller())
+    ss[Relation.SS0] = [[0, 1]]
     labels = np.zeros((2, 9), dtype=np.uint8)
     labels[:, 8] = 1
-    return g.build(labels=labels)
+    return HeteroGraph.from_arrays(
+        [[1.0], [2.0]], [[1.0], [2.0]], [0, 1], [0, 1], [[0.5], [0.7]], ss, labels=labels)
 
 
 def offer_batch(g, size, seed):

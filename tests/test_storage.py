@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import assert_same_graph, fail_nth_replace, make_random_graph
+from _helpers import assert_same_graph, fail_nth_replace, make_random_graph, set_fbin_cell
 from coldgraph.experiment import read_scores_csv, write_scores_csv
-from coldgraph.graph import CLASS_NAMES, validate
+from coldgraph.graph import CLASS_NAMES
 from coldgraph.storage import (
     GRAPH_FORMAT_VERSION,
     GraphFormatError,
@@ -27,7 +27,6 @@ def test_round_trip_bit_identical(tmp_path):
     g = make_random_graph(seed=1)
     save_graph(g, tmp_path / "bundle")
     g2 = load_graph(tmp_path / "bundle")
-    assert validate(g2) is None
     assert g2.seller_features.tobytes() == g.seller_features.tobytes()
     assert g2.product_features.tobytes() == g.product_features.tobytes()
     assert g2.offer_features.tobytes() == g.offer_features.tobytes()
@@ -129,6 +128,15 @@ def test_count_mismatch_rejected(tmp_path):
     meta["n_sellers"] += 1
     meta_path.write_text(json.dumps(meta))
     with pytest.raises(GraphFormatError, match="n_sellers"):
+        load_graph(tmp_path / "b")
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_nonfinite_feature_rejected(tmp_path, value):
+    save_graph(make_random_graph(seed=10), tmp_path / "b")
+    set_fbin_cell(tmp_path / "b", "offers.fbin", 4, 2, value)
+    want = "non-finite value in offer features at row 4, column 2"
+    with pytest.raises(GraphFormatError, match=want):
         load_graph(tmp_path / "b")
 
 

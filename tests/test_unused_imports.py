@@ -1,5 +1,5 @@
-"""Every imported name in src/, tests/ and demos/ is used, and every op the
-autodiff engine exports is read outside tests.
+"""Every imported name in src/, tests/ and demos/ is used, and every name
+the autodiff engine and the graph module export is read outside tests.
 
 A name counts as used when the module reads it anywhere or lists it in
 ``__all__``; an import statement marked ``# noqa: F401`` on any of its
@@ -10,7 +10,7 @@ out of the import scan: it is the benchmark's own contract.
 import ast
 from pathlib import Path
 
-from coldgraph import autodiff
+from coldgraph import autodiff, graph
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(p for d in ("src", "tests", "demos") for p in (ROOT / d).rglob("*.py"))
@@ -70,8 +70,10 @@ def read_names(source: str) -> set:
             | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)})
 
 
-def test_every_autodiff_export_is_read_outside_tests():
-    own = ROOT / "src" / "coldgraph" / "autodiff.py"
+def unread_exports(module) -> list:
+    """Names in ``module.__all__`` that no file under src/, demos/ or
+    perfbench/ other than the module's own reads."""
+    own = ROOT / "src" / (module.__name__.replace(".", "/") + ".py")
     readers = [p for d in ("src", "demos", "perfbench") for p in (ROOT / d).rglob("*.py")
                if p != own]
     read = set().union(*(read_names(p.read_text()) for p in readers))
@@ -79,4 +81,12 @@ def test_every_autodiff_export_is_read_outside_tests():
     read |= {c.value for p in readers if p.parts[-2] == "perfbench"
              for c in ast.walk(ast.parse(p.read_text()))
              if isinstance(c, ast.Constant) and isinstance(c.value, str)}
-    assert sorted(set(autodiff.__all__) - read) == []
+    return sorted(set(module.__all__) - read)
+
+
+def test_every_autodiff_export_is_read_outside_tests():
+    assert unread_exports(autodiff) == []
+
+
+def test_every_graph_export_is_read_outside_tests():
+    assert unread_exports(graph) == []
