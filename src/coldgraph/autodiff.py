@@ -8,10 +8,12 @@ high-precision gradient checks (mixing the two promotes to float64).
 Differentiation uses a Wengert list.  Operations executed inside a
 ``with Tape():`` block record themselves in execution order, which is
 already a topological order of the data flow, so ``backward`` is a single
-reverse sweep.  Operations executed with no active tape are plain forward
-computations.  An operation defined outside this module, such as the
-relational layer of ``models.core``, joins the tape through :func:`record`
-as the built-in ones do.
+reverse sweep, which consumes the tape: each entry is dropped once its
+backward has run, so an activation lives only until its gradient is
+taken, and a tape can be swept once.  Operations executed with no active
+tape are plain forward computations.  An operation defined outside this
+module, such as the relational layer of ``models.core``, joins the tape
+through :func:`record` as the built-in ones do.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ __all__ = [
     "affine",
     "const_matmul",
     "take_rows",
-    "stack_rows",
     "concat_cols",
     "activation",
     "scale",
@@ -94,6 +95,7 @@ class Tape:
         # entries: (out, inputs, needs, backward_fn)
         self._entries: list = []
         self._tracked: set = set()
+        self._consumed = False
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -134,6 +136,10 @@ def record(out: Tensor, inputs: Sequence[Tensor], backward_fn) -> Tensor:
     trainable leaf or a taped result.  ``backward_fn(g, needs)`` receives
     the gradient of ``out`` and a flag per input telling whether that input
     needs a gradient, and returns one array or None per input.
+
+    The op owns ``g``: nothing else holds it, so the op may overwrite it
+    and return it, or a view of it, as an input's gradient.  Each array it
+    returns is in turn owned by the op that produced that input.
     """
     tape = _active_tape()
     if tape is not None and any(tape._tracks(t) for t in inputs):
@@ -142,33 +148,54 @@ def record(out: Tensor, inputs: Sequence[Tensor], backward_fn) -> Tensor:
 
 
 def backward(tape: Tape, loss: Tensor) -> dict:
-    """Reverse sweep over ``tape`` from scalar ``loss``.
+    """Reverse sweep over ``tape`` from scalar ``loss``; consumes the tape.
 
     Returns a dict mapping each reachable ``requires_grad`` leaf to its
-    gradient array.
+    gradient array.  Each entry is set to None once visited, which frees
+    its output and closure unless the caller holds them; ``len(tape)``
+    does not change.  A second sweep of the same tape raises ValueError.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.data.shape}")
     if id(loss) not in tape._tracked:
         raise ValueError("backward called on a tensor not produced on this tape")
+    if tape._consumed:
+        raise ValueError("backward called on a consumed tape: a tape can be swept once")
+    tape._consumed = True
 
+    entries = tape._entries
     grads: dict = {id(loss): np.ones_like(loss.data)}
     leaves: dict = {}
-    for out, inputs, needs, backward_fn in reversed(tape._entries):
-        g = grads.pop(id(out), None)
-        if g is None:
-            continue
-        input_grads = backward_fn(g, needs)
-        for t, gi in zip(inputs, input_grads):
-            if gi is None:
-                continue
-            key = id(t)
-            held = grads.get(key)
-            grads[key] = gi if held is None else held + gi
-            if t.requires_grad:
-                leaves[key] = t
+    for i in range(len(entries) - 1, -1, -1):
+        out, inputs, needs, backward_fn = entries[i]
+        entries[i] = None
+        key = id(out)
+        del out
+        if key in grads:
+            # popped straight into the call, so the op holds the only reference
+            _accumulate(grads, leaves, inputs, needs, backward_fn(grads.pop(key), needs))
+        del backward_fn
 
     return {leaf: grads[key].reshape(leaf.data.shape) for key, leaf in leaves.items()}
+
+
+def _accumulate(grads: dict, leaves: dict, inputs: Sequence[Tensor], needs: tuple,
+                input_grads) -> None:
+    """Add one op's gradients of the inputs that need one into ``grads``; an
+    array the op returns for two inputs is copied for the second, so no two
+    ops share one."""
+    handed: list = []
+    for t, need, gi in zip(inputs, needs, input_grads):
+        if gi is None or not need:
+            continue
+        if any(gi is h for h in handed):
+            gi = gi.copy()
+        handed.append(gi)
+        key = id(t)
+        held = grads.get(key)
+        grads[key] = gi if held is None else held + gi
+        if t.requires_grad:
+            leaves[key] = t
 
 
 # ---------------------------------------------------------------------------
@@ -233,27 +260,6 @@ def take_rows(x: Tensor, idx: np.ndarray) -> Tensor:
         return (gx,)
 
     return record(out, (x,), bwd)
-
-
-def stack_rows(parts: Sequence[Tensor]) -> Tensor:
-    if not parts:
-        raise ValueError("stack_rows needs at least one part")
-    if any(p.ndim != 2 for p in parts):
-        raise ValueError("stack_rows expects rank-2 parts")
-    cols = {p.shape[1] for p in parts}
-    if len(cols) != 1:
-        raise ValueError(f"stack_rows column mismatch: {sorted(cols)}")
-    out = Tensor(np.concatenate([p.data for p in parts], axis=0))
-    sizes = [p.shape[0] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def bwd(g, needs):
-        return tuple(
-            g[offsets[i]:offsets[i + 1]] if needs[i] else None
-            for i in range(len(parts))
-        )
-
-    return record(out, tuple(parts), bwd)
 
 
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:

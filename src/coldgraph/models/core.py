@@ -24,9 +24,10 @@ Scoring (:func:`edge_gnn_scores`) works in two stages, so its memory does
 not grow with the number of offers scored beyond their index arrays and
 output: the node side runs the encoder once per parameter group and keeps
 only the endpoint rows; the offer side walks the offers in chunks of
-:func:`score_chunk_rows`, with one sibling summary per chunk shared by
-every head.  Both run the same offer side (:func:`_offer_probs`): training
-over the whole batch, scoring chunk by chunk.
+:func:`score_chunk_rows`.  Parameter groups (the nine heads of
+``nine_binary``) run one after another, so one group's endpoint states
+are live at a time.  Both run the same offer side (:func:`_offer_probs`):
+training over the whole batch, scoring chunk by chunk.
 
 Two head modes exist: ``multi_task`` trains one parameter set with a
 nine-column head on the summed per-class loss; ``nine_binary`` trains
@@ -50,7 +51,6 @@ from ..autodiff import (
     concat_cols,
     dropout,
     record,
-    stack_rows,
     take_rows,
 )
 from ..graph import N_CLASSES, N_RELATIONS, HeteroGraph, NodeType
@@ -62,6 +62,7 @@ __all__ = [
     "init_edge_gnn_params",
     "cast_params",
     "init_relational_encoder",
+    "input_projections",
     "relational_encoder_forward",
     "rgcn_layer",
     "node_embedder_forward",
@@ -192,10 +193,13 @@ def rgcn_layer(
     row-mean-normalized, so a relation a node does not participate in
     contributes nothing to it.
 
-    The op keeps ``h`` and its output alone.  Its backward recomputes each
-    part's ``m`` in reverse, takes ``gW_r = m[lo:hi].T @ g[rows]``, then
-    overwrites ``m[lo:hi]`` with ``g[rows] @ W_r.T`` and adds
-    ``part.adj.T @ m`` into one input gradient; the self path comes last.
+    The op keeps ``h`` and its output alone.  Its backward masks the
+    gradient it owns in place, lets go of the output, and takes the self
+    weight and bias gradients first; then it recomputes each part's ``m``
+    in reverse, takes ``gW_r = m[lo:hi].T @ g[rows]``, writes ``g[rows] @
+    W_r.T`` over ``m[lo:hi]`` and adds ``part.adj.T @ m`` into one input
+    gradient, dropping ``m`` before the next part; the self path's input
+    gradient comes last.
     """
     x = h.data
     ws = [rel_ws[block.relation] for part in layer.parts for block in part.blocks]
@@ -219,7 +223,11 @@ def rgcn_layer(
     out = Tensor(np.maximum(pre, 0, out=pre))
 
     def bwd(g, needs):
-        g = g * (out.data > 0)
+        nonlocal out
+        np.multiply(g, out.data > 0, out=g)
+        out = None  # its last read: unless the caller holds it, it goes now
+        gw = at(x, layer.keep).T @ g if needs[1] else None
+        gb = g.sum(axis=0) if needs[2] else None
         gh = np.zeros(x.shape, dtype=g.dtype) if needs[0] else None
         gws = [None] * len(ws)
         k = len(ws)
@@ -231,16 +239,50 @@ def rgcn_layer(
                 if needs[3 + k]:
                     gws[k] = m[block.lo:block.hi].T @ gr
                 if needs[0]:
-                    m[block.lo:block.hi] = gr @ ws[k].data.T
+                    np.matmul(gr, ws[k].data.T, out=m[block.lo:block.hi])
+                del gr
             if needs[0]:
                 gh += part.adj.T @ m
+            del m
         if needs[0]:
             add_at(gh, layer.keep, g @ self_w.data.T)
-        gw = at(x, layer.keep).T @ g if needs[1] else None
-        gb = g.sum(axis=0) if needs[2] else None
         return (gh, gw, gb, *gws)
 
     return record(out, (h, self_w, self_b, *ws), bwd)
+
+
+def input_projections(inputs: dict, params: dict) -> Tensor:
+    """``relu(x_t @ proj_{t}_w + proj_{t}_b)`` for each node type ``t`` of
+    ``inputs`` (type -> feature rows), stacked in type order; one tape
+    entry.
+
+    Each type's block is computed straight into its rows of one array,
+    with the bias added and the relu taken in place, so the layer-0 input
+    exists once.  The backward masks the gradient it owns with ``out > 0``
+    and reads each type's weight and bias gradient off its row block.
+    """
+    ws = [params[f"proj_{name}_w"] for name in inputs]
+    bs = [params[f"proj_{name}_b"] for name in inputs]
+    dtype = ws[0].dtype
+    xs = [x.astype(dtype, copy=False) for x in inputs.values()]
+    ends = np.cumsum([0] + [x.shape[0] for x in xs])
+    out = Tensor(np.empty((ends[-1], ws[0].shape[1]), dtype=dtype))
+    for x, w, b, lo, hi in zip(xs, ws, bs, ends[:-1], ends[1:]):
+        block = out.data[lo:hi]
+        np.matmul(x, w.data, out=block)
+        block += b.data
+        np.maximum(block, 0, out=block)
+
+    def bwd(g, needs):
+        np.multiply(g, out.data > 0, out=g)
+        grads = []
+        for i, (x, lo, hi) in enumerate(zip(xs, ends[:-1], ends[1:])):
+            gi = g[lo:hi]
+            grads += [x.T @ gi if needs[2 * i] else None,
+                      gi.sum(axis=0) if needs[2 * i + 1] else None]
+        return tuple(grads)
+
+    return record(out, tuple(t for pair in zip(ws, bs) for t in pair), bwd)
 
 
 def relational_encoder_forward(
@@ -254,21 +296,16 @@ def relational_encoder_forward(
     relational convolutions.
 
     ``inputs`` maps each node type to its feature rows; stacked in type
-    order they are the first layer's input rows.  Each block goes through
-    its relu input projection.  ``plan`` holds one :class:`Layer` per
-    convolution, the i-th using the ``gnn{i}_*`` parameters.  Dropout
-    follows each layer when ``dropout_p > 0`` and ``rng`` is given
-    (training only).
+    order they are the first layer's input rows.  The first layer reads
+    them through one relu input projection per type, computed by
+    :func:`input_projections` into one array (one tape entry).  ``plan``
+    holds one :class:`Layer` per convolution, the i-th using the
+    ``gnn{i}_*`` parameters (:func:`rgcn_layer`, one tape entry each).
+    Dropout follows each layer when ``dropout_p > 0`` and ``rng`` is given
+    (training only).  Under a tape, each activation is held once: by the
+    op that produced it, until the backward sweep drops that op.
     """
-    dtype = params[f"proj_{next(iter(inputs))}_w"].dtype
-    h = stack_rows([
-        activation(
-            affine(Tensor(x.astype(dtype, copy=False)), params[f"proj_{name}_w"],
-                   params[f"proj_{name}_b"]),
-            "relu",
-        )
-        for name, x in inputs.items()
-    ])
+    h = input_projections(inputs, params)
     for i, layer in enumerate(plan):
         h = rgcn_layer(
             layer,
@@ -445,36 +482,37 @@ def edge_gnn_scores(
     """Per-class probabilities of a non-empty batch of offer ids, one column
     block per parameter group, in the groups' dtype.
 
-    Node side, once per call: one ego network of the batch, and per group
-    one encoder pass that keeps only the endpoint rows, with each offer's
-    seller and product row index (:func:`node_embedder_forward`).  Offer
-    side, in chunks of :func:`score_chunk_rows` offers: the sibling
-    summaries once per chunk, then each group's edge embedder and
-    classifier (:func:`_offer_probs`, the code training differentiates),
-    written into one preallocated output; a call of more than
-    one chunk runs every chunk at the full row count.  So no array of
-    ``hidden`` width or wider holds a row per offer outside a chunk.  The
-    scores are those of :func:`edge_gnn_forward` over the whole batch, bit
-    for bit where the BLAS rounds a row alike at every row count.
+    One ego network of the batch serves every group.  Then, one group at a
+    time: one encoder pass that keeps only the endpoint rows, with each
+    offer's seller and product row index (:func:`node_embedder_forward`);
+    then, in chunks of :func:`score_chunk_rows` offers, the sibling
+    summaries and the group's edge embedder and classifier
+    (:func:`_offer_probs`, the code training differentiates), written into
+    the group's columns of one preallocated output.  A call of more than
+    one chunk runs every chunk at the full row count.  So only one group's
+    endpoint states are live at a time, and no array of ``hidden`` width
+    or wider holds a row per offer outside a chunk.  The scores are those
+    of :func:`edge_gnn_forward` over the whole batch, bit for bit where
+    the BLAS rounds a row alike at every row count.
     """
     offers = np.asarray(offers, dtype=np.int64)
     ego = extract_ego_network(g, offers, hops=cfg.gnn_layers)
-    states = []
-    for params in param_groups:
-        h, sellers, products = node_embedder_forward(g, ego, params, cfg)
-        states.append(h)
     n, step = offers.shape[0], score_chunk_rows(cfg)
-    out = np.empty((n, N_CLASSES), dtype=states[0].dtype)
-    for lo in range(0, n, step):
-        # the last chunk ends at n with a full step of rows, overlapping the
-        # one before: BLAS may pick another kernel for fewer rows, so this
-        # keeps each row's bits independent of where the call ends
-        rows = slice(min(lo, max(n - step, 0)), lo + step)
-        chunk = offers[rows]
-        o_s, o_p = sibling_offer_summaries(g, chunk)
-        o_o = g.offer_features[chunk]
-        out[rows] = np.concatenate([
-            _offer_probs(h, sellers[rows], products[rows], o_o, o_s, o_p, params).data
-            for params, h in zip(param_groups, states)
-        ], axis=1)
+    ends = np.cumsum([0] + [p["cls1_w"].shape[1] for p in param_groups])
+    out = None
+    for params, lo_col, hi_col in zip(param_groups, ends[:-1], ends[1:]):
+        h, sellers, products = node_embedder_forward(g, ego, params, cfg)
+        if out is None:  # after the first encoder pass, so the two never overlap
+            out = np.empty((n, ends[-1]), dtype=h.dtype)
+        for lo in range(0, n, step):
+            # the last chunk ends at n with a full step of rows, overlapping the
+            # one before: BLAS may pick another kernel for fewer rows, so this
+            # keeps each row's bits independent of where the call ends
+            rows = slice(min(lo, max(n - step, 0)), lo + step)
+            chunk = offers[rows]
+            o_s, o_p = sibling_offer_summaries(g, chunk)
+            out[rows, lo_col:hi_col] = _offer_probs(
+                h, sellers[rows], products[rows], g.offer_features[chunk], o_s, o_p, params
+            ).data
+        del h
     return out

@@ -128,9 +128,8 @@ class EdgeGnnModel:
         Scoring runs with 64-bit accumulation by default; parameters stay
         float32 in memory and on disk, and each dtype's copy is cast on
         first use.  Memory is bounded as in ``core.edge_gnn_scores``: one
-        ego network and one encoder pass per head, keeping the endpoint
-        rows alone, then the offers in fixed-size chunks, whose sibling
-        summaries every head shares.
+        ego network, then one head at a time, its encoder pass keeping the
+        endpoint rows alone and the offers in fixed-size chunks.
         """
         dtype = np.dtype(dtype)
         if len(offers) == 0:

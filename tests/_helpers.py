@@ -1,8 +1,9 @@
 """Shared test helpers: small random graphs, graph equality, a reference
 breadth-first search, a reference message-flow plan with its comparison,
 a bundle feature-cell edit that keeps the checksum valid, an
-``os.replace`` that fails on demand, and three tape ops that only tests
-use (``matmul``, ``mul``, ``sum_all``) to build losses and programs."""
+``os.replace`` that fails on demand, and four tape ops that only tests
+use (``matmul``, ``mul``, ``sum_all``, ``stack_rows``) to build losses and
+programs."""
 
 import json
 import os
@@ -229,3 +230,14 @@ def sum_all(x):
     """Taped scalar sum of every element."""
     return record(Tensor(np.asarray(x.data.sum(), dtype=x.dtype)), (x,), lambda g, needs: (
         np.full(x.shape, g.item(), dtype=g.dtype) if needs[0] else None,))
+
+
+def stack_rows(parts):
+    """Taped row-wise concatenation of matrices with equal column counts."""
+    if not parts or any(p.ndim != 2 for p in parts) or len({p.shape[1] for p in parts}) != 1:
+        raise ValueError(f"stack_rows needs rank-2 parts of one width, got "
+                         f"{[p.shape for p in parts]}")
+    ends = np.cumsum([0] + [p.shape[0] for p in parts])
+    return record(Tensor(np.concatenate([p.data for p in parts], axis=0)), tuple(parts),
+                  lambda g, needs: tuple(g[lo:hi] if need else None
+                                         for lo, hi, need in zip(ends[:-1], ends[1:], needs)))

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import matmul, mul, sum_all
+from _helpers import matmul, mul, stack_rows, sum_all
 from coldgraph.autodiff import (
     AdamState,
     Tape,
@@ -21,9 +21,9 @@ from coldgraph.autodiff import (
     dropout,
     finite_diff_check,
     parameter,
+    record,
     scale,
     sgd_step,
-    stack_rows,
     take_rows,
 )
 
@@ -101,6 +101,41 @@ def test_backward_requires_taped_scalar():
     stray = Tensor(5.0)
     with pytest.raises(ValueError):
         backward(tape, stray)
+
+
+def test_second_backward_on_consumed_tape_raises():
+    w = parameter(np.array([[3.0]]), dtype=np.float64)
+    with Tape() as tape:
+        loss = sum_all(mul(w, w))
+    n = len(tape)
+    np.testing.assert_allclose(backward(tape, loss)[w], [[6.0]])
+    # the sweep drops every entry but keeps the tape's length
+    assert len(tape) == n and all(e is None for e in tape._entries)
+    with pytest.raises(ValueError, match="consumed"):
+        backward(tape, loss)
+
+
+def _scale_in_place(x, c):
+    """Taped ``c * x`` whose backward overwrites the gradient it receives."""
+    def bwd(g, needs):
+        g *= c
+        return (g,)
+    return record(Tensor(x.data * c), (x,), bwd)
+
+
+def _add_same_grad(a, b):
+    """Taped ``a + b`` whose backward returns one array object for both inputs."""
+    return record(Tensor(a.data + b.data), (a, b), lambda g, needs: (g, g))
+
+
+def test_one_gradient_object_for_two_inputs_is_not_shared():
+    a = parameter([[1.0, 2.0]], dtype=np.float64)
+    b = parameter([[3.0, 4.0]], dtype=np.float64)
+    with Tape() as tape:
+        loss = sum_all(_add_same_grad(_scale_in_place(a, 3.0), _scale_in_place(b, 5.0)))
+    grads = backward(tape, loss)
+    np.testing.assert_array_equal(grads[a], [[3.0, 3.0]])
+    np.testing.assert_array_equal(grads[b], [[5.0, 5.0]])
 
 
 def test_untaped_ops_are_pure_forward():

@@ -1,7 +1,8 @@
 """Each demo script runs to completion as its own process.
 
 ``05_scaling.py`` is a long timing run and is left out;
-``06_bulk_scoring.py`` runs its short default (the two 1x runs).
+``06_bulk_scoring.py`` runs its short default (the two 1x runs) and
+``07_train_memory.py`` its quick one (both models on the small config).
 """
 
 import os
@@ -12,11 +13,11 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-DEMOS = sorted(p.name for p in (ROOT / "demos").glob("0[1-46]_*.py"))
+DEMOS = sorted(p.name for p in (ROOT / "demos").glob("0[1-467]_*.py"))
 
 
 def test_demo_set_is_complete():
-    assert len(DEMOS) == 5
+    assert len(DEMOS) == 6
 
 
 @pytest.mark.parametrize("name", DEMOS)

@@ -1,11 +1,22 @@
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from _helpers import make_random_graph
-from coldgraph.autodiff import Tape, Tensor, bce_loss, finite_diff_check, parameter, scale
+from _helpers import make_random_graph, mul, stack_rows, sum_all
+from coldgraph.autodiff import (
+    Tape,
+    Tensor,
+    activation,
+    affine,
+    backward,
+    bce_loss,
+    finite_diff_check,
+    parameter,
+    scale,
+)
 from coldgraph.graph import N_CLASSES, HeteroGraph, Relation, build_expanded_graph
 from coldgraph.models import (
     EdgeGnnConfig,
@@ -32,10 +43,14 @@ from coldgraph.models import (
     train_expanded_rgcn,
     train_mlp_heads,
 )
+from coldgraph.experiment import ExperimentConfig
 from coldgraph.models.baselines import _expanded_ego, _expanded_probs
-from coldgraph.models.core import SCORE_CHUNK_BYTES, score_chunk_rows
+from coldgraph.models.core import SCORE_CHUNK_BYTES, input_projections, score_chunk_rows
+from coldgraph.models.train import fit
 from coldgraph.sampling import extract_ego_network, message_flow_plan
 from coldgraph.simulate import GeneratorConfig, generate_synthetic_graph
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def small_cfg(g, **kw):
@@ -113,6 +128,38 @@ def test_projection_identity_case():
     }
     h = relational_encoder_forward({"seller": x, "product": y}, (), params)
     np.testing.assert_array_equal(h.data, np.concatenate([x, y]))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_input_projections_equal_the_per_type_chain(dtype):
+    """The fused projection op gives the bits of ``affine``, relu and a row
+    stack per type, forward and backward, and is one tape entry."""
+    rng = np.random.default_rng(3)
+    inputs = {"seller": rng.normal(size=(7, 5)).astype(np.float32),
+              "product": rng.normal(size=(0, 4)).astype(np.float32),
+              "offer": rng.normal(size=(9, 3)).astype(np.float32)}
+    params = {}
+    for name, x in inputs.items():
+        params[f"proj_{name}_w"] = parameter(rng.normal(size=(x.shape[1], 6)), dtype=dtype)
+        params[f"proj_{name}_b"] = parameter(rng.normal(size=6), dtype=dtype)
+    z = rng.normal(size=(16, 6)).astype(dtype)
+
+    def grads(project):
+        with Tape() as tape:
+            h = project()
+            loss = sum_all(mul(h, Tensor(z)))
+        n = len(tape)
+        return h.data, n, backward(tape, loss)
+
+    got, n_got, g_got = grads(lambda: input_projections(inputs, params))
+    want, n_want, g_want = grads(lambda: stack_rows([
+        activation(affine(Tensor(x.astype(dtype)), params[f"proj_{name}_w"],
+                          params[f"proj_{name}_b"]), "relu")
+        for name, x in inputs.items()]))
+    assert got.dtype == np.dtype(dtype) and got.tobytes() == want.tobytes()
+    assert (n_got, n_want) == (3, 9)  # plus the loss's two ops
+    for name, p in params.items():
+        assert g_got[p].tobytes() == g_want[p].tobytes(), name
 
 
 def reference_draws(rng, spec):
@@ -432,6 +479,34 @@ def test_scoring_memory_is_flat_in_offers_scored():
     finally:
         tracemalloc.stop()
     assert peaks[1] - peaks[0] < SCORE_CHUNK_BYTES, peaks
+
+
+def test_default_training_step_memory():
+    """One default-config ``edge_gnn`` step (forward, backward and Adam on a
+    1024-offer batch drawn with seed 7) allocates at most 28 MiB above the
+    graph: the tape holds each activation once and drops it once its
+    gradient is taken.  The graph's caches are built before tracing."""
+    config = ExperimentConfig.from_json_file(CONFIGS / "default.json")
+    g = generate_synthetic_graph(config.generator)
+    cfg = config.model.edge_gnn_config(g.d_s, g.d_p, g.d_o)
+    tc = config.model.train_config(seed=0, epochs=1)
+    assert (cfg.hidden, cfg.gnn_layers, tc.batch_size) == (64, 3, 1024)
+    params = init_edge_gnn_params(cfg, seed=0)
+    batch = np.sort(np.random.default_rng(7).permutation(g.n_offers)[:tc.batch_size])
+    targets = g.labels.astype(np.float32)[batch]
+    edge_gnn_forward(g, batch, params, cfg)  # builds the graph's caches
+
+    def loss_fn(offers):
+        return scale(bce_loss(edge_gnn_forward(g, offers, params, cfg), targets), N_CLASSES)
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fit(params, lambda: [batch], loss_fn, tc)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 28 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
 def test_scores_invariant_under_node_relabeling():
