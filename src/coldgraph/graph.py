@@ -33,6 +33,9 @@ one accessor, ``HeteroGraph._derived(key, build)``:
   ``union_csr()``: the ten matrices of the expanded form, normalized and
   stacked the same way, and their OR, which the expanded baseline's ego
   networks read and walk.
+
+``offer_sums(node_type)``, the owners' float64 offer feature sums, derives from
+the features: each graph instance caches its own, and copies start empty.
 """
 
 from __future__ import annotations
@@ -265,6 +268,7 @@ class HeteroGraph:
         g._ss_edges = tuple(ss)
         g.labels = None if labels is None else _frozen(labels, np.uint8)
         g._csr = {}  # matrices derived from the topology; shared by copy_with_features
+        g._feature_sums = {}  # derived from offer_features; each copy starts its own
         return g
 
     # -- basic queries -------------------------------------------------------
@@ -369,6 +373,17 @@ class HeteroGraph:
         # keyed by name, not node_type: SELLER == Relation.SS0
         return self._derived(f"offers_of_{node_type.name.lower()}", build)
 
+    def offer_sums(self, node_type: NodeType) -> np.ndarray:
+        """``offers_of(node_type) @ offer_features`` in float64: row ``i`` sums
+        owner ``i``'s offer feature rows in ascending offer order.  Read-only,
+        built once per graph instance; copies, whose features may differ,
+        build their own."""
+        if node_type not in self._feature_sums:
+            sums = self.offers_of(node_type) @ self.offer_features.astype(np.float64)
+            sums.flags.writeable = False
+            self._feature_sums[node_type] = sums
+        return self._feature_sums[node_type]
+
     def copy_with_features(
         self,
         seller_features: np.ndarray,
@@ -377,11 +392,12 @@ class HeteroGraph:
     ) -> "HeteroGraph":
         """Same topology and labels, different feature matrices.
 
-        The copy shares this graph's index arrays, labels and CSR cache.
-        Each new matrix must have the old one's shape and, as in
-        :meth:`from_arrays`, only finite values.
+        The copy shares this graph's index arrays, labels and CSR cache but
+        not its :meth:`offer_sums`.  Each new matrix must have the old one's
+        shape and, as in :meth:`from_arrays`, only finite values.
         """
         g = copy.copy(self)
+        g._feature_sums = {}
         g.seller_features, g.product_features, g.offer_features = (
             _feature_matrix(x, what, old.shape) for x, old, what in (
                 (seller_features, self.seller_features, "seller"),

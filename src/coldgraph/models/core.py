@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..autodiff import (
     Tensor,
@@ -55,7 +54,7 @@ from ..autodiff import (
 )
 from ..graph import N_CLASSES, N_RELATIONS, HeteroGraph, NodeType
 from ..records import Record
-from ..sampling import EgoNetwork, Layer, _row_entries, extract_ego_network
+from ..sampling import EgoNetwork, Layer, extract_ego_network
 
 __all__ = [
     "EdgeGnnConfig",
@@ -354,45 +353,27 @@ def node_embedder_forward(
 # module 2: edge embedder
 
 
-def _owner_sums(inc: sp.csr_matrix, owners: np.ndarray, feats: np.ndarray) -> np.ndarray:
-    """``inc[owners] @ feats`` in float64, reading only the feature rows
-    that the owners' entries touch.
-
-    The owners' rows of the incidence are gathered into one CSR whose
-    column j is the j-th touched entry, next to those entries' feature
-    rows cast to float64; every sum adds the same terms in the same order
-    as the indexed product over the whole float64 table."""
-    indptr, take = _row_entries(inc, owners)
-    rows = sp.csr_matrix((inc.data[take], np.arange(take.shape[0]), indptr),
-                         shape=(owners.shape[0], take.shape[0]))
-    return rows @ feats[inc.indices[take]].astype(np.float64)
-
-
 def sibling_offer_summaries(g: HeteroGraph, offer_ids: np.ndarray) -> tuple:
     """Mean feature rows of same-seller and same-product sibling offers.
 
     The target offer is excluded from both means; an offer with no sibling
-    on one side gets a zero vector there.  Each distinct owner's sum is
-    its row of the cached ``g.offers_of`` incidence times its offers'
-    float64 feature rows (:func:`_owner_sums`), so the cost grows with the
-    requested owners' offers, not with the table.  Raises ValueError for
-    an offer id outside ``[0, n_offers)``.
+    on one side gets a zero vector there.  Each mean is the owner's float64
+    sum (``g.offer_sums``, built once per feature set) less the offer's own
+    row, over the sibling count; a lone offer's sum is its own row, so its
+    difference is exactly zero and is divided by one.  Raises ValueError
+    for an offer id outside ``[0, n_offers)``.
     """
     feats = g.offer_features
     offer_ids = np.asarray(offer_ids, dtype=np.int64)
     if offer_ids.size and (offer_ids.min() < 0 or offer_ids.max() >= g.n_offers):
         raise ValueError(f"offer ids must lie in [0, {g.n_offers})")
 
+    offer_rows = feats[offer_ids].astype(np.float64)
     out = []
     for node_type, owner in zip(NodeType, (g.offer_seller, g.offer_product)):
-        inc = g.offers_of(node_type)
-        own = owner[offer_ids]
-        k = inc.indptr[own + 1] - inc.indptr[own]
-        mean = np.zeros((offer_ids.shape[0], feats.shape[1]), dtype=np.float64)
-        has = k > 1
-        owners, which = np.unique(own[has], return_inverse=True)
-        sums = _owner_sums(inc, owners, feats)[which]
-        mean[has] = (sums - feats[offer_ids[has]].astype(np.float64)) / (k[has] - 1)[:, None]
+        indptr, own = g.offers_of(node_type).indptr, owner[offer_ids]
+        siblings = np.maximum(indptr[own + 1] - indptr[own] - 1, 1)
+        mean = (g.offer_sums(node_type)[own] - offer_rows) / siblings[:, None]
         out.append(mean.astype(feats.dtype, copy=False))
     return out[0], out[1]
 

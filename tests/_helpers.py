@@ -1,6 +1,7 @@
 """Shared test helpers: small random graphs, graph equality, a reference
 breadth-first search, a reference message-flow plan with its comparison,
-a bundle feature-cell edit that keeps the checksum valid, an
+reference sibling-offer summaries that sum each call's owners afresh, a
+bundle feature-cell edit that keeps the checksum valid, an
 ``os.replace`` that fails on demand, and four tape ops that only tests
 use (``matmul``, ``mul``, ``sum_all``, ``stack_rows``) to build losses and
 programs."""
@@ -16,7 +17,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from coldgraph.autodiff import Tensor, record
-from coldgraph.graph import N_CLASSES, HeteroGraph, Relation
+from coldgraph.graph import N_CLASSES, HeteroGraph, NodeType, Relation
+from coldgraph.sampling import _row_entries
 
 
 def make_random_graph(
@@ -162,6 +164,49 @@ def assert_plan_holds_reference(plan, reference):
             assert np.array_equal(sub.indptr, want.adj.indptr)
             assert np.array_equal(sub.data, want.adj.data)
             assert np.array_equal(sub.indices, want.cols[want.adj.indices])
+
+
+def _owner_sums(inc: sp.csr_matrix, owners: np.ndarray, feats: np.ndarray) -> np.ndarray:
+    """``inc[owners] @ feats`` in float64, reading only the feature rows
+    that the owners' entries touch.
+
+    The owners' rows of the incidence are gathered into one CSR whose
+    column j is the j-th touched entry, next to those entries' feature
+    rows cast to float64; every sum adds the same terms in the same order
+    as the indexed product over the whole float64 table."""
+    indptr, take = _row_entries(inc, owners)
+    rows = sp.csr_matrix((inc.data[take], np.arange(take.shape[0]), indptr),
+                         shape=(owners.shape[0], take.shape[0]))
+    return rows @ feats[inc.indices[take]].astype(np.float64)
+
+
+def reference_sibling_offer_summaries(g: HeteroGraph, offer_ids: np.ndarray) -> tuple:
+    """Mean feature rows of same-seller and same-product sibling offers, as
+    ``models.sibling_offer_summaries`` computed them before it read the
+    graph's cached per-owner sums: each call sums its distinct owners'
+    offers afresh (:func:`_owner_sums`), so it sees no cache at all.
+
+    The target offer is excluded from both means; an offer with no sibling
+    on one side gets a zero vector there.  Raises ValueError for an offer
+    id outside ``[0, n_offers)``.
+    """
+    feats = g.offer_features
+    offer_ids = np.asarray(offer_ids, dtype=np.int64)
+    if offer_ids.size and (offer_ids.min() < 0 or offer_ids.max() >= g.n_offers):
+        raise ValueError(f"offer ids must lie in [0, {g.n_offers})")
+
+    out = []
+    for node_type, owner in zip(NodeType, (g.offer_seller, g.offer_product)):
+        inc = g.offers_of(node_type)
+        own = owner[offer_ids]
+        k = inc.indptr[own + 1] - inc.indptr[own]
+        mean = np.zeros((offer_ids.shape[0], feats.shape[1]), dtype=np.float64)
+        has = k > 1
+        owners, which = np.unique(own[has], return_inverse=True)
+        sums = _owner_sums(inc, owners, feats)[which]
+        mean[has] = (sums - feats[offer_ids[has]].astype(np.float64)) / (k[has] - 1)[:, None]
+        out.append(mean.astype(feats.dtype, copy=False))
+    return out[0], out[1]
 
 
 def assert_same_graph(g, h):

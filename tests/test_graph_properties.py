@@ -15,10 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import assert_same_graph, bfs_oracle
+from _helpers import assert_same_graph, bfs_oracle, reference_sibling_offer_summaries
 from coldgraph.graph import N_CLASSES, HeteroGraph, NodeType, Relation
 from coldgraph.models import sibling_offer_summaries
-from coldgraph.models.core import _owner_sums
 from coldgraph.sampling import extract_ego_network
 from coldgraph.simulate import ScenarioSpec, apply_scenario
 from coldgraph.storage import load_graph, save_graph
@@ -319,7 +318,7 @@ def test_sibling_sums_equal_indexed_product_bitwise(g, data):
     want = []
     for node_type, owner in zip(NodeType, (g.offer_seller, g.offer_product)):
         inc, own = g.offers_of(node_type), owner[ids]
-        assert np.array_equal(_owner_sums(inc, own, feats64), inc[own] @ feats64)
+        assert np.array_equal(g.offer_sums(node_type)[own], inc[own] @ feats64)
         k = np.diff(inc.indptr)[own]
         mean = np.zeros((ids.shape[0], g.d_o))
         has = k > 1
@@ -329,20 +328,73 @@ def test_sibling_sums_equal_indexed_product_bitwise(g, data):
         assert got.dtype == w.dtype and np.array_equal(got, w)
 
 
-@FAST
-@given(graph_arrays(min_offers=1), st.data())
-def test_scenario_copies_share_derived_matrices(kw, data):
-    g = HeteroGraph.from_arrays(**kw)
-    spec = ScenarioSpec(
+def draw_masking_spec(g, data):
+    """A ``new_seller_new_product`` spec with drawn sellers, products and
+    evaluation offers of ``g``."""
+    return ScenarioSpec(
         scenario="new_seller_new_product",
         seed=0,
         new_sellers=tuple(data.draw(st.lists(st.integers(0, g.n_sellers - 1), unique=True))),
         new_products=tuple(data.draw(st.lists(st.integers(0, g.n_products - 1), unique=True))),
         eval_offers=tuple(data.draw(st.lists(st.integers(0, g.n_offers - 1), unique=True))),
     )
+
+
+@settings(max_examples=40, deadline=None)
+@given(hub_owner_graphs(), st.data())
+def test_sibling_summaries_equal_reference_bitwise(g, data):
+    """On the graph and then on a masked scenario copy, the means from the
+    cached per-owner sums are the per-call reference's bit for bit: repeated
+    ids in any order, every offer whose owner has no other offer included."""
+    spec = draw_masking_spec(g, data)
+    masked, _ = apply_scenario(g, spec)
+    lone = [np.flatnonzero(np.diff(g.offers_of(t).indptr)[owner] == 1)
+            for t, owner in zip(NodeType, (g.offer_seller, g.offer_product))]
+    for h in (g, masked):
+        ids = np.array(data.draw(st.lists(st.integers(0, g.n_offers - 1), max_size=40)),
+                       dtype=np.int64)
+        ids = np.concatenate([ids, *lone])
+        for got, want in zip(sibling_offer_summaries(h, ids),
+                             reference_sibling_offer_summaries(h, ids)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@FAST
+@given(graph_arrays(min_offers=1), st.data())
+def test_scenario_copies_share_derived_matrices(kw, data):
+    g = HeteroGraph.from_arrays(**kw)
+    spec = draw_masking_spec(g, data)
     derived = (g.union_csr(), g.offers_of(NodeType.SELLER), g.offers_of(NodeType.PRODUCT))
     masked, _ = apply_scenario(g, spec)
     again, _ = apply_scenario(masked, spec)
     for h in (masked, again):
         got = (h.union_csr(), h.offers_of(NodeType.SELLER), h.offers_of(NodeType.PRODUCT))
         assert all(a is b for a, b in zip(got, derived))
+
+
+@FAST
+@given(graph_arrays(min_offers=1), st.data())
+def test_copies_sum_their_own_offer_features(kw, data):
+    """Built after the parent's, a copy's per-owner sums and sibling means
+    follow the copy's own offer features, while the topology matrices stay
+    the parent's objects."""
+    g = HeteroGraph.from_arrays(**kw)
+    ids = np.arange(g.n_offers)
+    before = sibling_offer_summaries(g, ids)
+    derived = (g.union_csr(), g.offers_of(NodeType.SELLER), g.offers_of(NodeType.PRODUCT))
+    spec = draw_masking_spec(g, data)
+    shifted = g.copy_with_features(g.seller_features, g.product_features,
+                                   2 * g.offer_features + 1)
+    masked, _ = apply_scenario(g, spec)
+    for h in (shifted, masked, apply_scenario(shifted, spec)[0]):
+        feats64 = h.offer_features.astype(np.float64)
+        for t in NodeType:
+            assert h.offer_sums(t) is not g.offer_sums(t)
+            assert np.array_equal(h.offer_sums(t), h.offers_of(t) @ feats64)
+        for got, want in zip(sibling_offer_summaries(h, ids),
+                             reference_sibling_offer_summaries(h, ids)):
+            assert np.array_equal(got, want)
+        got = (h.union_csr(), h.offers_of(NodeType.SELLER), h.offers_of(NodeType.PRODUCT))
+        assert all(a is b for a, b in zip(got, derived))
+    for got, want in zip(sibling_offer_summaries(g, ids), before):
+        assert np.array_equal(got, want)
