@@ -14,13 +14,14 @@ run reports:
   offer, which casts the parameters and builds the graph's caches);
 - ``traced_peak_mib``: the tracemalloc peak of one more call, the memory
   that call allocated;
-- ``ego_nodes``: the nodes of the call's ego network.
+- ``ego_nodes``: the nodes of the call's ego network;
+- ``kib_per_ego_node``: ``traced_peak`` in KiB over ``ego_nodes``.
 
 A run named ``4x3`` scores every offer of the 4x graph three times over
 (``np.tile``): the same ego network as ``4x1``, three times the offers.
 So ``traced_peak`` of ``4x3`` minus that of ``4x1`` is what the offer side
 adds per extra offer, and ``traced_peak`` over ``ego_nodes`` across scales
-is the node side's cost per ego node.
+is the node side's cost per ego node, ``kib_per_ego_node``.
 
 ``--source NAME=SRC`` (repeatable) measures the ``coldgraph`` package
 under ``SRC``, for instance an older checkout's ``src`` next to this
@@ -28,7 +29,7 @@ one's; results go into ``--out`` under ``NAME``, next to the sources
 already recorded there:
 
     python demos/06_bulk_scoring.py --source before=/path/to/old/src \\
-        --runs 1x1 1x3 4x1 --out BENCH_score_bulk.json
+        --runs 1x1 1x3 4x1 4x3 10x1 --out BENCH_score_bulk.json
     python demos/06_bulk_scoring.py --source after=src \\
         --runs 1x1 1x3 4x1 4x3 10x1 --out BENCH_score_bulk.json
 
@@ -89,11 +90,12 @@ def measure(scale: int, repeat: int) -> dict:
         traced = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    ego = cg.extract_ego_network(g, offers, hops=cfg.gnn_layers)
+    ego_nodes = cg.extract_ego_network(g, offers, hops=cfg.gnn_layers).n_local
     return {
         "offers_in_graph": int(g.n_offers),
         "offers_scored": int(offers.shape[0]),
-        "ego_nodes": int(ego.n_local),
+        "ego_nodes": int(ego_nodes),
+        "kib_per_ego_node": round(traced / 1024 / ego_nodes, 3),
         "seconds": round(float(np.median(seconds)), 4),
         "peak_rss_before_mib": round(before, 1),
         "peak_rss_growth_mib": round(after - before, 1),
@@ -146,7 +148,8 @@ def main(argv=None) -> None:
         for run, r in results[name].items():
             print(f"{name:>8} {run:>5}: {r['offers_scored']:7d} offers, {r['ego_nodes']:6d} ego "
                   f"nodes, {r['seconds']:7.3f} s, peak RSS +{r['peak_rss_growth_mib']:6.1f} MiB, "
-                  f"traced peak {r['traced_peak_mib']:7.2f} MiB")
+                  f"traced peak {r['traced_peak_mib']:7.2f} MiB "
+                  f"({r['kib_per_ego_node']:.2f} KiB per ego node)")
     if args.out:
         args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 

@@ -36,7 +36,13 @@ from ..autodiff import (
 from ..graph import N_CLASSES, HeteroGraph, ExpandedGraph, Relation
 from ..records import Record
 from ..sampling import EgoNetwork, ego_network
-from .core import cast_params, glorot, init_relational_encoder, relational_encoder_forward
+from .core import (
+    cast_params,
+    glorot,
+    init_relational_encoder,
+    relational_encoder_forward,
+    score_part_rows,
+)
 from .train import TrainConfig, fit
 
 __all__ = [
@@ -164,9 +170,13 @@ def init_expanded_rgcn_params(cfg: ExpandedRgcnConfig, seed: int) -> dict:
     return params
 
 
-def _expanded_ego(eg: ExpandedGraph, offers: np.ndarray, layers: int) -> EgoNetwork:
-    """The ego network of ``offers``' offer nodes, ``layers`` deep."""
-    return ego_network(eg.union_csr(), eg.normalized_stack(), eg.g.n_nodes + offers, layers)
+def _expanded_ego(
+    eg: ExpandedGraph, offers: np.ndarray, layers: int, max_rows: Optional[int] = None
+) -> EgoNetwork:
+    """The ego network of ``offers``' offer nodes, ``layers`` deep, its plan's
+    parts at most ``max_rows`` tall if given."""
+    return ego_network(eg.union_csr(), eg.normalized_stack(), eg.g.n_nodes + offers, layers,
+                       max_rows)
 
 
 def _expanded_probs(eg: ExpandedGraph, ego: EgoNetwork, params: dict) -> Tensor:
@@ -199,9 +209,10 @@ def train_expanded_rgcn(
 def score_expanded_rgcn(
     eg: ExpandedGraph, params: dict, cfg: ExpandedRgcnConfig, offers: np.ndarray
 ) -> np.ndarray:
-    """Float64 probability rows of ``offers``, in any order."""
+    """Float64 probability rows of ``offers``, in any order; the plan's parts
+    hold at most ``score_part_rows`` rows, as in edge classifier scoring."""
     offers = np.asarray(offers, dtype=np.int64)
     if offers.size == 0:
         return np.zeros((0, N_CLASSES))
-    ego = _expanded_ego(eg, offers, cfg.layers)
+    ego = _expanded_ego(eg, offers, cfg.layers, score_part_rows(cfg.hidden, np.float64))
     return _expanded_probs(eg, ego, cast_params(params, np.float64)).data

@@ -54,7 +54,7 @@ from ..autodiff import (
 )
 from ..graph import N_CLASSES, N_RELATIONS, HeteroGraph, NodeType
 from ..records import Record
-from ..sampling import EgoNetwork, Layer, extract_ego_network
+from ..sampling import TILE_ROWS, EgoNetwork, Layer, extract_ego_network
 
 __all__ = [
     "EdgeGnnConfig",
@@ -71,6 +71,8 @@ __all__ = [
     "edge_gnn_forward",
     "SCORE_CHUNK_BYTES",
     "score_chunk_rows",
+    "SCORE_PART_BYTES",
+    "score_part_rows",
     "edge_gnn_scores",
 ]
 
@@ -212,7 +214,8 @@ def rgcn_layer(
         else:
             a[idx] += v
 
-    pre = at(x, layer.keep) @ self_w.data + self_b.data
+    pre = at(x, layer.keep) @ self_w.data
+    pre += self_b.data
     k = 0
     for part in layer.parts:
         m = part.adj @ x
@@ -454,7 +457,22 @@ def score_chunk_rows(cfg: EdgeGnnConfig) -> int:
     as one call over every offer would (except that call's leftovers).
     """
     rows = SCORE_CHUNK_BYTES // (8 * (2 * cfg.hidden + cfg.edge_hidden))
-    return max(16, rows - rows % 16)
+    return max(TILE_ROWS, rows - rows % TILE_ROWS)
+
+
+# Bytes of one ``hidden``-wide layer array per plan part when scoring: a
+# layer's temporaries (a part's aggregate ``m``, its blocks' products and
+# row gathers) then stay within a few of these, however large the ego.
+SCORE_PART_BYTES = 1 << 20
+
+
+def score_part_rows(hidden: int, dtype) -> int:
+    """Rows per plan part when scoring (``message_flow_plan``'s
+    ``max_rows``): ``SCORE_PART_BYTES`` over one ``hidden``-wide row of
+    ``dtype``, rounded down to whole 16-row tiles; 2048 float64 rows at
+    ``hidden`` 64."""
+    rows = SCORE_PART_BYTES // (np.dtype(dtype).itemsize * hidden)
+    return max(TILE_ROWS, rows - rows % TILE_ROWS)
 
 
 def edge_gnn_scores(
@@ -463,26 +481,31 @@ def edge_gnn_scores(
     """Per-class probabilities of a non-empty batch of offer ids, one column
     block per parameter group, in the groups' dtype.
 
-    One ego network of the batch serves every group.  Then, one group at a
-    time: one encoder pass that keeps only the endpoint rows, with each
-    offer's seller and product row index (:func:`node_embedder_forward`);
-    then, in chunks of :func:`score_chunk_rows` offers, the sibling
-    summaries and the group's edge embedder and classifier
-    (:func:`_offer_probs`, the code training differentiates), written into
-    the group's columns of one preallocated output.  A call of more than
-    one chunk runs every chunk at the full row count.  So only one group's
-    endpoint states are live at a time, and no array of ``hidden`` width
-    or wider holds a row per offer outside a chunk.  The scores are those
-    of :func:`edge_gnn_forward` over the whole batch, bit for bit where
-    the BLAS rounds a row alike at every row count.
+    One ego network of the batch serves every group; its plan's parts hold
+    at most :func:`score_part_rows` rows, so the encoder's temporaries are
+    bounded too.  Then, one group at a time: one encoder pass that keeps
+    only the endpoint rows, with each offer's seller and product row index
+    (:func:`node_embedder_forward`); then, in chunks of
+    :func:`score_chunk_rows` offers, the sibling summaries and the group's
+    edge embedder and classifier (:func:`_offer_probs`, the code training
+    differentiates), written into the group's columns of one preallocated
+    output.  The ego goes after the last group's encoder pass.  A call of
+    more than one chunk runs every chunk at the full row count.  So only
+    one group's endpoint states are live at a time, and no array of
+    ``hidden`` width or wider holds a row per offer outside a chunk.  The
+    scores are those of :func:`edge_gnn_forward` over the whole batch, bit
+    for bit where the BLAS rounds a row alike at every row count.
     """
     offers = np.asarray(offers, dtype=np.int64)
-    ego = extract_ego_network(g, offers, hops=cfg.gnn_layers)
+    max_rows = score_part_rows(cfg.hidden, param_groups[0]["cls1_w"].dtype)
+    ego = extract_ego_network(g, offers, cfg.gnn_layers, max_rows)
     n, step = offers.shape[0], score_chunk_rows(cfg)
     ends = np.cumsum([0] + [p["cls1_w"].shape[1] for p in param_groups])
     out = None
-    for params, lo_col, hi_col in zip(param_groups, ends[:-1], ends[1:]):
+    for i, (params, lo_col, hi_col) in enumerate(zip(param_groups, ends[:-1], ends[1:])):
         h, sellers, products = node_embedder_forward(g, ego, params, cfg)
+        if i == len(param_groups) - 1:
+            del ego  # the offer side reads none of it
         if out is None:  # after the first encoder pass, so the two never overlap
             out = np.empty((n, ends[-1]), dtype=h.dtype)
         for lo in range(0, n, step):

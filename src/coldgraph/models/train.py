@@ -125,13 +125,17 @@ class EdgeGnnModel:
         """Per-class probability matrix for the given offer ids; no offers
         give a ``(0, 9)`` matrix.
 
-        Scoring runs with 64-bit accumulation by default; parameters stay
+        Scoring runs with 64-bit accumulation by default, or in float32;
+        any other dtype raises ValueError naming it.  Parameters stay
         float32 in memory and on disk, and each dtype's copy is cast on
         first use.  Memory is bounded as in ``core.edge_gnn_scores``: one
-        ego network, then one head at a time, its encoder pass keeping the
-        endpoint rows alone and the offers in fixed-size chunks.
+        ego network in parts of bounded height, then one head at a time,
+        its encoder pass keeping the endpoint rows alone and the offers in
+        fixed-size chunks.
         """
         dtype = np.dtype(dtype)
+        if dtype not in (np.float32, np.float64):
+            raise ValueError(f"scoring dtype must be float32 or float64, got {dtype.name}")
         if len(offers) == 0:
             return np.zeros((0, N_CLASSES), dtype=dtype)
         if dtype not in self._cast:

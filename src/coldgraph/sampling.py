@@ -19,12 +19,14 @@ network, so its row of the cached row-normalised matrix is exact as is:
 from the relation-stacked matrix (``normalized_stack()``) and replaces
 each column by that node's row in the layer input, with plain numpy index
 arithmetic.  The gathered rows stay stacked: a layer's non-empty rows,
-relation after relation, are cut into a few parts of at most ``n_in``
-rows (the layer-input row count), one CSR each, and each relation's block
-is the row slice ``lo:hi`` of its part that holds the outputs with a
-message of that relation (``rows``).  So relation r adds
+relation after relation, are cut into a few parts, one CSR each, and each
+relation's block is the row slice ``lo:hi`` of its part that holds the
+outputs with a message of that relation (``rows``).  So relation r adds
 ``(part @ h)[lo:hi] @ W_r`` at ``rows``: aggregate first, then transform,
 with one sparse product per part and no per-relation gather of ``h``.
+A part holds at most ``n_in`` rows (the layer-input row count), or, in a
+plan given a row bound (scoring), at most that bound, a relation's rows
+then being split across parts where they overflow one.
 
 Local node order is ascending global id, so node types that own
 consecutive id ranges (sellers, then products, then offer nodes) stay
@@ -50,12 +52,19 @@ __all__ = [
     "endpoint_seeds",
     "ego_network",
     "message_flow_plan",
+    "TILE_ROWS",
 ]
+
+# A bounded plan splits a relation's rows only at multiples of this many
+# rows from their start.  BLAS kernels work on small row tiles and finish
+# leftover rows with other code, so each piece's rows land in the same
+# tiles as in one product over the whole block, and round alike.
+TILE_ROWS = 16
 
 
 class Block(NamedTuple):
-    """One relation's messages into one layer: rows ``lo:hi`` of its part's
-    matrix, one per entry of ``rows``."""
+    """One relation's messages into one layer, or in a bounded plan a run of
+    them: rows ``lo:hi`` of its part's matrix, one per entry of ``rows``."""
 
     relation: int
     rows: np.ndarray  # ascending layer outputs with at least one message of the relation
@@ -74,7 +83,7 @@ class Layer(NamedTuple):
     """One relational convolution of a plan."""
 
     keep: np.ndarray  # ascending rows of the layer input that are its outputs
-    parts: tuple  # Parts holding a Block per relation with a message into the layer
+    parts: tuple  # Parts holding the Blocks of each relation with a message into the layer
 
 
 @dataclass
@@ -129,7 +138,8 @@ def _row_entries(m: sp.csr_matrix, rows: np.ndarray) -> tuple:
 
 
 def message_flow_plan(
-    stack: sp.csr_matrix, nodes: np.ndarray, hop: np.ndarray, layers: int
+    stack: sp.csr_matrix, nodes: np.ndarray, hop: np.ndarray, layers: int,
+    max_rows: int | None = None,
 ) -> tuple:
     """The :class:`Layer` of each of ``layers`` convolutions read at hop zero.
 
@@ -147,11 +157,29 @@ def message_flow_plan(
 
     Each layer gathers its outputs' rows of every relation at once and
     maps all their columns to layer-input rows in one step.  The non-empty
-    rows, relation after relation, are then cut into parts: runs of
-    consecutive relation blocks with at most ``n_in`` rows in all (a block
-    has at most ``n_out <= n_in``), so a part's product with the layer
-    input is never larger than the input.
+    rows, relation after relation, are then cut into parts:
+
+    - with no ``max_rows`` (training), runs of whole relation blocks with
+      at most ``n_in`` rows in all (a block has at most ``n_out <= n_in``),
+      so a part's product with the layer input is never larger than the
+      input.  Training parts stay this tall because the backward builds an
+      ``n_in``-row ``part.adj.T @ m`` per part and adds it into the input
+      gradient, so more parts mean more full-width passes: capping training
+      plans at the scoring bound (2048 rows at the default widths, 45 parts
+      per default batch instead of 10) made the default training benchmark
+      about 20% slower (1869/1776/1854 ms to 2222/2229/2216 ms in three
+      alternating pairs on 2 vCPUs) and saved no peak RSS;
+    - with ``max_rows``, a positive multiple of :data:`TILE_ROWS`
+      (scoring), parts of at most ``max_rows`` rows, each filled before the
+      next starts: a relation whose rows overflow the current part ends it
+      with a piece cut at a multiple of ``TILE_ROWS`` rows from the
+      relation's first row, and goes on in the next part as another block
+      of the same relation.  A layer's temporaries then hold at most
+      ``max_rows`` rows, however large the ego, with every row computed
+      as in the unbounded plan.
     """
+    if max_rows is not None and (max_rows < 1 or max_rows % TILE_ROWS):
+        raise ValueError(f"max_rows must be a positive multiple of {TILE_ROWS}, got {max_rows}")
     n = stack.shape[1]
     n_rel = stack.shape[0] // n
     offsets = np.arange(0, n_rel * n, n)[:, None]
@@ -180,15 +208,22 @@ def message_flow_plan(
                                 shape=(b - a, n_in))
             return Part(adj, tuple(blocks))
 
+        cap = n_in if max_rows is None else max_rows
         parts, blocks, first = [], [], 0
         for r in range(n_rel):
             a, b = cut[r], cut[r + 1]
-            if a == b:
-                continue
-            if b - first > n_in:
-                parts.append(part(first, a, blocks))
-                blocks, first = [], a
-            blocks.append(Block(r, wrote[a:b] - r * n_out, a - first, b - first))
+            while a < b:
+                room = first + cap - a  # rows left in the current part
+                if b - a <= room:
+                    end = b
+                else:  # a piece in whole tiles: a lies a whole number of tiles in
+                    end = a if max_rows is None else a + room - room % TILE_ROWS
+                if end == a:  # no piece fits: the next part starts here
+                    parts.append(part(first, a, blocks))
+                    blocks, first = [], a
+                    continue
+                blocks.append(Block(r, wrote[a:end] - r * n_out, a - first, end - first))
+                a = end
         if blocks:
             parts.append(part(first, cut[-1], blocks))
         plan.append(Layer(rank[out], tuple(parts)))
@@ -197,11 +232,13 @@ def message_flow_plan(
 
 
 def ego_network(
-    union: sp.csr_matrix, stack: sp.csr_matrix, seeds: np.ndarray, hops: int
+    union: sp.csr_matrix, stack: sp.csr_matrix, seeds: np.ndarray, hops: int,
+    max_rows: int | None = None,
 ) -> EgoNetwork:
     """Breadth-first closure of ``seeds`` over ``union`` (the binary OR of
     the relations of ``stack``) to depth ``hops``, with the ``hops``-layer
-    plan over it."""
+    plan over it, its parts at most ``max_rows`` tall if given
+    (:func:`message_flow_plan`)."""
     seeds = np.asarray(seeds, dtype=np.int64)
     hop = np.full(union.shape[0], -1, dtype=np.int32)
     frontier = np.unique(seeds)
@@ -212,7 +249,8 @@ def ego_network(
         frontier = np.flatnonzero(reached & (hop < 0))
         hop[frontier] = d
     nodes = np.flatnonzero(hop >= 0)
-    return EgoNetwork(seeds, nodes, hop[nodes], message_flow_plan(stack, nodes, hop[nodes], hops))
+    plan = message_flow_plan(stack, nodes, hop[nodes], hops, max_rows)
+    return EgoNetwork(seeds, nodes, hop[nodes], plan)
 
 
 def endpoint_seeds(g: HeteroGraph, offers: np.ndarray) -> np.ndarray:
@@ -221,9 +259,12 @@ def endpoint_seeds(g: HeteroGraph, offers: np.ndarray) -> np.ndarray:
     return np.concatenate([g.offer_seller[offers], g.offer_product[offers] + g.n_sellers])
 
 
-def extract_ego_network(g: HeteroGraph, offers: np.ndarray, hops: int) -> EgoNetwork:
+def extract_ego_network(
+    g: HeteroGraph, offers: np.ndarray, hops: int, max_rows: int | None = None
+) -> EgoNetwork:
     """The ego network over all nine relations seeded at the ``offers``'
-    sellers, then at their products, in the order given."""
+    sellers, then at their products, in the order given; ``max_rows``
+    bounds its plan's parts (:func:`message_flow_plan`)."""
     offers = np.asarray(offers, dtype=np.int64)
     if hops < 1:
         raise ValueError("hops must be at least 1")
@@ -231,4 +272,5 @@ def extract_ego_network(g: HeteroGraph, offers: np.ndarray, hops: int) -> EgoNet
         raise ValueError("a batch is a non-empty flat index array")
     if offers.min() < 0 or offers.max() >= g.n_offers:
         raise ValueError("batch references unknown offers")
-    return ego_network(g.union_csr(), g.normalized_stack(), endpoint_seeds(g, offers), hops)
+    return ego_network(g.union_csr(), g.normalized_stack(), endpoint_seeds(g, offers), hops,
+                       max_rows)

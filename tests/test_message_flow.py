@@ -12,6 +12,8 @@ empty relations, single-offer sellers), optionally with seller 0 turned
 into a hub that is linked to every other seller and offers every product.
 """
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -36,8 +38,9 @@ from coldgraph.models import (
     rgcn_layer,
     score_expanded_rgcn,
 )
+from coldgraph.models import baselines, core
 from coldgraph.models.baselines import _expanded_ego, _expanded_probs
-from coldgraph.sampling import ego_network, extract_ego_network, message_flow_plan
+from coldgraph.sampling import TILE_ROWS, ego_network, extract_ego_network, message_flow_plan
 from test_graph_properties import graph_arrays
 
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -182,6 +185,85 @@ def test_stacked_plan_equals_per_relation_reference(g, data):
             ego = ego_of(hops)
             assert_plan_holds_reference(
                 ego.plan, reference_message_flow_plan(mats, ego.nodes, ego.hop, hops))
+
+
+def plan_entries(layer):
+    """The (relation, output row, neighbour row, weight) entries of a
+    layer's blocks, sorted, as rows of one float64 array."""
+    entries = [np.zeros((0, 4))]
+    for part in layer.parts:
+        indptr = part.adj.indptr
+        for b in part.blocks:
+            lo, hi = indptr[b.lo], indptr[b.hi]
+            entries.append(np.column_stack([
+                np.full(hi - lo, b.relation), np.repeat(b.rows, np.diff(indptr[b.lo:b.hi + 1])),
+                part.adj.indices[lo:hi], part.adj.data[lo:hi]]))
+    e = np.concatenate(entries)
+    return e[np.lexsort(e.T[::-1])]
+
+
+def assert_bounded_plan_cuts_unbounded(bounded, unbounded, bound):
+    """Layer by layer, the bounded plan holds the unbounded plan's entries
+    in parts of at most ``bound`` rows, each filled until not one more tile
+    of the next block fits, and cuts a relation's rows only a whole number
+    of tiles from their first row."""
+    assert len(bounded) == len(unbounded)
+    for layer, whole in zip(bounded, unbounded):
+        assert np.array_equal(layer.keep, whole.keep)
+        assert np.array_equal(plan_entries(layer), plan_entries(whole))
+        heights = [part.adj.shape[0] for part in layer.parts]
+        assert max(heights, default=0) <= bound
+        for height, after in zip(heights, layer.parts[1:]):
+            assert bound - height < TILE_ROWS and height + after.blocks[0].hi > bound
+        done = {}  # relation -> its rows in the parts so far
+        for part in layer.parts:
+            for b in part.blocks:
+                assert b.hi > b.lo and done.get(b.relation, 0) % TILE_ROWS == 0
+                done[b.relation] = done.get(b.relation, 0) + b.hi - b.lo
+
+
+# graphs whose relation blocks outgrow a tile, so bounded plans split them
+wide_graphs = st.builds(make_random_graph, seed=st.integers(0, 2**16),
+                        n_sellers=st.integers(20, 80), n_products=st.integers(10, 60),
+                        ss_p=st.floats(0.02, 0.3))
+
+
+@SETTINGS
+@given(st.one_of(graphs(), wide_graphs), st.data())
+def test_bounded_plans_cut_unbounded_plans_in_whole_tiles(g, data):
+    """For bounds of one to three tiles and a random whole number of
+    tiles, on the edge classifier's and the expanded graph's ego plans:
+    the bounded plan holds the same entries in short, filled parts, cut at
+    whole tiles from each relation's first row, and float64 scoring through
+    it equals scoring through the unbounded plan byte for byte.  Besides
+    ``graphs()``, whose relation blocks rarely outgrow a tile, wider graphs
+    make relations span several parts."""
+    offers = np.array(data.draw(st.lists(st.integers(0, g.n_offers - 1), min_size=1)))
+    eg = build_expanded_graph(g)
+    bounds = (16, 32, 48, TILE_ROWS * data.draw(st.integers(1, 40)))
+    for hops in (1, 2, 3):
+        for ego_of in (lambda b: extract_ego_network(g, offers, hops, b),
+                       lambda b: _expanded_ego(eg, offers, hops, b)):
+            unbounded = ego_of(None).plan
+            for bound in bounds:
+                assert_bounded_plan_cuts_unbounded(ego_of(bound).plan, unbounded, bound)
+
+    cfg = EdgeGnnConfig(d_s=g.d_s, d_p=g.d_p, d_o=g.d_o, hidden=4, gnn_layers=3,
+                        edge_hidden=3, cls_hidden=3)
+    groups = [cast_params(init_edge_gnn_params(cfg, seed=1), np.float64)]
+    ecfg = ExpandedRgcnConfig(d_s=g.d_s, d_p=g.d_p, d_o=g.d_o, hidden=4, layers=3)
+    eparams = init_expanded_rgcn_params(ecfg, seed=1)
+
+    def scores(bound):
+        rows = (lambda hidden, dtype: bound)
+        with mock.patch.object(core, "score_part_rows", rows), \
+                mock.patch.object(baselines, "score_part_rows", rows):
+            return (core.edge_gnn_scores(g, offers, groups, cfg).tobytes(),
+                    score_expanded_rgcn(eg, eparams, ecfg, offers).tobytes())
+
+    unbounded = scores(None)
+    for bound in bounds:
+        assert scores(bound) == unbounded, bound
 
 
 @SETTINGS

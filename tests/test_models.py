@@ -45,7 +45,12 @@ from coldgraph.models import (
 )
 from coldgraph.experiment import ExperimentConfig
 from coldgraph.models.baselines import _expanded_ego, _expanded_probs
-from coldgraph.models.core import SCORE_CHUNK_BYTES, input_projections, score_chunk_rows
+from coldgraph.models.core import (
+    SCORE_CHUNK_BYTES,
+    input_projections,
+    score_chunk_rows,
+    score_part_rows,
+)
 from coldgraph.models.train import fit
 from coldgraph.sampling import extract_ego_network, message_flow_plan
 from coldgraph.simulate import GeneratorConfig, generate_synthetic_graph
@@ -427,6 +432,21 @@ def test_score_casts_parameters_once_per_dtype(monkeypatch):
     assert fresh.tobytes() == first.tobytes()
 
 
+@pytest.mark.parametrize("dtype", [np.int32, np.bool_, np.float16, np.complex128])
+def test_score_rejects_dtypes_other_than_float32_and_float64(dtype):
+    """Integer and bool weights would round the scores, and float16 would
+    score in float32 unseen; the call fails before casting anything, for
+    an empty batch too."""
+    g = make_random_graph(seed=26, n_sellers=12, n_products=6)
+    cfg = small_cfg(g)
+    model = EdgeGnnModel(cfg=cfg, param_groups=[init_edge_gnn_params(cfg, 0)])
+    want = f"scoring dtype must be float32 or float64, got {np.dtype(dtype).name}$"
+    for offers in (np.arange(g.n_offers), np.zeros(0, dtype=np.int64)):
+        with pytest.raises(ValueError, match=want):
+            model.score(g, offers, dtype=dtype)
+    assert model._cast == {}
+
+
 def edge_gnn_model(cfg, seed):
     heads = [None] if cfg.mode == "multi_task" else range(N_CLASSES)
     return EdgeGnnModel(cfg=cfg, param_groups=[
@@ -507,6 +527,30 @@ def test_default_training_step_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 28 * 2**20, f"{peak / 2**20:.1f} MiB"
+
+
+def test_default_bulk_score_memory():
+    """One float64 score of every offer of the default graph allocates at
+    most 24 MiB above the graph: the plan's parts hold at most 2048 rows,
+    so the encoder's temporaries stay a few MiB however large the ego, and
+    the ego goes before the offer side runs.  Unbounded parts, as in
+    training, took 29.4 MiB.  A one-offer score casts the parameters and
+    builds the graph's caches before tracing."""
+    config = ExperimentConfig.from_json_file(CONFIGS / "default.json")
+    g = generate_synthetic_graph(config.generator)
+    cfg = config.model.edge_gnn_config(g.d_s, g.d_p, g.d_o)
+    assert cfg.hidden == 64 and score_part_rows(cfg.hidden, np.float64) == 2048
+    model = edge_gnn_model(cfg, seed=0)
+    offers = np.arange(g.n_offers)
+    model.score(g, offers[:1])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        model.score(g, offers)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
 def test_scores_invariant_under_node_relabeling():

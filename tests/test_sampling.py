@@ -155,3 +155,6 @@ def test_extract_errors():
     for offers in (np.array([], dtype=np.int64), np.array([[0, 1]])):
         with pytest.raises(ValueError, match="non-empty flat index array"):
             extract_ego_network(g, offers, hops=1)
+    for bound in (0, -16, 8, 40):
+        with pytest.raises(ValueError, match=f"positive multiple of 16, got {bound}$"):
+            extract_ego_network(g, offer_batch(g, 2, 0), hops=1, max_rows=bound)

@@ -2,9 +2,12 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coldgraph.graph import NORMAL_CLASS, HeteroGraph
+from coldgraph.graph import N_CLASSES, NORMAL_CLASS, HeteroGraph
 from coldgraph.simulate import (
+    SCENARIOS,
     GeneratorConfig,
     ScenarioSpec,
     apply_scenario,
@@ -15,6 +18,7 @@ from coldgraph.simulate import (
     sample_cold_entities,
     save_scenario,
 )
+from test_graph_properties import graph_arrays
 
 
 def small_config(**kw):
@@ -345,3 +349,111 @@ def test_apply_scenario_rejects_repeated_ids(small_graph, field):
     broken = ScenarioSpec.from_dict({**spec.to_dict(), field: ids + [ids[0]]})
     with pytest.raises(ValueError, match=f"^scenario {field} index {ids[0]} repeats$"):
         apply_scenario(small_graph, broken)
+
+
+# ---------------------------------------------------------------------------
+# masking properties over random graphs and specs
+
+PROPS = settings(max_examples=60, deadline=None)
+
+
+@st.composite
+def labeled_graphs(draw):
+    """Random graphs of ``graph_arrays`` with at least one offer, labeled so
+    that ``make_scenario`` can sample them."""
+    kw = draw(graph_arrays(min_offers=1))
+    if kw["labels"] is None:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        kw["labels"] = rng.integers(0, 2, size=(kw["offer_seller"].size, N_CLASSES)).astype(np.uint8)
+    return HeteroGraph.from_arrays(**kw)
+
+
+@st.composite
+def graphs_and_specs(draw):
+    """A graph and a spec of any kind: sampled by ``make_scenario``, or with
+    drawn new sellers, new products and evaluation offers."""
+    g = draw(labeled_graphs())
+    kind = draw(st.sampled_from(SCENARIOS))
+    if draw(st.booleans()):
+        return g, make_scenario(g, kind, seed=draw(st.integers(0, 2**16)))
+
+    def ids(n):
+        return tuple(draw(st.lists(st.integers(0, n - 1), unique=True)))
+
+    return g, ScenarioSpec(scenario=kind, seed=0, new_sellers=ids(g.n_sellers),
+                           new_products=ids(g.n_products), eval_offers=ids(g.n_offers))
+
+
+def features(g):
+    return g.offer_features, g.seller_features, g.product_features
+
+
+def reference_masking(g, spec):
+    """The masked feature matrices cell by cell: an evaluation offer keeps
+    its list price (column 0), a new seller nothing, a new product its
+    category (column 0); the full scenario masks nothing."""
+    of, sf, pf = (x.copy() for x in features(g))
+    if spec.scenario != "full":
+        for k in spec.eval_offers:
+            of[k, 1:] = 0.0
+        for s in spec.new_sellers:
+            sf[s] = 0.0
+        for p in spec.new_products:
+            pf[p, 1:] = 0.0
+    return of, sf, pf
+
+
+@PROPS
+@given(graphs_and_specs())
+def test_masking_is_exact(g_spec):
+    """Every masked cell is zero, every other cell keeps its bits, and the
+    topology, labels and evaluation offers are the spec's and the graph's."""
+    g, spec = g_spec
+    masked, eval_offers = apply_scenario(g, spec)
+    for got, want in zip(features(masked), reference_masking(g, spec)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert np.array_equal(eval_offers, spec.eval_offers)
+    assert masked.labels.tobytes() == g.labels.tobytes()
+    assert masked.union_csr() is g.union_csr()
+    for name in ("offer_seller", "offer_product"):
+        assert np.array_equal(getattr(masked, name), getattr(g, name))
+
+
+@PROPS
+@given(graphs_and_specs())
+def test_masking_twice_equals_masking_once(g_spec):
+    g, spec = g_spec
+    once, first = apply_scenario(g, spec)
+    twice, second = apply_scenario(once, spec)
+    assert np.array_equal(first, second)
+    for a, b in zip(features(once), features(twice)):
+        assert a.tobytes() == b.tobytes()
+
+
+@PROPS
+@given(labeled_graphs(), st.integers(0, 2**16))
+def test_scenarios_of_one_seed_nest(g, seed):
+    """From ``full`` to ``new_seller_new_product``, each scenario of one seed
+    masks a superset of the previous one's cells to the same zeros; from
+    ``new_offer`` on, each evaluates a superset of the previous one's
+    offers (``full`` evaluates every offer).  The three cold scenarios
+    share one base sample, new_offer evaluates it, and the seller scenarios
+    agree on the new sellers, whose offers they evaluate, as the last one
+    evaluates its new products' offers too."""
+    specs = [make_scenario(g, kind, seed) for kind in SCENARIOS]
+    full, new_offer, new_seller, both = specs
+    assert full.eval_offers == tuple(range(g.n_offers))
+    assert new_offer.base_offers == new_seller.base_offers == both.base_offers
+    assert new_offer.eval_offers == new_offer.base_offers
+    assert new_seller.new_sellers == both.new_sellers
+    assert set(np.flatnonzero(np.isin(g.offer_seller, new_seller.new_sellers))) \
+        == set(new_seller.eval_offers)
+    assert set(np.flatnonzero(np.isin(g.offer_seller, both.new_sellers)
+                              | np.isin(g.offer_product, both.new_products))) \
+        == set(both.eval_offers)
+    masked = [features(apply_scenario(g, spec)[0]) for spec in specs]
+    assert set(new_offer.eval_offers) <= set(new_seller.eval_offers) <= set(both.eval_offers)
+    for before, after in zip(masked, masked[1:]):
+        for x, a, b in zip(features(g), before, after):
+            changed = a != x
+            assert (b != x)[changed].all() and (b[changed] == 0).all()
