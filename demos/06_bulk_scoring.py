@@ -8,7 +8,6 @@ communities scaled together, so the edges grow in step).  Each run is a
 fresh Python process at one BLAS thread, so its peak RSS is its own.  A
 run reports:
 
-- ``seconds``: the median of three timed calls;
 - ``peak_rss_growth_mib``: the process's peak RSS after the calls minus
   its peak before them (graph generation and one warm-up call of one
   offer, which casts the parameters and builds the graph's caches);
@@ -26,15 +25,23 @@ is the node side's cost per ego node, ``kib_per_ego_node``.
 ``--source NAME=SRC`` (repeatable) measures the ``coldgraph`` package
 under ``SRC``, for instance an older checkout's ``src`` next to this
 one's; results go into ``--out`` under ``NAME``, next to the sources
-already recorded there:
+already recorded there.
+
+Time is compared, not measured alone: on a shared 2-vCPU host the speed a
+process gets drifts by more than a 20% change between two runs minutes
+apart.  With two or more sources, each run is timed in ``PAIRS`` (3)
+rounds; a round times every source once, each in a fresh process
+that scores the run's offers three times after its warm-up call, and the
+order of the sources turns round every other round.  Each source then
+records ``seconds``, the median of its three calls in each round, and
+``seconds_ratio``, each round's seconds over the first source's in that
+round, so a drift slower than a round cancels:
 
     python demos/06_bulk_scoring.py --source before=/path/to/old/src \\
-        --runs 1x1 1x3 4x1 4x3 10x1 --out BENCH_score_bulk.json
-    python demos/06_bulk_scoring.py --source after=src \\
-        --runs 1x1 1x3 4x1 4x3 10x1 --out BENCH_score_bulk.json
+        --source after=src --runs 1x1 1x3 4x1 4x3 10x1 --out BENCH_score_bulk.json
 
 With no arguments it measures ``src`` at ``1x1`` and ``1x3`` and prints
-the result.
+the result; one source records no time.
 """
 
 import argparse
@@ -43,24 +50,24 @@ import json
 import os
 import platform
 import resource
+import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-TIMED_CALLS = 3
+CALLS = 3
+PAIRS = 3  # timing rounds with two or more sources
 
 
 def _peak_rss_mib() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
 
 
-def measure(scale: int, repeat: int) -> dict:
-    """One run, in this process; ``coldgraph`` must be importable."""
-    import time
-    import tracemalloc
-
+def _scoring_run(scale: int, repeat: int) -> tuple:
+    """The run's graph, a model and its offers, after one warm-up call of
+    one offer, which casts the parameters and builds the graph's caches."""
     import numpy as np
 
     import coldgraph as cg
@@ -74,13 +81,19 @@ def measure(scale: int, repeat: int) -> dict:
     model = cg.EdgeGnnModel(cfg=cfg, param_groups=[cg.models.init_edge_gnn_params(cfg, 0)])
     offers = np.tile(np.arange(g.n_offers), repeat)
     model.score(g, offers[:1])
+    return g, model, offers
 
+
+def measure(scale: int, repeat: int) -> dict:
+    """One run's memory, in this process; ``coldgraph`` must be importable."""
+    import tracemalloc
+
+    import coldgraph as cg
+
+    g, model, offers = _scoring_run(scale, repeat)
     before = _peak_rss_mib()
-    seconds = []
-    for _ in range(TIMED_CALLS):
-        t = time.perf_counter()
+    for _ in range(CALLS):
         model.score(g, offers)
-        seconds.append(time.perf_counter() - t)
     after = _peak_rss_mib()
 
     tracemalloc.start()
@@ -90,17 +103,29 @@ def measure(scale: int, repeat: int) -> dict:
         traced = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    ego_nodes = cg.extract_ego_network(g, offers, hops=cfg.gnn_layers).n_local
+    ego_nodes = cg.extract_ego_network(g, offers, hops=model.cfg.gnn_layers).n_local
     return {
         "offers_in_graph": int(g.n_offers),
         "offers_scored": int(offers.shape[0]),
         "ego_nodes": int(ego_nodes),
         "kib_per_ego_node": round(traced / 1024 / ego_nodes, 3),
-        "seconds": round(float(np.median(seconds)), 4),
         "peak_rss_before_mib": round(before, 1),
         "peak_rss_growth_mib": round(after - before, 1),
         "traced_peak_mib": round(traced / 2**20, 2),
     }
+
+
+def time_calls(scale: int, repeat: int) -> dict:
+    """The median seconds of ``CALLS`` scoring calls, in this process."""
+    import time
+
+    g, model, offers = _scoring_run(scale, repeat)
+    seconds = []
+    for _ in range(CALLS):
+        t = time.perf_counter()
+        model.score(g, offers)
+        seconds.append(time.perf_counter() - t)
+    return {"seconds": statistics.median(seconds)}
 
 
 def machine_block() -> dict:
@@ -118,14 +143,28 @@ def machine_block() -> dict:
     }
 
 
-def run_child(src: Path, run: str) -> dict:
+def run_child(src: Path, run: str, mode: str = "--child") -> dict:
     scale, repeat = (int(x) for x in run.split("x"))
     env = dict(os.environ, PYTHONPATH=str(src), **{v: "1" for v in BLAS_VARS})
     out = subprocess.run(
-        [sys.executable, __file__, "--child", str(scale), str(repeat)],
+        [sys.executable, __file__, mode, str(scale), str(repeat)],
         env=env, check=True, capture_output=True, text=True,
     )
     return json.loads(out.stdout.splitlines()[-1])
+
+
+def time_in_pairs(sources: dict, run: str) -> dict:
+    """Per source, each round's median seconds and its ratio to the first
+    source's in the same round; the sources' order turns every other round."""
+    names = list(sources)
+    seconds = {name: [] for name in names}
+    for i in range(PAIRS):
+        for name in names if i % 2 == 0 else names[::-1]:
+            seconds[name].append(run_child(sources[name], run, "--child-time")["seconds"])
+    first = seconds[names[0]]
+    return {name: {"seconds": [round(t, 4) for t in ts],
+                   "seconds_ratio": [round(t / f, 3) for t, f in zip(ts, first)]}
+            for name, ts in seconds.items()}
 
 
 def main(argv=None) -> None:
@@ -134,22 +173,35 @@ def main(argv=None) -> None:
     p.add_argument("--runs", nargs="+", default=["1x1", "1x3"], metavar="SCALExREPEAT")
     p.add_argument("--out", type=Path)
     p.add_argument("--child", nargs=2, type=int, help=argparse.SUPPRESS)
+    p.add_argument("--child-time", nargs=2, type=int, help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.child:
         print(json.dumps(measure(*args.child)))
         return
+    if args.child_time:
+        print(json.dumps(time_calls(*args.child_time)))
+        return
 
-    sources = dict(s.split("=", 1) for s in args.source) or {"src": str(ROOT / "src")}
+    sources = {name: Path(src).resolve() for name, src in
+               (s.split("=", 1) for s in args.source)} or {"src": ROOT / "src"}
     doc = json.loads(args.out.read_text()) if args.out and args.out.exists() else {}
     doc["machine"] = machine_block()
     results = doc.setdefault("results", {})
     for name, src in sources.items():
-        results[name] = {run: run_child(Path(src).resolve(), run) for run in args.runs}
+        results[name] = {run: run_child(src, run) for run in args.runs}
+    if len(sources) > 1:
+        for run in args.runs:
+            for name, timing in time_in_pairs(sources, run).items():
+                results[name][run].update(timing)
+    for name in sources:
         for run, r in results[name].items():
+            timing = (f", {statistics.median(r['seconds']):7.3f} s "
+                      f"(ratio {statistics.median(r['seconds_ratio']):.3f})"
+                      if "seconds" in r else "")
             print(f"{name:>8} {run:>5}: {r['offers_scored']:7d} offers, {r['ego_nodes']:6d} ego "
-                  f"nodes, {r['seconds']:7.3f} s, peak RSS +{r['peak_rss_growth_mib']:6.1f} MiB, "
+                  f"nodes, peak RSS +{r['peak_rss_growth_mib']:6.1f} MiB, "
                   f"traced peak {r['traced_peak_mib']:7.2f} MiB "
-                  f"({r['kib_per_ego_node']:.2f} KiB per ego node)")
+                  f"({r['kib_per_ego_node']:.2f} KiB per ego node){timing}")
     if args.out:
         args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 

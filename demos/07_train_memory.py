@@ -10,7 +10,10 @@ above its graph and the graph's caches:
   the batch's ego network is built inside the step, as in training);
 - ``rgcn_expanded``: one full-batch epoch of ``train_expanded_rgcn`` on the
   expanded graph (its ego network of every offer, forward, backward and
-  Adam).
+  Adam);
+- ``tabular`` and ``sign``: one epoch of ``train_mlp_heads`` over the
+  kind's listing table (built before tracing) at the config's batch size
+  and ``mlp_hidden``: every class's head, trained in stacked groups.
 
 A run is named ``MODEL@CONFIG`` (``edge_gnn@default`` reads
 ``configs/default.json``) and is a fresh Python process at one BLAS
@@ -31,8 +34,8 @@ records the child's peak RSS and the run's ``summary_geo.csv`` table:
         --runs edge_gnn@default rgcn_expanded@small rgcn_expanded@default \\
         --repro configs/default.json --out BENCH_train_memory.json
 
-With no arguments it measures ``src`` at ``edge_gnn@small`` and
-``rgcn_expanded@small`` and prints the result.
+With no arguments it measures ``src`` at ``edge_gnn@small``,
+``rgcn_expanded@small`` and ``sign@small`` and prints the result.
 """
 
 import argparse
@@ -99,6 +102,13 @@ def measure(model: str, config_name: str) -> dict:
             eg, cg.models.init_expanded_rgcn_params(cfg, 0), cfg, np.arange(g.n_offers))
         peak = _traced_peak_mib(lambda: cg.models.train_expanded_rgcn(eg, cfg, tc))
         offers = g.n_offers
+    elif model in ("tabular", "sign"):
+        table = (cg.models.sign_listing_table(g, mc.sign_hops) if model == "sign"
+                 else cg.models.build_listing_table(g))
+        tc = mc.train_config(seed=0, epochs=1)
+        peak = _traced_peak_mib(
+            lambda: cg.models.train_mlp_heads(table, g.labels, tc, hidden=mc.mlp_hidden))
+        offers = g.n_offers
     else:
         raise ValueError(f"unknown model {model!r}")
     return {"offers_in_step": int(offers), "nodes_in_graph": int(g.n_nodes),
@@ -147,7 +157,8 @@ def run_child(src: Path, *args: str) -> dict:
 def main(argv=None) -> None:
     p = argparse.ArgumentParser(description="Memory of one training step")
     p.add_argument("--source", action="append", default=[], metavar="NAME=SRC")
-    p.add_argument("--runs", nargs="+", default=["edge_gnn@small", "rgcn_expanded@small"],
+    p.add_argument("--runs", nargs="+",
+                   default=["edge_gnn@small", "rgcn_expanded@small", "sign@small"],
                    metavar="MODEL@CONFIG")
     p.add_argument("--repro", metavar="CONFIG", help="also run coldgraph repro on CONFIG")
     p.add_argument("--out", type=Path)

@@ -1,6 +1,7 @@
 """Shared test helpers: small random graphs, graph equality, a reference
 breadth-first search, a reference message-flow plan with its comparison,
 reference sibling-offer summaries that sum each call's owners afresh, a
+reference per-class MLP trainer that fits one head after another, a
 bundle feature-cell edit that keeps the checksum valid, an
 ``os.replace`` that fails on demand, and four tape ops that only tests
 use (``matmul``, ``mul``, ``sum_all``, ``stack_rows``) to build losses and
@@ -16,8 +17,15 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from coldgraph.autodiff import Tensor, record
+from coldgraph.autodiff import Tensor, bce_loss, record
 from coldgraph.graph import N_CLASSES, HeteroGraph, NodeType, Relation
+from coldgraph.models.train import (
+    TrainingDiverged,
+    _epoch_batches,
+    fit,
+    init_mlp_head,
+    mlp_head_forward,
+)
 from coldgraph.sampling import _row_entries
 
 
@@ -207,6 +215,31 @@ def reference_sibling_offer_summaries(g: HeteroGraph, offer_ids: np.ndarray) -> 
         mean[has] = (sums - feats[offer_ids[has]].astype(np.float64)) / (k[has] - 1)[:, None]
         out.append(mean.astype(feats.dtype, copy=False))
     return out[0], out[1]
+
+
+def reference_train_mlp_heads(table, labels, tc, hidden=64):
+    """``models.train_mlp_heads`` as it trained before heads were stacked:
+    head ``k`` alone, one ``fit`` over scalar losses per head, drawing its
+    parameters and then one permutation per epoch from
+    ``default_rng([tc.seed, k])``.  A non-finite loss names its head."""
+    if labels.ndim != 2 or labels.shape[0] != table.shape[0]:
+        raise ValueError("labels must align with table rows")
+    m = table.shape[0]
+    labels = labels.astype(np.float32)
+    heads, history = [], []
+    for k in range(labels.shape[1]):
+        rng = np.random.default_rng([tc.seed, k])
+        params = init_mlp_head(rng, table.shape[1], hidden)
+
+        def loss_fn(idx):
+            return bce_loss(mlp_head_forward(Tensor(table[idx]), params), labels[idx, k:k + 1])
+
+        try:
+            history.append(fit(params, lambda: _epoch_batches(m, tc.batch_size, rng), loss_fn, tc))
+        except TrainingDiverged as exc:
+            raise TrainingDiverged(exc.loss, exc.epoch, exc.batch, k) from None
+        heads.append(params)
+    return heads, history
 
 
 def assert_same_graph(g, h):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from _helpers import make_random_graph, mul, stack_rows, sum_all
+from _helpers import make_random_graph, mul, reference_train_mlp_heads, stack_rows, sum_all
 from coldgraph.autodiff import (
     Tape,
     Tensor,
@@ -15,6 +15,7 @@ from coldgraph.autodiff import (
     bce_loss,
     finite_diff_check,
     parameter,
+    record,
     scale,
 )
 from coldgraph.graph import N_CLASSES, HeteroGraph, Relation, build_expanded_graph
@@ -51,7 +52,8 @@ from coldgraph.models.core import (
     score_chunk_rows,
     score_part_rows,
 )
-from coldgraph.models.train import fit
+from coldgraph.models import train as train_module
+from coldgraph.models.train import _fit_heads, fit
 from coldgraph.sampling import extract_ego_network, message_flow_plan
 from coldgraph.simulate import GeneratorConfig, generate_synthetic_graph
 
@@ -529,6 +531,29 @@ def test_default_training_step_memory():
     assert peak <= 28 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
+def test_small_sign_heads_epoch_memory():
+    """One small-config ``sign`` epoch of ``train_mlp_heads`` (all nine
+    heads) allocates at most 7 MiB above its table (6.0 MiB measured): a
+    group stacks as many heads as ``HEAD_GROUP_BYTES`` holds 512-row
+    batches of the 234-column table, six, and every step reuses one batch
+    buffer.  One head at a time took 1.7 MiB; all nine in one group 9.9."""
+    config = ExperimentConfig.from_json_file(CONFIGS / "small.json")
+    g = generate_synthetic_graph(config.generator)
+    mc = config.model
+    table = sign_listing_table(g, mc.sign_hops)
+    tc = mc.train_config(seed=0, epochs=1)
+    assert table.shape[1] == 234 and tc.batch_size == 512 and mc.mlp_hidden == 64
+    assert train_module.HEAD_GROUP_BYTES // (512 * 234 * table.itemsize) == 6
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        train_mlp_heads(table, g.labels, tc, hidden=mc.mlp_hidden)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * 2**20, f"{peak / 2**20:.1f} MiB"
+
+
 def test_default_bulk_score_memory():
     """One float64 score of every offer of the default graph allocates at
     most 24 MiB above the graph: the plan's parts hold at most 2048 rows,
@@ -641,6 +666,108 @@ def test_mlp_heads_learn_and_score():
     scores = score_mlp_heads(heads, x)
     acc = ((scores[:, 0] > 0.5) == (y[:, 0] == 1)).mean()
     assert acc > 0.9
+
+
+def assert_same_heads(got, want):
+    """Two ``train_mlp_heads`` results agree bit for bit: every parameter
+    array in dtype, shape and bytes, and every loss history."""
+    (heads, history), (ref_heads, ref_history) = got, want
+    assert len(heads) == len(ref_heads) and history == ref_history
+    for k, (p, q) in enumerate(zip(heads, ref_heads)):
+        assert p.keys() == q.keys()
+        for name in p:
+            a, b = p[name], q[name]
+            assert a.requires_grad and a.data.flags.c_contiguous
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), (k, name)
+            assert a.data.tobytes() == b.data.tobytes(), (k, name)
+
+
+def mlp_problem(rows, cols, classes, seed=0, dtype=np.float32, scale=1.0):
+    rng = np.random.default_rng(seed)
+    x = (scale * rng.normal(size=(rows, cols))).astype(dtype)
+    y = (rng.random((rows, classes)) < 0.3).astype(np.uint8)
+    return x, y
+
+
+@pytest.mark.parametrize("rows, cols, classes, batch_size, group, scale", [
+    (300, 7, 9, 64, 9, 1),    # short last batch (300 = 4 * 64 + 44), one group
+    (300, 7, 9, 64, 4, 1),    # nine heads in groups of 4, 4 and 1
+    (300, 7, 9, 64, 2, 1),    # groups of 2 and a lone last head
+    (300, 7, 9, 64, 1, 1),    # one head per step
+    (50, 5, 9, 64, 3, 1),     # batch_size > rows: one batch per epoch
+    (50, 5, 9, 50, 3, 1),     # batch_size == rows
+    (120, 6, 1, 32, 4, 1),    # K = 1
+    (97, 3, 5, 16, 3, 1),     # K = 5 in groups of 3 and 2
+    (200, 6, 4, 64, 4, 30),   # large features: about 40% of predictions clamped
+])
+def test_train_mlp_heads_matches_one_head_at_a_time(monkeypatch, rows, cols, classes,
+                                                    batch_size, group, scale):
+    """Stacked heads train bit for bit as the per-head loop does, whatever
+    the group size; ``HEAD_GROUP_BYTES`` is set to hold ``group`` batches."""
+    x, y = mlp_problem(rows, cols, classes, seed=rows + classes, scale=scale)
+    monkeypatch.setattr(train_module, "HEAD_GROUP_BYTES",
+                        group * min(batch_size, rows) * cols * x.itemsize)
+    tc = TrainConfig(epochs=3, batch_size=batch_size, lr=1e-2, seed=11)
+    assert_same_heads(train_mlp_heads(x, y, tc, hidden=8),
+                      reference_train_mlp_heads(x, y, tc, hidden=8))
+
+
+@pytest.mark.parametrize("group", [1, 3])
+def test_train_mlp_heads_keeps_a_float64_table_in_float64(monkeypatch, group):
+    """A float64 table trains in float64, as a Tensor of it does: rows that
+    float32 cannot hold would change every parameter if the batch buffer
+    cast them."""
+    x, y = mlp_problem(90, 4, 5, seed=3, dtype=np.float64)
+    assert not np.array_equal(x, x.astype(np.float32))
+    monkeypatch.setattr(train_module, "HEAD_GROUP_BYTES", group * 32 * 4 * 8)
+    tc = TrainConfig(epochs=2, batch_size=32, lr=1e-2, seed=1)
+    got = train_mlp_heads(x, y, tc, hidden=6)
+    assert_same_heads(got, reference_train_mlp_heads(x, y, tc, hidden=6))
+    cast = reference_train_mlp_heads(x.astype(np.float32), y, tc, hidden=6)
+    assert got[1] != cast[1]
+
+
+def test_train_mlp_heads_with_no_label_column_returns_nothing():
+    x, _ = mlp_problem(40, 3, 1)
+    assert train_mlp_heads(x, np.zeros((40, 0)), TrainConfig(epochs=2)) == ([], [])
+
+
+def test_train_mlp_heads_with_no_epoch_returns_the_initial_heads():
+    x, y = mlp_problem(40, 3, 4)
+    tc = TrainConfig(epochs=0, batch_size=16, seed=5)
+    got = train_mlp_heads(x, y, tc, hidden=5)
+    assert got[1] == [[], [], [], []]
+    assert_same_heads(got, reference_train_mlp_heads(x, y, tc, hidden=5))
+
+
+@pytest.mark.parametrize("table", [np.zeros((0, 3), np.float32),
+                                   np.arange(36).reshape(12, 3)])
+def test_train_mlp_heads_on_an_empty_or_integer_table(table):
+    """No row: every epoch reads 0.0.  Integer rows train in float32, as
+    a Tensor of them does."""
+    y = (np.arange(table.shape[0] * 3).reshape(-1, 3) % 4 == 0).astype(np.uint8)
+    tc = TrainConfig(epochs=2, batch_size=5)
+    assert_same_heads(train_mlp_heads(table, y, tc, hidden=4),
+                      reference_train_mlp_heads(table, y, tc, hidden=4))
+
+
+def test_fit_names_the_first_non_finite_head():
+    """A vector loss trains its heads side by side; the first non-finite
+    element names its head, offset by ``_fit_heads`` to the heads' place
+    among all heads."""
+    w = parameter(np.ones(3))
+
+    def loss_fn(batch):
+        value = np.array([0.5, np.inf, np.nan]) if batch == 1 else np.full(3, 0.25)
+        return record(Tensor(value), (w,), lambda g, needs: (g * value,))
+
+    tc = TrainConfig(epochs=2)
+    for first, head in ((None, 1), (4, 5)):
+        with pytest.raises(TrainingDiverged) as info:
+            _fit_heads(first, {"w": w}, lambda: [0, 1], loss_fn, tc)
+        assert str(info.value) == f"non-finite loss inf at epoch 0, batch 1, head {head}"
+        assert info.value.head == head
+    assert fit({"w": w}, lambda: [0, 0], loss_fn, tc) == [[0.25] * 3, [0.25] * 3]
 
 
 @pytest.mark.parametrize("field, value", [
