@@ -22,10 +22,7 @@ So ``traced_peak`` of ``4x3`` minus that of ``4x1`` is what the offer side
 adds per extra offer, and ``traced_peak`` over ``ego_nodes`` across scales
 is the node side's cost per ego node, ``kib_per_ego_node``.
 
-``--source NAME=SRC`` (repeatable) measures the ``coldgraph`` package
-under ``SRC``, for instance an older checkout's ``src`` next to this
-one's; results go into ``--out`` under ``NAME``, next to the sources
-already recorded there.
+``--source NAME=SRC`` and ``--out`` work as ``_measure.py`` describes.
 
 Time is compared, not measured alone: on a shared 2-vCPU host the speed a
 process gets drifts by more than a 20% change between two runs minutes
@@ -47,22 +44,13 @@ the result; one source records no time.
 import argparse
 import dataclasses
 import json
-import os
-import platform
-import resource
 import statistics
-import subprocess
-import sys
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+from _measure import parse_sources, peak_rss_mib, read_doc, run_child, traced_peak_mib, write_doc
+
 CALLS = 3
 PAIRS = 3  # timing rounds with two or more sources
-
-
-def _peak_rss_mib() -> float:
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
 
 
 def _scoring_run(scale: int, repeat: int) -> tuple:
@@ -86,32 +74,23 @@ def _scoring_run(scale: int, repeat: int) -> tuple:
 
 def measure(scale: int, repeat: int) -> dict:
     """One run's memory, in this process; ``coldgraph`` must be importable."""
-    import tracemalloc
-
     import coldgraph as cg
 
     g, model, offers = _scoring_run(scale, repeat)
-    before = _peak_rss_mib()
+    before = peak_rss_mib()
     for _ in range(CALLS):
         model.score(g, offers)
-    after = _peak_rss_mib()
-
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        model.score(g, offers)
-        traced = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
-    ego_nodes = cg.extract_ego_network(g, offers, hops=model.cfg.gnn_layers).n_local
+    after = peak_rss_mib()
+    traced = traced_peak_mib(lambda: model.score(g, offers))
+    ego_nodes = cg.extract_ego_network(g, offers, hops=model.cfg.gnn_layers).nodes.shape[0]
     return {
         "offers_in_graph": int(g.n_offers),
         "offers_scored": int(offers.shape[0]),
         "ego_nodes": int(ego_nodes),
-        "kib_per_ego_node": round(traced / 1024 / ego_nodes, 3),
+        "kib_per_ego_node": round(traced * 1024 / ego_nodes, 3),
         "peak_rss_before_mib": round(before, 1),
         "peak_rss_growth_mib": round(after - before, 1),
-        "traced_peak_mib": round(traced / 2**20, 2),
+        "traced_peak_mib": round(traced, 2),
     }
 
 
@@ -128,31 +107,6 @@ def time_calls(scale: int, repeat: int) -> dict:
     return {"seconds": statistics.median(seconds)}
 
 
-def machine_block() -> dict:
-    import numpy as np
-    import scipy
-
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {
-        "nproc": os.cpu_count(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-        "blas": f"{blas.get('name')} {blas.get('version')}",
-        "blas_threads": 1,
-    }
-
-
-def run_child(src: Path, run: str, mode: str = "--child") -> dict:
-    scale, repeat = (int(x) for x in run.split("x"))
-    env = dict(os.environ, PYTHONPATH=str(src), **{v: "1" for v in BLAS_VARS})
-    out = subprocess.run(
-        [sys.executable, __file__, mode, str(scale), str(repeat)],
-        env=env, check=True, capture_output=True, text=True,
-    )
-    return json.loads(out.stdout.splitlines()[-1])
-
-
 def time_in_pairs(sources: dict, run: str) -> dict:
     """Per source, each round's median seconds and its ratio to the first
     source's in the same round; the sources' order turns every other round."""
@@ -160,7 +114,8 @@ def time_in_pairs(sources: dict, run: str) -> dict:
     seconds = {name: [] for name in names}
     for i in range(PAIRS):
         for name in names if i % 2 == 0 else names[::-1]:
-            seconds[name].append(run_child(sources[name], run, "--child-time")["seconds"])
+            r = run_child(__file__, sources[name], "--child-time", *run.split("x"))
+            seconds[name].append(r["seconds"])
     first = seconds[names[0]]
     return {name: {"seconds": [round(t, 4) for t in ts],
                    "seconds_ratio": [round(t / f, 3) for t, f in zip(ts, first)]}
@@ -182,13 +137,12 @@ def main(argv=None) -> None:
         print(json.dumps(time_calls(*args.child_time)))
         return
 
-    sources = {name: Path(src).resolve() for name, src in
-               (s.split("=", 1) for s in args.source)} or {"src": ROOT / "src"}
-    doc = json.loads(args.out.read_text()) if args.out and args.out.exists() else {}
-    doc["machine"] = machine_block()
+    sources = parse_sources(args.source)
+    doc = read_doc(args.out)
     results = doc.setdefault("results", {})
     for name, src in sources.items():
-        results[name] = {run: run_child(src, run) for run in args.runs}
+        results[name] = {run: run_child(__file__, src, "--child", *run.split("x"))
+                         for run in args.runs}
     if len(sources) > 1:
         for run in args.runs:
             for name, timing in time_in_pairs(sources, run).items():
@@ -202,8 +156,7 @@ def main(argv=None) -> None:
                   f"nodes, peak RSS +{r['peak_rss_growth_mib']:6.1f} MiB, "
                   f"traced peak {r['traced_peak_mib']:7.2f} MiB "
                   f"({r['kib_per_ego_node']:.2f} KiB per ego node){timing}")
-    if args.out:
-        args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_doc(args.out, doc)
 
 
 if __name__ == "__main__":

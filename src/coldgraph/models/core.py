@@ -176,6 +176,19 @@ def init_relational_encoder(
     return params
 
 
+def _block_product(m: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``m @ w``, with a one-row ``m`` taken through a two-row product.
+
+    numpy computes a one-row product as a matrix-vector product, which can
+    round differently from the same row inside a longer matrix-matrix
+    product; a scoring plan may cut a relation's block so that its last
+    piece is one row long (65 rows at a 16-row bound), so without the
+    second row that row's bits would depend on the part bound."""
+    if m.shape[0] != 1:
+        return m @ w
+    return (np.concatenate((m, m)) @ w)[:1]
+
+
 def rgcn_layer(
     layer: Layer,
     h: Tensor,
@@ -190,7 +203,8 @@ def rgcn_layer(
     relation block, the neighbour-mean of ``h`` times that relation's
     weight ``rel_ws[block.relation]``.  Each part aggregates first,
     ``m = part.adj @ h``, and each of its blocks adds
-    ``m[lo:hi] @ W_r`` at its ``rows``.  Block matrices are
+    ``m[lo:hi] @ W_r`` at its ``rows`` (a one-row block through
+    :func:`_block_product`).  Block matrices are
     row-mean-normalized, so a relation a node does not participate in
     contributes nothing to it.
 
@@ -220,7 +234,7 @@ def rgcn_layer(
     for part in layer.parts:
         m = part.adj @ x
         for block in part.blocks:
-            add_at(pre, block.rows, m[block.lo:block.hi] @ ws[k].data)
+            add_at(pre, block.rows, _block_product(m[block.lo:block.hi], ws[k].data))
             k += 1
     out = Tensor(np.maximum(pre, 0, out=pre))
 
@@ -442,6 +456,13 @@ def _offer_probs(h: Tensor, sellers: np.ndarray, products: np.ndarray, o_o: np.n
 # ---------------------------------------------------------------------------
 # bulk scoring
 
+def _tile_rows(budget_bytes: int, row_bytes: int) -> int:
+    """The rows of ``row_bytes`` each that ``budget_bytes`` holds, rounded
+    down to whole ``TILE_ROWS`` tiles, and at least one tile."""
+    rows = budget_bytes // row_bytes
+    return max(TILE_ROWS, rows - rows % TILE_ROWS)
+
+
 # Bytes of offer-side activations one scoring chunk may hold, counted as
 # float64 rows of the classifier input, the widest offer-side array.
 SCORE_CHUNK_BYTES = 4 << 20
@@ -456,8 +477,7 @@ def score_chunk_rows(cfg: EdgeGnnConfig) -> int:
     other code, so a chunk without leftover rows computes each row's bits
     as one call over every offer would (except that call's leftovers).
     """
-    rows = SCORE_CHUNK_BYTES // (8 * (2 * cfg.hidden + cfg.edge_hidden))
-    return max(TILE_ROWS, rows - rows % TILE_ROWS)
+    return _tile_rows(SCORE_CHUNK_BYTES, 8 * (2 * cfg.hidden + cfg.edge_hidden))
 
 
 # Bytes of one ``hidden``-wide layer array per plan part when scoring: a
@@ -471,8 +491,7 @@ def score_part_rows(hidden: int, dtype) -> int:
     ``max_rows``): ``SCORE_PART_BYTES`` over one ``hidden``-wide row of
     ``dtype``, rounded down to whole 16-row tiles; 2048 float64 rows at
     ``hidden`` 64."""
-    rows = SCORE_PART_BYTES // (np.dtype(dtype).itemsize * hidden)
-    return max(TILE_ROWS, rows - rows % TILE_ROWS)
+    return _tile_rows(SCORE_PART_BYTES, np.dtype(dtype).itemsize * hidden)
 
 
 def edge_gnn_scores(

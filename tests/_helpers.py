@@ -3,13 +3,15 @@ breadth-first search, a reference message-flow plan with its comparison,
 reference sibling-offer summaries that sum each call's owners afresh, a
 reference per-class MLP trainer that fits one head after another, a
 bundle feature-cell edit that keeps the checksum valid, an
-``os.replace`` that fails on demand, and four tape ops that only tests
+``os.replace`` that fails on demand, the tracemalloc peak of one call,
+and four tape ops that only tests
 use (``matmul``, ``mul``, ``sum_all``, ``stack_rows``) to build losses and
 programs."""
 
 import json
 import os
 import struct
+import tracemalloc
 import zlib
 from pathlib import Path
 from typing import NamedTuple
@@ -286,6 +288,18 @@ def fail_nth_replace(monkeypatch, n):
 
     monkeypatch.setattr(os, "replace", replace)
     return calls
+
+
+def traced_peak(fn) -> int:
+    """The tracemalloc peak of one call of ``fn``, in bytes above the memory
+    traced when the call starts."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def matmul(x, w):

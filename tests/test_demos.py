@@ -2,9 +2,12 @@
 
 ``05_scaling.py`` is a long timing run and is left out;
 ``06_bulk_scoring.py`` runs its short default (the two 1x runs) and
-``07_train_memory.py`` its quick one (both models on the small config).
+``07_train_memory.py`` its quick one (``edge_gnn``, ``rgcn_expanded`` and
+``sign`` on the small config).  The BENCH demos' shared child runner,
+``demos/_measure.py``, is checked on its own.
 """
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -31,3 +34,16 @@ def test_demo_exits_cleanly(name, tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+
+
+def test_measure_child_runs_at_one_blas_thread_without_hugepage_advice(tmp_path):
+    spec = importlib.util.spec_from_file_location("_measure", ROOT / "demos" / "_measure.py")
+    measure = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(measure)
+    script = tmp_path / "env.py"
+    script.write_text("import json, os\nprint('ready')\nprint(json.dumps(dict(os.environ)))\n")
+    src = tmp_path / "src"
+    env = measure.run_child(script, src)
+    assert [env[v] for v in measure.BLAS_VARS] == ["1", "1", "1"]
+    assert env["NUMPY_MADVISE_HUGEPAGE"] == "0"
+    assert env["PYTHONPATH"] == str(src)

@@ -247,7 +247,22 @@ def test_bounded_plans_cut_unbounded_plans_in_whole_tiles(g, data):
             unbounded = ego_of(None).plan
             for bound in bounds:
                 assert_bounded_plan_cuts_unbounded(ego_of(bound).plan, unbounded, bound)
+    assert_bounded_scores_keep_bits(g, offers, bounds)
 
+
+def test_bounded_scoring_keeps_bits_at_a_one_row_piece():
+    """At a 16-row bound, four relations of this graph's first layer have
+    65 rows each, so each ends in a one-row piece: its product must round
+    as the last row of the whole relation's product does."""
+    g = make_random_graph(seed=42, n_sellers=65, n_products=10, ss_p=0.0625)
+    assert_bounded_scores_keep_bits(g, np.array([1]), (16, 32, 48))
+
+
+def assert_bounded_scores_keep_bits(g, offers, bounds):
+    """Float64 scores of ``offers`` by a three-layer edge classifier and
+    expanded-graph RGCN equal, byte for byte, at each part bound in
+    ``bounds`` and with unbounded plans."""
+    eg = build_expanded_graph(g)
     cfg = EdgeGnnConfig(d_s=g.d_s, d_p=g.d_p, d_o=g.d_o, hidden=4, gnn_layers=3,
                         edge_hidden=3, cls_hidden=3)
     groups = [cast_params(init_edge_gnn_params(cfg, seed=1), np.float64)]

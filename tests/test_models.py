@@ -1,11 +1,11 @@
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from _helpers import make_random_graph, mul, reference_train_mlp_heads, stack_rows, sum_all
+from _helpers import (
+    make_random_graph, mul, reference_train_mlp_heads, stack_rows, sum_all, traced_peak)
 from coldgraph.autodiff import (
     Tape,
     Tensor,
@@ -490,16 +490,7 @@ def test_scoring_memory_is_flat_in_offers_scored():
     once = np.arange(g.n_offers)
     assert g.n_offers > score_chunk_rows(cfg)
     model.score(g, once)  # casts the parameters and builds the graph's caches
-    peaks = []
-    tracemalloc.start()
-    try:
-        for offers in (once, np.tile(once, 3)):
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            model.score(g, offers)
-            peaks.append(tracemalloc.get_traced_memory()[1] - base)
-    finally:
-        tracemalloc.stop()
+    peaks = [traced_peak(lambda: model.score(g, offers)) for offers in (once, np.tile(once, 3))]
     assert peaks[1] - peaks[0] < SCORE_CHUNK_BYTES, peaks
 
 
@@ -521,13 +512,7 @@ def test_default_training_step_memory():
     def loss_fn(offers):
         return scale(bce_loss(edge_gnn_forward(g, offers, params, cfg), targets), N_CLASSES)
 
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        fit(params, lambda: [batch], loss_fn, tc)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: fit(params, lambda: [batch], loss_fn, tc))
     assert peak <= 28 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
@@ -544,13 +529,7 @@ def test_small_sign_heads_epoch_memory():
     tc = mc.train_config(seed=0, epochs=1)
     assert table.shape[1] == 234 and tc.batch_size == 512 and mc.mlp_hidden == 64
     assert train_module.HEAD_GROUP_BYTES // (512 * 234 * table.itemsize) == 6
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        train_mlp_heads(table, g.labels, tc, hidden=mc.mlp_hidden)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: train_mlp_heads(table, g.labels, tc, hidden=mc.mlp_hidden))
     assert peak <= 7 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
@@ -568,13 +547,7 @@ def test_default_bulk_score_memory():
     model = edge_gnn_model(cfg, seed=0)
     offers = np.arange(g.n_offers)
     model.score(g, offers[:1])
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        model.score(g, offers)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: model.score(g, offers))
     assert peak <= 24 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
