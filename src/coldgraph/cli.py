@@ -43,6 +43,10 @@ from .storage import GraphFormatError, load_graph, save_graph, write_artifact
 
 DEFAULT_BENCH_SIZES = (10_000, 20_000, 40_000, 80_000)
 
+# model kind -> the ModelConfig field that counts its training epochs
+EPOCHS_FIELD = {"edge_gnn": "epochs", "rgcn_expanded": "expanded_epochs", "tabular": "mlp_epochs",
+                "naive": "mlp_epochs", "sign": "mlp_epochs"}
+
 
 def _log(event: dict) -> None:
     print(json.dumps(event, sort_keys=True), file=sys.stderr)
@@ -70,6 +74,8 @@ def _load_config(args) -> ExperimentConfig:
         )
     overrides = {flag: getattr(args, flag) for flag in ("epochs", "lr", "batch_size", "mode")
                  if getattr(args, flag, None) is not None}
+    if "epochs" in overrides:  # only train takes it: the trained kind's own epoch count
+        overrides[EPOCHS_FIELD[args.model]] = overrides.pop("epochs")
     if overrides:
         config = dataclasses.replace(
             config, model=dataclasses.replace(config.model, **overrides)

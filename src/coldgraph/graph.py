@@ -23,16 +23,14 @@ one accessor, ``HeteroGraph._derived(key, build)``:
 - ``unified_csr(r)``: the symmetric binary adjacency of relation ``r``;
 - ``normalized_stack()``: the nine matrices with each row scaled by
   1/degree, stacked relation-major into one ``(9 n, n)`` CSR, the only
-  normalized form: the edge classifier's ego networks gather its rows and
-  the diffusion features sum its row blocks;
-- ``union_csr()``: the binary OR of the nine, which ego extraction walks
-  and whose seller block is the union of the seller-seller relations;
+  normalized form and the only adjacency that ego networks read: their
+  breadth-first search is the plan's own row gathers of it, and the
+  diffusion features sum its row blocks;
 - ``offers_of(node_type)``: the owner-by-offer incidence of sellers or
   products, which gives sibling-offer sums and a cold entity's offers;
-- ``ExpandedGraph.relation_csrs()``, ``normalized_stack()`` and
-  ``union_csr()``: the ten matrices of the expanded form, normalized and
-  stacked the same way, and their OR, which the expanded baseline's ego
-  networks read and walk.
+- ``ExpandedGraph.relation_csrs()`` and ``normalized_stack()``: the ten
+  matrices of the expanded form, normalized and stacked the same way,
+  which the expanded baseline's ego networks read.
 
 ``offer_sums(node_type)``, the owners' float64 offer feature sums, derives from
 the features: each graph instance caches its own, and copies start empty.
@@ -144,13 +142,6 @@ def _freeze_csr(mat: sp.csr_matrix) -> sp.csr_matrix:
     for arr in (mat.data, mat.indices, mat.indptr):
         arr.flags.writeable = False
     return mat
-
-
-def _binary_union(mats: Sequence[sp.csr_matrix]) -> sp.csr_matrix:
-    """Read-only binary OR of same-shape matrices."""
-    mat = sum(mats)
-    mat.data[:] = 1.0
-    return _freeze_csr(mat)
 
 
 def _normalized_stack(mats: Sequence[sp.csr_matrix]) -> sp.csr_matrix:
@@ -352,13 +343,6 @@ class HeteroGraph:
             "normalized", lambda: _normalized_stack([self.unified_csr(r) for r in Relation])
         )
 
-    def union_csr(self) -> sp.csr_matrix:
-        """Binary OR of the nine ``unified_csr`` matrices; read-only, built
-        once per topology."""
-        return self._derived(
-            "union", lambda: _binary_union([self.unified_csr(r) for r in Relation])
-        )
-
     def offers_of(self, node_type: NodeType) -> sp.csr_matrix:
         """Binary float64 ``(n_sellers or n_products, n_offers)`` incidence:
         row ``i`` holds owner ``i``'s offers in ascending order.  Read-only,
@@ -461,11 +445,6 @@ class ExpandedGraph:
         return self.g._derived(
             "expanded_normalized", lambda: _normalized_stack(self.relation_csrs())
         )
-
-    def union_csr(self) -> sp.csr_matrix:
-        """Binary OR of the ten ``relation_csrs()``; cached and shared the
-        same way."""
-        return self.g._derived("expanded_union", lambda: _binary_union(self.relation_csrs()))
 
 
 def build_expanded_graph(g: HeteroGraph) -> ExpandedGraph:

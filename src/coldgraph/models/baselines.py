@@ -65,12 +65,12 @@ def naive_fill_seller_features(g: HeteroGraph, new_sellers: np.ndarray) -> np.nd
     filled = g.seller_features.copy()
     if new_sellers.size == 0:
         return filled
-    # offer edges only join sellers to products, so the union's seller
-    # block is the union of the eight seller-seller relations
-    ns = g.n_sellers
-    union = g.union_csr()[:ns, :ns]
-    sums = union[new_sellers] @ g.seller_features.astype(np.float64)
-    k = np.diff(union.indptr)[new_sellers]
+    # the binary OR of the cold sellers' rows of the eight relations, whose
+    # columns are all sellers
+    union = sum(g.unified_csr(r)[new_sellers] for r in Relation.seller_seller())
+    union.data[:] = 1.0
+    sums = union[:, :g.n_sellers] @ g.seller_features.astype(np.float64)
+    k = np.diff(union.indptr)
     has = k > 0
     filled[new_sellers[has]] = (sums[has] / k[has, None]).astype(np.float32)
     return filled
@@ -175,8 +175,7 @@ def _expanded_ego(
 ) -> EgoNetwork:
     """The ego network of ``offers``' offer nodes, ``layers`` deep, its plan's
     parts at most ``max_rows`` tall if given."""
-    return ego_network(eg.union_csr(), eg.normalized_stack(), eg.g.n_nodes + offers, layers,
-                       max_rows)
+    return ego_network(eg.normalized_stack(), eg.g.n_nodes + offers, layers, max_rows)
 
 
 def _expanded_probs(eg: ExpandedGraph, ego: EgoNetwork, params: dict) -> Tensor:
@@ -210,8 +209,12 @@ def score_expanded_rgcn(
     eg: ExpandedGraph, params: dict, cfg: ExpandedRgcnConfig, offers: np.ndarray
 ) -> np.ndarray:
     """Float64 probability rows of ``offers``, in any order; the plan's parts
-    hold at most ``score_part_rows`` rows, as in edge classifier scoring."""
+    hold at most ``score_part_rows`` rows, as in edge classifier scoring.
+    Raises ValueError naming the first offer id outside ``[0, n_offers)``."""
     offers = np.asarray(offers, dtype=np.int64)
+    bad = offers[(offers < 0) | (offers >= eg.g.n_offers)]
+    if bad.size:
+        raise ValueError(f"offer id {int(bad[0])} out of range [0, {eg.g.n_offers})")
     if offers.size == 0:
         return np.zeros((0, N_CLASSES))
     ego = _expanded_ego(eg, offers, cfg.layers, score_part_rows(cfg.hidden, np.float64))

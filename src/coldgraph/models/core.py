@@ -487,10 +487,9 @@ SCORE_PART_BYTES = 1 << 20
 
 
 def score_part_rows(hidden: int, dtype) -> int:
-    """Rows per plan part when scoring (``message_flow_plan``'s
-    ``max_rows``): ``SCORE_PART_BYTES`` over one ``hidden``-wide row of
-    ``dtype``, rounded down to whole 16-row tiles; 2048 float64 rows at
-    ``hidden`` 64."""
+    """Rows per plan part when scoring (``ego_network``'s ``max_rows``):
+    ``SCORE_PART_BYTES`` over one ``hidden``-wide row of ``dtype``, rounded
+    down to whole 16-row tiles; 2048 float64 rows at ``hidden`` 64."""
     return _tile_rows(SCORE_PART_BYTES, np.dtype(dtype).itemsize * hidden)
 
 

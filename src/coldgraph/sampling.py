@@ -7,20 +7,22 @@ of a ``hops``-layer relational GNN at the seeds: layer l of a node only
 reads nodes l edges away.  :func:`ego_network` builds it for both
 GNNs: the edge classifier seeds it at a batch's endpoints
 (:func:`extract_ego_network`), the expanded-graph baseline at the offer
-nodes it classifies.  Its breadth-first search is vectorised: each hop is
-one row gather from a cached union adjacency and one mark array.
+nodes it classifies.
 
 Layers are pruned by message flow (the GraphSAGE minibatch algorithm, DGL's
 "blocks"): the output is read only at hop zero, so layer l of an L-layer
 stack computes only the rows with ``hop <= L-1-l``, and those rows read only
-rows with ``hop <= L-l``.  Every neighbour of such a row is in the ego
-network, so its row of the cached row-normalised matrix is exact as is:
-:func:`message_flow_plan` gathers those rows of every relation in one step
-from the relation-stacked matrix (``normalized_stack()``) and replaces
-each column by that node's row in the layer input, with plain numpy index
-arithmetic.  The gathered rows stay stacked: a layer's non-empty rows,
-relation after relation, are cut into a few parts, one CSR each, and each
-relation's block is the row slice ``lo:hi`` of its part that holds the
+rows with ``hop <= L-l``.  As in GraphSAGE's minibatch algorithm, each
+layer's input set is its output set and their neighbours, last layer first,
+so the plan's own row gathers are the breadth-first search: one step
+gathers the outputs' rows of every relation at once from the
+relation-stacked matrix (``normalized_stack()``), gives each neighbour not
+reached before its hop, and replaces each column by that node's row in the
+layer input, with plain numpy index arithmetic.  Every neighbour of an
+output is in the layer input, so its row of the cached row-normalised
+matrix is exact as is.  The gathered rows stay stacked: a layer's non-empty
+rows, relation after relation, are cut into a few parts, one CSR each, and
+each relation's block is the row slice ``lo:hi`` of its part that holds the
 outputs with a message of that relation (``rows``).  So relation r adds
 ``(part @ h)[lo:hi] @ W_r`` at ``rows``: aggregate first, then transform,
 with one sparse product per part and no per-relation gather of ``h``.
@@ -45,13 +47,9 @@ from .graph import HeteroGraph
 
 __all__ = [
     "EgoNetwork",
-    "Block",
-    "Part",
     "Layer",
     "extract_ego_network",
-    "endpoint_seeds",
     "ego_network",
-    "message_flow_plan",
     "TILE_ROWS",
 ]
 
@@ -137,27 +135,15 @@ def _row_entries(m: sp.csr_matrix, rows: np.ndarray) -> tuple:
     return indptr, np.arange(indptr[-1]) + np.repeat(start - indptr[:-1], lens)
 
 
-def message_flow_plan(
-    stack: sp.csr_matrix, nodes: np.ndarray, hop: np.ndarray, layers: int,
-    max_rows: int | None = None,
+def _layer_parts(
+    data: np.ndarray, col: np.ndarray, indptr: np.ndarray, n_rel: int, n_in: int,
+    max_rows: int | None,
 ) -> tuple:
-    """The :class:`Layer` of each of ``layers`` convolutions read at hop zero.
-
-    ``stack`` holds one row-normalized adjacency per relation over a global
-    node space of ``n = stack.shape[1]`` nodes, stacked relation-major (row
-    ``r*n + i`` is row ``i`` of relation ``r``, as ``normalized_stack()``
-    gives it); ``nodes`` are the ascending global ids within ``layers``
-    hops of the seeds and ``hop`` their distances, as :func:`ego_network`
-    gives them.  Layer k's input rows are the nodes with
-    ``hop <= layers-k``, in order, and its outputs those with
-    ``hop <= layers-1-k``.  A block row is the non-empty global row of an
-    output with each column replaced by that node's layer-input row; the
-    replacement is monotone, so each row sums its neighbours in the same
-    order as the global matrix.
-
-    Each layer gathers its outputs' rows of every relation at once and
-    maps all their columns to layer-input rows in one step.  The non-empty
-    rows, relation after relation, are then cut into parts:
+    """The parts of one layer, from its ``n_out`` outputs' rows of every
+    relation, gathered relation after relation: a CSR row pointer
+    ``indptr`` over ``n_rel * n_out`` rows, their entries ``data`` and
+    their columns ``col``, already layer-input rows.  The non-empty rows,
+    relation after relation, are cut into parts:
 
     - with no ``max_rows`` (training), runs of whole relation blocks with
       at most ``n_in`` rows in all (a block has at most ``n_out <= n_in``),
@@ -178,85 +164,81 @@ def message_flow_plan(
       ``max_rows`` rows, however large the ego, with every row computed
       as in the unbounded plan.
     """
-    if max_rows is not None and (max_rows < 1 or max_rows % TILE_ROWS):
-        raise ValueError(f"max_rows must be a positive multiple of {TILE_ROWS}, got {max_rows}")
-    n = stack.shape[1]
-    n_rel = stack.shape[0] // n
-    offsets = np.arange(0, n_rel * n, n)[:, None]
-    local = np.full(n, -1, dtype=np.int64)
-    local[nodes] = np.arange(nodes.shape[0])
-    inside = hop <= layers
-    plan = []
-    for k in range(layers):
-        out = hop <= layers - 1 - k
-        rank = np.cumsum(inside, dtype=stack.indices.dtype) - 1  # node -> layer-input row
-        n_in = int(np.count_nonzero(inside))
-        rows = nodes[out]
-        n_out = rows.shape[0]
-        indptr, take = _row_entries(stack, (offsets + rows).ravel())
-        col = rank[local[stack.indices[take]]]
-        data = stack.data[take]
-        # the gathered rows with entries, relation after relation, and their
-        # starts followed by the end: relation r's block owns wrote[a:b]
-        wrote = np.flatnonzero(np.diff(indptr))
-        starts = indptr[np.append(wrote, indptr.shape[0] - 1)]
-        cut = np.searchsorted(wrote, np.arange(0, (n_rel + 1) * n_out, n_out)).tolist()
+    n_out = (indptr.shape[0] - 1) // n_rel
+    # the gathered rows with entries, relation after relation, and their
+    # starts followed by the end: relation r's block owns wrote[a:b]
+    wrote = np.flatnonzero(np.diff(indptr))
+    starts = indptr[np.append(wrote, indptr.shape[0] - 1)]
+    cut = np.searchsorted(wrote, np.arange(0, (n_rel + 1) * n_out, n_out)).tolist()
 
-        def part(a, b, blocks):  # the blocks of wrote[a:b] in one matrix
-            lo, hi = starts[a], starts[b]
-            adj = sp.csr_matrix((data[lo:hi], col[lo:hi], starts[a:b + 1] - lo),
-                                shape=(b - a, n_in))
-            return Part(adj, tuple(blocks))
+    def part(a, b, blocks):  # the blocks of wrote[a:b] in one matrix
+        lo, hi = starts[a], starts[b]
+        adj = sp.csr_matrix((data[lo:hi], col[lo:hi], starts[a:b + 1] - lo),
+                            shape=(b - a, n_in))
+        return Part(adj, tuple(blocks))
 
-        cap = n_in if max_rows is None else max_rows
-        parts, blocks, first = [], [], 0
-        for r in range(n_rel):
-            a, b = cut[r], cut[r + 1]
-            while a < b:
-                room = first + cap - a  # rows left in the current part
-                if b - a <= room:
-                    end = b
-                else:  # a piece in whole tiles: a lies a whole number of tiles in
-                    end = a if max_rows is None else a + room - room % TILE_ROWS
-                if end == a:  # no piece fits: the next part starts here
-                    parts.append(part(first, a, blocks))
-                    blocks, first = [], a
-                    continue
-                blocks.append(Block(r, wrote[a:end] - r * n_out, a - first, end - first))
-                a = end
-        if blocks:
-            parts.append(part(first, cut[-1], blocks))
-        plan.append(Layer(rank[out], tuple(parts)))
-        inside = out
-    return tuple(plan)
+    cap = n_in if max_rows is None else max_rows
+    parts, blocks, first = [], [], 0
+    for r in range(n_rel):
+        a, b = cut[r], cut[r + 1]
+        while a < b:
+            room = first + cap - a  # rows left in the current part
+            if b - a <= room:
+                end = b
+            else:  # a piece in whole tiles: a lies a whole number of tiles in
+                end = a if max_rows is None else a + room - room % TILE_ROWS
+            if end == a:  # no piece fits: the next part starts here
+                parts.append(part(first, a, blocks))
+                blocks, first = [], a
+                continue
+            blocks.append(Block(r, wrote[a:end] - r * n_out, a - first, end - first))
+            a = end
+    if blocks:
+        parts.append(part(first, cut[-1], blocks))
+    return tuple(parts)
 
 
 def ego_network(
-    union: sp.csr_matrix, stack: sp.csr_matrix, seeds: np.ndarray, hops: int,
-    max_rows: int | None = None,
+    stack: sp.csr_matrix, seeds: np.ndarray, hops: int, max_rows: int | None = None
 ) -> EgoNetwork:
-    """Breadth-first closure of ``seeds`` over ``union`` (the binary OR of
-    the relations of ``stack``) to depth ``hops``, with the ``hops``-layer
-    plan over it, its parts at most ``max_rows`` tall if given
-    (:func:`message_flow_plan`)."""
+    """The nodes within ``hops`` edges of ``seeds`` (global ids, any order,
+    repeats allowed) and their ``hops``-layer plan, its parts at most
+    ``max_rows`` tall if given (:func:`_layer_parts`).
+
+    ``stack`` holds one row-normalized adjacency per relation over a global
+    node space of ``n = stack.shape[1]`` nodes, stacked relation-major (row
+    ``r*n + i`` is row ``i`` of relation ``r``, as ``normalized_stack()``
+    gives it).  One pass builds the plan from the last layer to the first.
+    The last layer's outputs are the unique seeds.  Step ``d`` gathers the
+    rows of every relation of layer ``hops-d``'s outputs (the nodes within
+    ``d-1`` hops) once, gives each neighbour not reached before hop ``d``,
+    and takes the nodes within ``d`` hops, in ascending id, as the layer's
+    input rows and the previous layer's outputs.  A block row is the
+    non-empty global row of an output with each column replaced by that
+    node's layer-input row; the replacement is monotone, so each row sums
+    its neighbours in the same order as the global matrix.
+    """
+    if max_rows is not None and (max_rows < 1 or max_rows % TILE_ROWS):
+        raise ValueError(f"max_rows must be a positive multiple of {TILE_ROWS}, got {max_rows}")
     seeds = np.asarray(seeds, dtype=np.int64)
-    hop = np.full(union.shape[0], -1, dtype=np.int32)
-    frontier = np.unique(seeds)
-    hop[frontier] = 0
+    n = stack.shape[1]
+    n_rel = stack.shape[0] // n
+    offsets = np.arange(0, n_rel * n, n)[:, None]
+    hop = np.full(n, -1, dtype=np.int32)
+    hop[seeds] = 0
+    out = np.unique(seeds)
+    plan = []
     for d in range(1, hops + 1):
-        reached = np.zeros(union.shape[0], dtype=bool)
-        reached[union.indices[_row_entries(union, frontier)[1]]] = True
-        frontier = np.flatnonzero(reached & (hop < 0))
-        hop[frontier] = d
-    nodes = np.flatnonzero(hop >= 0)
-    plan = message_flow_plan(stack, nodes, hop[nodes], hops, max_rows)
-    return EgoNetwork(seeds, nodes, hop[nodes], plan)
-
-
-def endpoint_seeds(g: HeteroGraph, offers: np.ndarray) -> np.ndarray:
-    """The ``offers``' sellers, then their products, as node ids: the seeds
-    of the edge classifier's ego network of the batch."""
-    return np.concatenate([g.offer_seller[offers], g.offer_product[offers] + g.n_sellers])
+        indptr, take = _row_entries(stack, (offsets + out).ravel())
+        near = stack.indices[take]
+        hop[near[hop[near] < 0]] = d
+        inside = hop >= 0
+        rank = np.cumsum(inside, dtype=stack.indices.dtype) - 1  # node -> layer-input row
+        parts = _layer_parts(stack.data[take], rank[near], indptr, n_rel, int(rank[-1]) + 1,
+                             max_rows)
+        plan.append(Layer(rank[out], parts))
+        out = np.flatnonzero(inside)  # the next layer back's outputs; at the end, every node
+    return EgoNetwork(seeds, out, hop[out], tuple(plan[::-1]))
 
 
 def extract_ego_network(
@@ -264,7 +246,7 @@ def extract_ego_network(
 ) -> EgoNetwork:
     """The ego network over all nine relations seeded at the ``offers``'
     sellers, then at their products, in the order given; ``max_rows``
-    bounds its plan's parts (:func:`message_flow_plan`)."""
+    bounds its plan's parts (:func:`ego_network`)."""
     offers = np.asarray(offers, dtype=np.int64)
     if hops < 1:
         raise ValueError("hops must be at least 1")
@@ -272,5 +254,5 @@ def extract_ego_network(
         raise ValueError("a batch is a non-empty flat index array")
     if offers.min() < 0 or offers.max() >= g.n_offers:
         raise ValueError("batch references unknown offers")
-    return ego_network(g.union_csr(), g.normalized_stack(), endpoint_seeds(g, offers), hops,
-                       max_rows)
+    seeds = np.concatenate([g.offer_seller[offers], g.offer_product[offers] + g.n_sellers])
+    return ego_network(g.normalized_stack(), seeds, hops, max_rows)

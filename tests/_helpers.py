@@ -1,11 +1,11 @@
-"""Shared test helpers: small random graphs, graph equality, a reference
-breadth-first search, a reference message-flow plan with its comparison,
-reference sibling-offer summaries that sum each call's owners afresh, a
-reference per-class MLP trainer that fits one head after another, a
-bundle feature-cell edit that keeps the checksum valid, an
-``os.replace`` that fails on demand, the tracemalloc peak of one call,
-and four tape ops that only tests
-use (``matmul``, ``mul``, ``sum_all``, ``stack_rows``) to build losses and
+"""Shared test helpers: the tiny experiment config, small random graphs,
+graph equality, two reference breadth-first searches, a reference
+message-flow plan with its comparison, reference sibling-offer summaries
+that sum each call's owners afresh, a reference per-class MLP trainer
+that fits one head after another, a bundle feature-cell edit that keeps
+the checksum valid, an ``os.replace`` that fails on demand, the
+tracemalloc peak of one call, and four tape ops that only tests use
+(``matmul``, ``mul``, ``sum_all``, ``stack_rows``) to build losses and
 programs."""
 
 import json
@@ -20,6 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from coldgraph.autodiff import Tensor, bce_loss, record
+from coldgraph.experiment import ExperimentConfig, ModelConfig
 from coldgraph.graph import N_CLASSES, HeteroGraph, NodeType, Relation
 from coldgraph.models.train import (
     TrainingDiverged,
@@ -29,6 +30,23 @@ from coldgraph.models.train import (
     mlp_head_forward,
 )
 from coldgraph.sampling import _row_entries
+from coldgraph.simulate import GeneratorConfig
+
+
+def tiny_config(out_dir="runs/tiny", **kw):
+    """The tiny experiment config that the pipeline, CLI and acceptance
+    tests run: 60 sellers, 80 products, two GNN layers, a few epochs."""
+    gen = GeneratorConfig(
+        n_sellers=60, n_products=80, n_communities=4, n_categories=3,
+        d_s=5, d_p=4, d_o=4, offers_per_seller=2.5, seed=3,
+    )
+    model = ModelConfig(
+        hidden=8, gnn_layers=2, edge_hidden=8, cls_hidden=8,
+        epochs=2, batch_size=64, mlp_hidden=8, mlp_epochs=4,
+        sign_hops=2, expanded_hidden=8, expanded_layers=2, expanded_epochs=3,
+    )
+    return ExperimentConfig(**{"seed": 3, "out_dir": out_dir, "generator": gen, "model": model,
+                               **kw})
 
 
 def make_random_graph(
@@ -79,27 +97,41 @@ def make_random_graph(
     )
 
 
+def _bfs(adj, seeds, hops):
+    """node -> breadth-first distance from ``seeds`` over ``adj`` (node ->
+    neighbour set), for the nodes within ``hops``."""
+    frontier = {int(v) for v in seeds}
+    dist = dict.fromkeys(frontier, 0)
+    for depth in range(1, hops + 1):
+        frontier = {u for v in frontier for u in adj.get(v, ()) if u not in dist}
+        dist.update(dict.fromkeys(frontier, depth))
+    return dist
+
+
 def bfs_oracle(g, offer_ids, hops):
     """Reference BFS over edge lists read from the graph's arrays; nodes are
     unified ids (sellers, then products) and batch endpoints sit at hop 0."""
     n_s = g.n_sellers
-    adj = {v: set() for v in range(g.n_nodes)}
+    adj = {}
     pairs = list(zip(g.offer_seller.tolist(), (g.offer_product + n_s).tolist()))
     for r in Relation.seller_seller():
         pairs += [tuple(e) for e in g.ss_edges(r).tolist()]
     for a, b in pairs:
-        adj[a].add(b)
-        adj[b].add(a)
-    frontier = set()
-    for k in offer_ids:
-        frontier |= {int(g.offer_seller[k]), int(g.offer_product[k]) + n_s}
-    dist = {v: 0 for v in frontier}
-    for depth in range(1, hops + 1):
-        nxt = {u for v in frontier for u in adj[v] if u not in dist}
-        for v in nxt:
-            dist[v] = depth
-        frontier = nxt
-    return dist
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
+    seeds = [v for k in offer_ids for v in (g.offer_seller[k], g.offer_product[k] + n_s)]
+    return _bfs(adj, seeds, hops)
+
+
+def relation_bfs_oracle(mats, seeds, hops):
+    """Reference BFS over the entries of a list of adjacency matrices, with
+    the ``seeds`` at hop 0."""
+    adj = {}
+    for m in mats:
+        coo = m.tocoo()
+        for a, b in zip(coo.row.tolist(), coo.col.tolist()):
+            adj.setdefault(a, set()).add(b)
+    return _bfs(adj, seeds, hops)
 
 
 class ReferenceBlock(NamedTuple):
@@ -121,7 +153,7 @@ def reference_message_flow_plan(mats, nodes, hop, layers):
     """The message-flow plan built one relation at a time from a list of
     per-relation matrices, with scipy's row indexing for the gather and
     each relation's columns renumbered to the layer-input rows it reads:
-    the blocks that ``sampling.message_flow_plan``'s parts must hold."""
+    the blocks that the parts of ``sampling.ego_network``'s plan must hold."""
     local = np.full(mats[0].shape[0], -1, dtype=np.int64)
     local[nodes] = np.arange(nodes.shape[0])
     inside = hop <= layers
@@ -151,7 +183,7 @@ def reference_message_flow_plan(mats, nodes, hop, layers):
 
 
 def assert_plan_holds_reference(plan, reference):
-    """``plan`` (from ``sampling.message_flow_plan``) holds the reference's
+    """``plan`` (an ``EgoNetwork.plan``) holds the reference's
     blocks in the same order: each block's ``rows`` are the reference's,
     and rows ``lo:hi`` of its part, restricted to the reference's columns,
     are the reference's matrix array for array, with no entry in any other

@@ -14,10 +14,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from _helpers import tiny_config
 from coldgraph.autodiff import bce_loss, finite_diff_check, scale
 from coldgraph.cli import main
 from coldgraph.evaluate import roc_auc, roc_auc_pairwise, scaling_benchmark
-from coldgraph.experiment import ExperimentConfig, ModelConfig, run_repro
+from coldgraph.experiment import ExperimentConfig, run_repro
 from coldgraph.graph import N_CLASSES, build_expanded_graph
 from coldgraph.models import (
     CheckpointError,
@@ -221,19 +222,8 @@ def test_criterion_7_runtime_scales_linearly_in_edges():
 
 
 def test_criterion_8_repeated_pipeline_runs_are_byte_identical(tmp_path):
-    gen = GeneratorConfig(
-        n_sellers=60, n_products=80, n_communities=4, n_categories=3,
-        d_s=5, d_p=4, d_o=4, offers_per_seller=2.5, seed=3,
-    )
-    model = ModelConfig(
-        hidden=8, gnn_layers=2, edge_hidden=8, cls_hidden=8, epochs=2,
-        batch_size=64, mlp_hidden=8, mlp_epochs=4, sign_hops=2,
-        expanded_hidden=8, expanded_layers=2, expanded_epochs=3,
-    )
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(
-        ExperimentConfig(seed=3, generator=gen, model=model).to_dict()
-    ))
+    cfg_path.write_text(json.dumps(tiny_config().to_dict()))
     for out in ("a", "b"):
         rc = main(["repro", "--config", str(cfg_path), "--out", str(tmp_path / out)])
         assert rc == 0

@@ -13,26 +13,19 @@ import zlib
 import numpy as np
 import pytest
 
-from _helpers import set_fbin_cell
+from _helpers import set_fbin_cell, tiny_config
 from coldgraph.cli import main
-from coldgraph.experiment import (
-    MODEL_KINDS, ExperimentConfig, ModelConfig, read_scores_csv, write_scores_csv)
-from coldgraph.models import load_checkpoint, save_checkpoint
-from coldgraph.simulate import SCENARIOS, GeneratorConfig, load_scenario
+from coldgraph.experiment import MODEL_KINDS, _decode_arch, read_scores_csv, write_scores_csv
+from coldgraph.graph import N_CLASSES
+from coldgraph.models import (
+    init_edge_gnn_params, init_expanded_rgcn_params, load_checkpoint, save_checkpoint)
+from coldgraph.models.train import init_mlp_head
+from coldgraph.simulate import SCENARIOS, load_scenario
 from coldgraph.storage import load_graph
 
 
 def write_tiny_config(path, out_dir, **kw):
-    gen = GeneratorConfig(
-        n_sellers=60, n_products=80, n_communities=4, n_categories=3,
-        d_s=5, d_p=4, d_o=4, offers_per_seller=2.5, seed=3,
-    )
-    model = ModelConfig(
-        hidden=8, gnn_layers=2, edge_hidden=8, cls_hidden=8,
-        epochs=2, batch_size=64, mlp_hidden=8, mlp_epochs=4,
-        sign_hops=2, expanded_hidden=8, expanded_layers=2, expanded_epochs=3,
-    )
-    cfg = ExperimentConfig(seed=3, out_dir=str(out_dir), generator=gen, model=model, **kw)
+    cfg = tiny_config(str(out_dir), **kw)
     path.write_text(json.dumps(cfg.to_dict(), indent=2))
     return cfg
 
@@ -404,21 +397,30 @@ def test_cg_seed_must_be_integer(tmp_path, monkeypatch, capsys):
 
 
 def test_epochs_flag_reaches_training(ws, tmp_path):
-    ckpt = tmp_path / "untrained.ckpt"
-    rc = main([
-        "train", "--config", str(ws["config"]), "--graph", str(ws["graph"]),
-        "--model", "edge_gnn", "--out", str(ckpt), "--epochs", "0",
-    ])
-    assert rc == 0
-    out = tmp_path / "scores.csv"
-    rc = main([
-        "score", "--checkpoint", str(ckpt), "--graph", str(ws["graph"]),
-        "--scenario", str(ws["scen"] / "scenario_full.json"), "--out", str(out),
-    ])
-    assert rc == 0
-    _, scores = read_scores_csv(out)
-    # glorot-initialised logits stay small, so probabilities hug 0.5
-    assert np.median(np.abs(scores - 0.5)) < 0.2
+    """``--epochs 0`` sets the trained kind's own epoch count, so each
+    kind's checkpoint holds its initial parameters."""
+    seed = ws["cfg"].seed
+    for kind in ("edge_gnn", "tabular", "rgcn_expanded"):
+        ckpt = tmp_path / f"{kind}.ckpt"
+        rc = main([
+            "train", "--config", str(ws["config"]), "--graph", str(ws["graph"]),
+            "--model", kind, "--out", str(ckpt), "--epochs", "0",
+        ])
+        assert rc == 0
+        _, arch, groups = load_checkpoint(ckpt)
+        cfg = _decode_arch(kind, arch)
+        if kind == "edge_gnn":
+            want = [init_edge_gnn_params(cfg, seed)]
+        elif kind == "rgcn_expanded":
+            want = [init_expanded_rgcn_params(cfg, seed)]
+        else:
+            want = [init_mlp_head(np.random.default_rng([seed, k]), cfg.d_in, cfg.hidden)
+                    for k in range(N_CLASSES)]
+        assert len(groups) == len(want), kind
+        for have, init in zip(groups, want):
+            assert list(have) == list(init), kind
+            for name, p in init.items():
+                assert np.array_equal(have[name].data, p.data), (kind, name)
 
 
 def test_repro_end_to_end(tmp_path, capsys):

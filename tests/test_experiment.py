@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _helpers import fail_nth_replace
+from _helpers import fail_nth_replace, tiny_config
 from coldgraph.experiment import (
     MODEL_KINDS,
     ExperimentConfig,
@@ -32,21 +32,6 @@ from coldgraph.simulate import (
 from coldgraph.storage import GraphFormatError, load_graph
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
-
-
-def tiny_config(out_dir="runs/tiny", **kw):
-    gen = GeneratorConfig(
-        n_sellers=60, n_products=80, n_communities=4, n_categories=3,
-        d_s=5, d_p=4, d_o=4, offers_per_seller=2.5, seed=3,
-    )
-    model = ModelConfig(
-        hidden=8, gnn_layers=2, edge_hidden=8, cls_hidden=8,
-        epochs=2, batch_size=64, mlp_hidden=8, mlp_epochs=4,
-        sign_hops=2, expanded_hidden=8, expanded_layers=2, expanded_epochs=3,
-    )
-    base = dict(seed=3, out_dir=out_dir, generator=gen, model=model)
-    base.update(kw)
-    return ExperimentConfig(**base)
 
 
 @pytest.fixture(scope="module")

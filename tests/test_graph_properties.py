@@ -2,7 +2,7 @@
 
 Generated graphs include isolated sellers and products, empty relations,
 sellers with a single offer and unlabeled graphs.  Besides construction,
-they check the matrices derived from the topology (``union_csr``,
+they check the matrices derived from the topology (``normalized_stack``,
 ``offers_of``) and their users: ego extraction, sibling-offer summaries
 and scenario copies.
 """
@@ -15,10 +15,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import assert_same_graph, bfs_oracle, reference_sibling_offer_summaries
-from coldgraph.graph import N_CLASSES, HeteroGraph, NodeType, Relation
+from _helpers import (
+    assert_same_graph,
+    bfs_oracle,
+    reference_sibling_offer_summaries,
+    relation_bfs_oracle,
+)
+from coldgraph.graph import N_CLASSES, HeteroGraph, NodeType, Relation, build_expanded_graph
 from coldgraph.models import sibling_offer_summaries
-from coldgraph.sampling import extract_ego_network
+from coldgraph.sampling import ego_network, extract_ego_network
 from coldgraph.simulate import ScenarioSpec, apply_scenario
 from coldgraph.storage import load_graph, save_graph
 
@@ -210,23 +215,6 @@ def edge_set(mat):
 
 @FAST
 @given(graph_arrays())
-def test_union_csr_is_binary_or_of_the_nine_relations(kw):
-    g = HeteroGraph.from_arrays(**kw)
-    union = g.union_csr()
-    assert union.shape == (g.n_nodes, g.n_nodes)
-    assert union.has_sorted_indices and not union.data.flags.writeable
-    assert (union.data == 1).all()
-    assert edge_set(union) == set().union(*(edge_set(g.unified_csr(r)) for r in Relation))
-    # offer edges join sellers to products, so the seller block is the
-    # union of the seller-seller relations alone
-    ns = g.n_sellers
-    pairs = {(a, b) for r in SS for a, b in g.ss_edges(r).tolist()}
-    assert edge_set(union[:ns, :ns]) == pairs | {(b, a) for a, b in pairs}
-    assert g.union_csr() is union
-
-
-@FAST
-@given(graph_arrays())
 def test_offers_of_rows_list_each_owners_offers(kw):
     g = HeteroGraph.from_arrays(**kw)
     for node_type, owner, n in ((NodeType.SELLER, g.offer_seller, g.n_sellers),
@@ -247,7 +235,7 @@ def test_derived_matrices_leave_relation_matrices_alone(kw, derived_first):
     # NodeType.SELLER == Relation.SS0 as integers; the cache must not confuse them
     g = HeteroGraph.from_arrays(**kw)
     if derived_first:
-        g.union_csr()
+        g.normalized_stack()
         for node_type in NodeType:
             g.offers_of(node_type)
     fresh = HeteroGraph.from_arrays(**kw)
@@ -256,7 +244,7 @@ def test_derived_matrices_leave_relation_matrices_alone(kw, derived_first):
         assert a.shape == b.shape and edge_set(a) == edge_set(b), r.name
     assert g.offers_of(NodeType.SELLER).shape == (g.n_sellers, g.n_offers)
     assert g.offers_of(NodeType.PRODUCT).shape == (g.n_products, g.n_offers)
-    assert g.union_csr().shape == (g.n_nodes, g.n_nodes)
+    assert g.normalized_stack().shape == (len(Relation) * g.n_nodes, g.n_nodes)
 
 
 @FAST
@@ -268,6 +256,21 @@ def test_ego_network_matches_bfs_oracle(kw, data):
         ego = extract_ego_network(g, np.array(offers), hops)
         got = dict(zip(ego.nodes.tolist(), ego.hop.tolist()))
         assert got == bfs_oracle(g, offers, hops)
+
+
+@FAST
+@given(graph_arrays(min_offers=1), st.data())
+def test_expanded_ego_network_matches_bfs_oracle(kw, data):
+    """Seeded at offer nodes, the expanded graph's ego reaches each node at
+    its breadth-first distance over the ten relations."""
+    g = HeteroGraph.from_arrays(**kw)
+    eg = build_expanded_graph(g)
+    offers = data.draw(st.lists(st.integers(0, g.n_offers - 1), min_size=1))
+    seeds = g.n_nodes + np.array(offers)
+    for hops in (1, 2, 3):
+        ego = ego_network(eg.normalized_stack(), seeds, hops)
+        got = dict(zip(ego.nodes.tolist(), ego.hop.tolist()))
+        assert got == relation_bfs_oracle(eg.relation_csrs(), seeds, hops)
 
 
 @FAST
@@ -364,11 +367,11 @@ def test_sibling_summaries_equal_reference_bitwise(g, data):
 def test_scenario_copies_share_derived_matrices(kw, data):
     g = HeteroGraph.from_arrays(**kw)
     spec = draw_masking_spec(g, data)
-    derived = (g.union_csr(), g.offers_of(NodeType.SELLER), g.offers_of(NodeType.PRODUCT))
+    derived = (g.normalized_stack(), g.offers_of(NodeType.SELLER), g.offers_of(NodeType.PRODUCT))
     masked, _ = apply_scenario(g, spec)
     again, _ = apply_scenario(masked, spec)
     for h in (masked, again):
-        got = (h.union_csr(), h.offers_of(NodeType.SELLER), h.offers_of(NodeType.PRODUCT))
+        got = (h.normalized_stack(), h.offers_of(NodeType.SELLER), h.offers_of(NodeType.PRODUCT))
         assert all(a is b for a, b in zip(got, derived))
 
 
@@ -381,7 +384,7 @@ def test_copies_sum_their_own_offer_features(kw, data):
     g = HeteroGraph.from_arrays(**kw)
     ids = np.arange(g.n_offers)
     before = sibling_offer_summaries(g, ids)
-    derived = (g.union_csr(), g.offers_of(NodeType.SELLER), g.offers_of(NodeType.PRODUCT))
+    derived = (g.normalized_stack(), g.offers_of(NodeType.SELLER), g.offers_of(NodeType.PRODUCT))
     spec = draw_masking_spec(g, data)
     shifted = g.copy_with_features(g.seller_features, g.product_features,
                                    2 * g.offer_features + 1)
@@ -394,7 +397,7 @@ def test_copies_sum_their_own_offer_features(kw, data):
         for got, want in zip(sibling_offer_summaries(h, ids),
                              reference_sibling_offer_summaries(h, ids)):
             assert np.array_equal(got, want)
-        got = (h.union_csr(), h.offers_of(NodeType.SELLER), h.offers_of(NodeType.PRODUCT))
+        got = (h.normalized_stack(), h.offers_of(NodeType.SELLER), h.offers_of(NodeType.PRODUCT))
         assert all(a is b for a, b in zip(got, derived))
     for got, want in zip(sibling_offer_summaries(g, ids), before):
         assert np.array_equal(got, want)

@@ -40,7 +40,7 @@ from coldgraph.models import (
 )
 from coldgraph.models import baselines, core
 from coldgraph.models.baselines import _expanded_ego, _expanded_probs
-from coldgraph.sampling import TILE_ROWS, ego_network, extract_ego_network, message_flow_plan
+from coldgraph.sampling import TILE_ROWS, ego_network, extract_ego_network
 from test_graph_properties import graph_arrays
 
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -167,20 +167,18 @@ def test_stacked_plan_equals_per_relation_reference(g, data):
     edge classifier's graph and the expanded graph."""
     offers = np.array(data.draw(st.lists(st.integers(0, g.n_offers - 1), min_size=1)))
     eg = build_expanded_graph(g)
-    forms = (  # union, stack, reference matrices, ego of a depth
-        (g.union_csr(), g.normalized_stack(),
+    forms = (  # stack, reference matrices, ego of a depth
+        (g.normalized_stack(),
          [row_mean_normalize(g.unified_csr(r)) for r in Relation],
          lambda hops: extract_ego_network(g, offers, hops)),
-        (eg.union_csr(), eg.normalized_stack(),
+        (eg.normalized_stack(),
          [row_mean_normalize(m) for m in eg.relation_csrs()],
-         lambda hops: ego_network(eg.union_csr(), eg.normalized_stack(),
-                                  g.n_nodes + offers, hops)),
+         lambda hops: ego_network(eg.normalized_stack(), g.n_nodes + offers, hops)),
     )
-    for union, stack, mats, ego_of in forms:
-        n = union.shape[0]
-        whole = (np.arange(n), np.zeros(n, dtype=np.int32), 1)
-        assert_plan_holds_reference(message_flow_plan(stack, *whole),
-                                    reference_message_flow_plan(mats, *whole))
+    for stack, mats, ego_of in forms:
+        whole = ego_network(stack, np.arange(stack.shape[1]), 1)
+        assert_plan_holds_reference(
+            whole.plan, reference_message_flow_plan(mats, whole.nodes, whole.hop, 1))
         for hops in (1, 2, 3):
             ego = ego_of(hops)
             assert_plan_holds_reference(
@@ -337,9 +335,9 @@ def whole_and_ego_layers(g, offers, hops):
     """(layer, input rows) of the whole-graph layer and of each layer of the
     ``offers``' ego plan of depth ``hops``."""
     n = g.n_nodes
-    whole = message_flow_plan(g.normalized_stack(), np.arange(n), np.zeros(n, dtype=np.int32), 1)
+    whole = ego_network(g.normalized_stack(), np.arange(n), 1)
     ego = extract_ego_network(g, offers, hops)
-    return [(whole[0], n)] + [(layer, int(np.count_nonzero(ego.hop <= hops - k)))
+    return [(whole.plan[0], n)] + [(layer, int(np.count_nonzero(ego.hop <= hops - k)))
                               for k, layer in enumerate(ego.plan)]
 
 

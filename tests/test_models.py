@@ -54,7 +54,7 @@ from coldgraph.models.core import (
 )
 from coldgraph.models import train as train_module
 from coldgraph.models.train import _fit_heads, fit
-from coldgraph.sampling import extract_ego_network, message_flow_plan
+from coldgraph.sampling import ego_network, extract_ego_network
 from coldgraph.simulate import GeneratorConfig, generate_synthetic_graph
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -75,9 +75,8 @@ def small_cfg(g, **kw):
 
 def one_layer(mats):
     """The plan layer that computes every node of local matrices ``mats``."""
-    n = mats[0].shape[0]
     stack = sp.vstack(mats, format="csr")
-    return message_flow_plan(stack, np.arange(n), np.zeros(n, dtype=np.int32), 1)[0]
+    return ego_network(stack, np.arange(mats[0].shape[0]), 1).plan[0]
 
 
 def test_rgcn_layer_hand_example():
@@ -853,6 +852,19 @@ def test_expanded_rgcn_forward_and_training():
     scores = score_expanded_rgcn(eg, params, cfg, np.arange(g.n_offers))
     assert scores.shape == (g.n_offers, 9)
     assert (scores > 0).all() and (scores < 1).all()
+
+
+def test_expanded_rgcn_scoring_rejects_offer_ids_out_of_range():
+    """``-1`` would seed the ego at the last product node, and ``n_offers``
+    one past the last offer node."""
+    g = make_random_graph(seed=33, n_sellers=12, n_products=6)
+    eg = build_expanded_graph(g)
+    cfg = ExpandedRgcnConfig(d_s=g.d_s, d_p=g.d_p, d_o=g.d_o, hidden=8, layers=3)
+    params = init_expanded_rgcn_params(cfg, seed=0)
+    for bad in (-1, g.n_offers):
+        message = rf"^offer id {bad} out of range \[0, {g.n_offers}\)$"
+        with pytest.raises(ValueError, match=message):
+            score_expanded_rgcn(eg, params, cfg, np.array([0, bad, -2]))
 
 
 def test_expanded_rgcn_finite_diff():

@@ -133,7 +133,7 @@ def test_ego_inputs_split_node_types_by_id_range():
              "offer": g.offer_features}
     starts = {"seller": 0, "product": g.n_sellers, "offer": g.n_nodes}
     for hops in (1, 2, 3):
-        ego = ego_network(eg.union_csr(), eg.normalized_stack(), seeds, hops)
+        ego = ego_network(eg.normalized_stack(), seeds, hops)
         got = ego.inputs(feats)
         assert list(got) == list(feats)
         assert sum(x.shape[0] for x in got.values()) == ego.n_local

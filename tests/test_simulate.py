@@ -414,7 +414,7 @@ def test_masking_is_exact(g_spec):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     assert np.array_equal(eval_offers, spec.eval_offers)
     assert masked.labels.tobytes() == g.labels.tobytes()
-    assert masked.union_csr() is g.union_csr()
+    assert masked.normalized_stack() is g.normalized_stack()
     for name in ("offer_seller", "offer_product"):
         assert np.array_equal(getattr(masked, name), getattr(g, name))
 

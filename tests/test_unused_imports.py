@@ -1,5 +1,6 @@
 """Every imported name in src/, tests/ and demos/ is used, and every name
-the autodiff engine and the graph module export is read outside tests.
+the autodiff engine, the graph module and the sampling module export is
+read outside tests.
 
 A name counts as used when the module reads it anywhere or lists it in
 ``__all__``; an import statement marked ``# noqa: F401`` on any of its
@@ -10,7 +11,7 @@ out of the import scan: it is the benchmark's own contract.
 import ast
 from pathlib import Path
 
-from coldgraph import autodiff, graph
+from coldgraph import autodiff, graph, sampling
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(p for d in ("src", "tests", "demos") for p in (ROOT / d).rglob("*.py"))
@@ -90,3 +91,7 @@ def test_every_autodiff_export_is_read_outside_tests():
 
 def test_every_graph_export_is_read_outside_tests():
     assert unread_exports(graph) == []
+
+
+def test_every_sampling_export_is_read_outside_tests():
+    assert unread_exports(sampling) == []
