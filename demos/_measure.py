@@ -1,6 +1,6 @@
 """
-Measuring helpers of the BENCH demos 06 and 07
-==============================================
+Measuring helpers of the BENCH demos 06, 07 and 08
+==================================================
 
 A run is measured in a fresh interpreter at one BLAS thread, with numpy's
 huge-page advice off: where transparent huge pages are in ``madvise`` mode,

@@ -32,7 +32,13 @@ then being split across parts where they overflow one.
 
 Local node order is ascending global id, so node types that own
 consecutive id ranges (sellers, then products, then offer nodes) stay
-grouped; each layer's rows keep that order.
+grouped; each layer's rows keep that order.  A layer's input rows are
+numbered through one graph-length ``rank`` array per call, left
+uninitialized: each hop writes ``0..k-1`` at its ``k`` reached nodes and
+reads ``rank`` only at reached nodes (the gathered neighbours and the
+layer's outputs), so no unset entry is read and no hop runs a running
+count over the whole graph.  What still scans the graph is the per-call
+``hop`` array and each hop's search for the reached nodes in it.
 """
 
 from __future__ import annotations
@@ -213,31 +219,38 @@ def ego_network(
     rows of every relation of layer ``hops-d``'s outputs (the nodes within
     ``d-1`` hops) once, gives each neighbour not reached before hop ``d``,
     and takes the nodes within ``d`` hops, in ascending id, as the layer's
-    input rows and the previous layer's outputs.  A block row is the
-    non-empty global row of an output with each column replaced by that
-    node's layer-input row; the replacement is monotone, so each row sums
-    its neighbours in the same order as the global matrix.
+    input rows and the previous layer's outputs: their rows ``0..k-1`` are
+    written into ``rank`` at those nodes only, and ``rank`` is read only at
+    the gathered neighbours and the outputs, all of them reached.  A block
+    row is the non-empty global row of an output with each column replaced
+    by that node's layer-input row; the replacement is monotone, so each
+    row sums its neighbours in the same order as the global matrix.
+    Raises ValueError naming the first seed outside ``[0, n)``.
     """
     if max_rows is not None and (max_rows < 1 or max_rows % TILE_ROWS):
         raise ValueError(f"max_rows must be a positive multiple of {TILE_ROWS}, got {max_rows}")
     seeds = np.asarray(seeds, dtype=np.int64)
     n = stack.shape[1]
+    bad = seeds[(seeds < 0) | (seeds >= n)]
+    if bad.size:
+        raise ValueError(f"seed {int(bad[0])} out of range [0, {n})")
     n_rel = stack.shape[0] // n
     offsets = np.arange(0, n_rel * n, n)[:, None]
     hop = np.full(n, -1, dtype=np.int32)
     hop[seeds] = 0
+    rank = np.empty(n, dtype=stack.indices.dtype)  # node -> layer-input row, set where reached
     out = np.unique(seeds)
     plan = []
     for d in range(1, hops + 1):
         indptr, take = _row_entries(stack, (offsets + out).ravel())
         near = stack.indices[take]
         hop[near[hop[near] < 0]] = d
-        inside = hop >= 0
-        rank = np.cumsum(inside, dtype=stack.indices.dtype) - 1  # node -> layer-input row
-        parts = _layer_parts(stack.data[take], rank[near], indptr, n_rel, int(rank[-1]) + 1,
+        reached = np.flatnonzero(hop >= 0)
+        rank[reached] = np.arange(reached.shape[0], dtype=rank.dtype)
+        parts = _layer_parts(stack.data[take], rank[near], indptr, n_rel, reached.shape[0],
                              max_rows)
         plan.append(Layer(rank[out], parts))
-        out = np.flatnonzero(inside)  # the next layer back's outputs; at the end, every node
+        out = reached  # the next layer back's outputs; at the end, every node
     return EgoNetwork(seeds, out, hop[out], tuple(plan[::-1]))
 
 

@@ -1,12 +1,12 @@
 """Shared test helpers: the tiny experiment config, small random graphs,
-graph equality, two reference breadth-first searches, a reference
-message-flow plan with its comparison, reference sibling-offer summaries
-that sum each call's owners afresh, a reference per-class MLP trainer
-that fits one head after another, a bundle feature-cell edit that keeps
-the checksum valid, an ``os.replace`` that fails on demand, the
-tracemalloc peak of one call, and four tape ops that only tests use
-(``matmul``, ``mul``, ``sum_all``, ``stack_rows``) to build losses and
-programs."""
+graph equality, isolated-node padding of adjacency matrices, two
+reference breadth-first searches, a reference message-flow plan with its
+comparison, reference sibling-offer summaries that sum each call's
+owners afresh, a reference per-class MLP trainer that fits one head
+after another, a bundle feature-cell edit that keeps the checksum valid,
+an ``os.replace`` that fails on demand, the tracemalloc peak of one call,
+and four tape ops that only tests use (``matmul``, ``mul``, ``sum_all``,
+``stack_rows``) to build losses and programs."""
 
 import json
 import os
@@ -121,6 +121,14 @@ def bfs_oracle(g, offer_ids, hops):
         adj.setdefault(b, set()).add(a)
     seeds = [v for k in offer_ids for v in (g.offer_seller[k], g.offer_product[k] + n_s)]
     return _bfs(adj, seeds, hops)
+
+
+def pad_isolated(mats, k):
+    """Each square adjacency matrix with ``k`` isolated nodes appended:
+    empty rows and columns with the ids after the last node's."""
+    return [sp.csr_matrix((m.data, m.indices,
+                           np.append(m.indptr, np.full(k, m.nnz, dtype=m.indptr.dtype))),
+                          shape=(m.shape[0] + k, m.shape[1] + k)) for m in mats]
 
 
 def relation_bfs_oracle(mats, seeds, hops):

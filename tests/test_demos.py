@@ -1,10 +1,11 @@
 """Each demo script runs to completion as its own process.
 
 ``05_scaling.py`` is a long timing run and is left out;
-``06_bulk_scoring.py`` runs its short default (the two 1x runs) and
+``06_bulk_scoring.py`` runs its short default (the two 1x runs),
 ``07_train_memory.py`` its quick one (``edge_gnn``, ``rgcn_expanded`` and
-``sign`` on the small config).  The BENCH demos' shared child runner,
-``demos/_measure.py``, is checked on its own.
+``sign`` on the small config) and ``08_request_cost.py`` its quick one
+(one round of the 1x requests and the 1x hub request).  The BENCH demos'
+shared child runner, ``demos/_measure.py``, is checked on its own.
 """
 
 import importlib.util
@@ -16,11 +17,11 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-DEMOS = sorted(p.name for p in (ROOT / "demos").glob("0[1-467]_*.py"))
+DEMOS = sorted(p.name for p in (ROOT / "demos").glob("0[1-4678]_*.py"))
 
 
 def test_demo_set_is_complete():
-    assert len(DEMOS) == 6
+    assert len(DEMOS) == 7
 
 
 @pytest.mark.parametrize("name", DEMOS)

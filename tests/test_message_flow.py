@@ -15,6 +15,7 @@ into a hub that is linked to every other seller and offers every product.
 from unittest import mock
 
 import numpy as np
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +23,9 @@ from _helpers import (
     assert_plan_holds_reference,
     make_random_graph,
     mul,
+    pad_isolated,
     reference_message_flow_plan,
+    relation_bfs_oracle,
     sum_all,
 )
 from coldgraph.autodiff import Tensor, finite_diff_check, parameter
@@ -246,6 +249,42 @@ def test_bounded_plans_cut_unbounded_plans_in_whole_tiles(g, data):
             for bound in bounds:
                 assert_bounded_plan_cuts_unbounded(ego_of(bound).plan, unbounded, bound)
     assert_bounded_scores_keep_bits(g, offers, bounds)
+
+
+def test_egos_of_seeds_at_the_edges_of_the_id_range_match_the_references():
+    """Seeds with no edge in any relation (nodes 34 and 44, products that
+    nothing offers, and appended isolated nodes), nodes 0 and ``n-1`` and
+    repeated seeds, on the edge classifier's graph with and without
+    isolated nodes after its last node and on the expanded graph: at
+    depths 1-3, each ego equals the set-based BFS and each plan the
+    per-relation reference, the 16-row plan through the unbounded one.  An
+    unset entry of the builder's uninitialized ``rank`` array read
+    anywhere would show here."""
+    g = make_random_graph(seed=1)
+    isolated = [34, 44]
+    plain = [row_mean_normalize(g.unified_csr(r)) for r in Relation]
+    padded = pad_isolated(plain, 3)
+    expanded = [row_mean_normalize(m) for m in build_expanded_graph(g).relation_csrs()]
+    for mats in (plain, padded, expanded):
+        n = mats[0].shape[0]
+        stack = sp.vstack(mats, format="csr")
+        assert all(stack[r * n + v].nnz == 0 for v in isolated for r in range(len(mats)))
+        seeds_of = ([0], [n - 1], isolated, [n - 1, 0, n - 1, 0], [44, 0, 44, n - 1, 34])
+        if mats is padded:
+            seeds_of += ([n - 3], [n - 1, n - 2, n - 1])
+        for seeds in seeds_of:
+            for hops in (1, 2, 3):
+                ego = ego_network(stack, seeds, hops)
+                want = relation_bfs_oracle(mats, seeds, hops)
+                assert ego.nodes.tolist() == sorted(want)
+                assert ego.hop.tolist() == [want[v] for v in ego.nodes.tolist()]
+                np.testing.assert_array_equal(ego.nodes[ego.hop == 0][ego.seed_rows()], seeds)
+                assert_plan_holds_reference(
+                    ego.plan, reference_message_flow_plan(mats, ego.nodes, ego.hop, hops))
+                bounded = ego_network(stack, seeds, hops, TILE_ROWS)
+                np.testing.assert_array_equal(bounded.nodes, ego.nodes)
+                np.testing.assert_array_equal(bounded.hop, ego.hop)
+                assert_bounded_plan_cuts_unbounded(bounded.plan, ego.plan, TILE_ROWS)
 
 
 def test_bounded_scoring_keeps_bits_at_a_one_row_piece():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from _helpers import bfs_oracle, make_random_graph
+from _helpers import bfs_oracle, make_random_graph, pad_isolated, traced_peak
 from coldgraph.graph import HeteroGraph, Relation, build_expanded_graph, row_mean_normalize
 from coldgraph.sampling import ego_network, extract_ego_network
 
@@ -158,3 +159,25 @@ def test_extract_errors():
     for bound in (0, -16, 8, 40):
         with pytest.raises(ValueError, match=f"positive multiple of 16, got {bound}$"):
             extract_ego_network(g, offer_batch(g, 2, 0), hops=1, max_rows=bound)
+
+
+def test_ego_network_rejects_seeds_outside_the_node_range():
+    stack = make_random_graph(seed=4).normalized_stack()
+    n = stack.shape[1]
+    for seeds, bad in (([0, -5], -5), ([-1], -1), ([3, n, n + 1], n)):
+        with pytest.raises(ValueError, match=rf"^seed {bad} out of range \[0, {n}\)$"):
+            ego_network(stack, seeds, 2)
+
+
+def test_ego_memory_per_graph_node_is_bounded():
+    """A few seeds' ego over a small graph padded with isolated nodes
+    allocates little more per graph node than the per-call ``hop`` and
+    ``rank`` arrays (4 bytes each) and a hop's one-byte mask of reached
+    nodes: no hop builds a graph-length running count."""
+    pad = 200_000
+    g = make_random_graph(seed=2)
+    mats = [row_mean_normalize(g.unified_csr(r)) for r in Relation]
+    stack = sp.vstack(pad_isolated(mats, pad), format="csr")
+    seeds = np.array([0, 7, g.n_nodes - 1])
+    peak = traced_peak(lambda: ego_network(stack, seeds, 3))
+    assert peak / pad <= 10, f"{peak / pad:.2f} B per padded node"
