@@ -42,12 +42,20 @@ the result; one source records no time.
 """
 
 import argparse
-import dataclasses
 import json
 import statistics
 from pathlib import Path
 
-from _measure import parse_sources, peak_rss_mib, read_doc, run_child, traced_peak_mib, write_doc
+from _measure import (
+    alternating_rounds,
+    parse_sources,
+    peak_rss_mib,
+    read_doc,
+    run_child,
+    scaled_graph,
+    traced_peak_mib,
+    write_doc,
+)
 
 CALLS = 3
 PAIRS = 3  # timing rounds with two or more sources
@@ -59,12 +67,8 @@ def _scoring_run(scale: int, repeat: int) -> tuple:
     import numpy as np
 
     import coldgraph as cg
-    from coldgraph.simulate import GeneratorConfig
 
-    base = GeneratorConfig()
-    g = cg.generate_synthetic_graph(dataclasses.replace(
-        base, n_sellers=scale * base.n_sellers, n_products=scale * base.n_products,
-        n_communities=scale * base.n_communities))
+    g = scaled_graph(scale)
     cfg = cg.EdgeGnnConfig(d_s=g.d_s, d_p=g.d_p, d_o=g.d_o)
     model = cg.EdgeGnnModel(cfg=cfg, param_groups=[cg.models.init_edge_gnn_params(cfg, 0)])
     offers = np.tile(np.arange(g.n_offers), repeat)
@@ -110,13 +114,9 @@ def time_calls(scale: int, repeat: int) -> dict:
 def time_in_pairs(sources: dict, run: str) -> dict:
     """Per source, each round's median seconds and its ratio to the first
     source's in the same round; the sources' order turns every other round."""
-    names = list(sources)
-    seconds = {name: [] for name in names}
-    for i in range(PAIRS):
-        for name in names if i % 2 == 0 else names[::-1]:
-            r = run_child(__file__, sources[name], "--child-time", *run.split("x"))
-            seconds[name].append(r["seconds"])
-    first = seconds[names[0]]
+    rounds = alternating_rounds(__file__, sources, PAIRS, "--child-time", *run.split("x"))
+    seconds = {name: [r["seconds"] for r in rs] for name, rs in rounds.items()}
+    first = seconds[next(iter(sources))]
     return {name: {"seconds": [round(t, 4) for t in ts],
                    "seconds_ratio": [round(t / f, 3) for t, f in zip(ts, first)]}
             for name, ts in seconds.items()}

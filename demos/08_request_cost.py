@@ -3,8 +3,8 @@ Request cost at three scales
 ============================
 
 Serve-like requests on generated graphs at 1x, 4x and 10x the default
-generator config (sellers, products and communities scaled together, as
-in ``06_bulk_scoring.py``): each request is one ``EdgeGnnModel.score`` of
+generator config (sellers, products and communities scaled together by
+``_measure.scaled_graph``): each request is one ``EdgeGnnModel.score`` of
 every offer of one seller, with untrained weights (latency does not depend
 on their values) on the unmasked graph.  ``REQUESTS`` (300) sellers are
 drawn with a fixed seed and served ``ROUNDS`` (3) times in one fresh
@@ -46,13 +46,19 @@ prints the result.
 """
 
 import argparse
-import dataclasses
 import json
 import statistics
 import time
 from pathlib import Path
 
-from _measure import parse_sources, read_doc, run_child, traced_peak_mib, write_doc
+from _measure import (
+    alternating_rounds,
+    parse_sources,
+    read_doc,
+    scaled_graph,
+    traced_peak_mib,
+    write_doc,
+)
 
 REQUESTS = 300
 ROUNDS = 3
@@ -65,14 +71,9 @@ def _graph(scale: int, hub: bool):
     """The generated graph at ``scale``, with seller 0 made a hub if ``hub``."""
     import numpy as np
 
-    import coldgraph as cg
     from coldgraph.graph import HeteroGraph, Relation
-    from coldgraph.simulate import GeneratorConfig
 
-    base = GeneratorConfig()
-    g = cg.generate_synthetic_graph(dataclasses.replace(
-        base, n_sellers=scale * base.n_sellers, n_products=scale * base.n_products,
-        n_communities=scale * base.n_communities))
+    g = scaled_graph(scale)
     if not hub:
         return g
     first = Relation.seller_seller()[0]
@@ -169,12 +170,8 @@ def measure_in_pairs(sources: dict, run: str, pairs: int) -> dict:
     ``request_ms``, ``ego_build_ms`` and ``request_ratio`` (over the first
     source's in the same round) as lists; the sources' order turns every
     other round."""
-    names = list(sources)
-    rounds = {name: [] for name in names}
-    for i in range(pairs):
-        for name in names if i % 2 == 0 else names[::-1]:
-            rounds[name].append(run_child(__file__, sources[name], "--child", *_child_args(run)))
-    first = [r["request_ms"] for r in rounds[names[0]]]
+    rounds = alternating_rounds(__file__, sources, pairs, "--child", *_child_args(run))
+    first = [r["request_ms"] for r in rounds[next(iter(sources))]]
     out = {}
     for name, rs in rounds.items():
         out[name] = dict(rs[0], request_ms=[r["request_ms"] for r in rs],

@@ -7,8 +7,16 @@ huge-page advice off: where transparent huge pages are in ``madvise`` mode,
 which arrays get 2 MiB pages depends on the host's free memory, and with
 the advice on a repro's peak RSS moved by up to 35 MiB between runs.  A
 ``--source NAME=SRC`` child imports ``coldgraph`` from ``SRC`` (an older
-checkout's ``src``, say), so nothing here imports ``coldgraph``; results go
-into ``--out`` under ``NAME``, next to the sources already recorded there.
+checkout's ``src``, say), so nothing here imports ``coldgraph`` at module
+level: :func:`scaled_graph`, which runs in a child, imports it inside.
+Results go into ``--out`` under ``NAME``, next to the sources already
+recorded there.
+
+Two or more sources are compared in alternating rounds
+(:func:`alternating_rounds`): a round runs every source once, each in a
+fresh process, and the order of the sources turns round every other
+round, so a drift of the host's speed slower than a round cancels in a
+ratio taken within one round.
 """
 
 import json
@@ -49,6 +57,32 @@ def run_child(script, src, *args) -> dict:
         env=env, check=True, capture_output=True, text=True,
     )
     return json.loads(out.stdout.splitlines()[-1])
+
+
+def alternating_rounds(script, sources: dict, rounds: int, *args) -> dict:
+    """Per source name, the results of ``rounds`` children that run
+    ``script`` with ``args`` on that source; each round runs every source
+    once, in the order of ``sources`` or, every other round, its reverse."""
+    names = list(sources)
+    results = {name: [] for name in names}
+    for i in range(rounds):
+        for name in names if i % 2 == 0 else names[::-1]:
+            results[name].append(run_child(script, sources[name], *args))
+    return results
+
+
+def scaled_graph(scale: int):
+    """The graph of the default generator config with its sellers, products
+    and communities scaled together by ``scale``, so the edges grow in step."""
+    import dataclasses
+
+    import coldgraph as cg
+    from coldgraph.simulate import GeneratorConfig
+
+    base = GeneratorConfig()
+    return cg.generate_synthetic_graph(dataclasses.replace(
+        base, n_sellers=scale * base.n_sellers, n_products=scale * base.n_products,
+        n_communities=scale * base.n_communities))
 
 
 def peak_rss_mib() -> float:

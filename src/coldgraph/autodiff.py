@@ -378,14 +378,14 @@ def bce_loss(p: Tensor, z) -> Tensor:
 # optimizers
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
-    """Adam moment buffers plus hyperparameters; one instance per model."""
+    """Adam's learning rate and moment buffers; one instance per model."""
 
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -394,7 +394,7 @@ class AdamState:
 def adam_step(params: dict, grads: dict, state: AdamState) -> None:
     """One Adam update, in place, with bias correction."""
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     corr1 = 1.0 - b1 ** state.t
     corr2 = 1.0 - b2 ** state.t
     for name in params:
@@ -414,7 +414,7 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> None:
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * np.square(g)
-        update = (state.lr * (m / corr1)) / (np.sqrt(v / corr2) + state.eps)
+        update = (state.lr * (m / corr1)) / (np.sqrt(v / corr2) + ADAM_EPS)
         p.data -= update.astype(p.dtype, copy=False)
 
 

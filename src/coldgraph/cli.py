@@ -37,7 +37,7 @@ from .experiment import (
     train_model,
     write_scores_csv,
 )
-from .models import CheckpointError, load_checkpoint, save_checkpoint
+from .models import CheckpointError, TrainingDiverged, load_checkpoint, save_checkpoint
 from .simulate import apply_scenario, generate_synthetic_graph, load_scenario, make_scenario, save_scenario
 from .storage import GraphFormatError, load_graph, save_graph, write_artifact
 
@@ -251,7 +251,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, GraphFormatError, CheckpointError, OSError) as exc:
+    except (ValueError, GraphFormatError, CheckpointError, OSError, TrainingDiverged) as exc:
         _log({"event": "error", "error": str(exc)})
         print(f"error: {exc}", file=sys.stderr)
         return 2

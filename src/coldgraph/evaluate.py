@@ -21,15 +21,9 @@ from .simulate import GeneratorConfig, generate_synthetic_graph
 from .storage import format_rows, write_artifact
 
 __all__ = [
-    "UndefinedAucError",
-    "roc_auc",
-    "roc_auc_pairwise",
-    "geometric_mean_auc",
-    "EvalReport",
     "per_class_report",
     "write_report_csv",
     "write_report_json",
-    "BenchmarkResult",
     "scaling_benchmark",
     "bench_config_for_edges",
     "write_benchmark_csv",
@@ -75,18 +69,6 @@ def roc_auc(scores, labels) -> float:
     ranks[order] = np.repeat(avg, ends - starts)
     rank_sum = ranks[pos].sum()
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (float(n_pos) * float(n_neg))
-
-
-def roc_auc_pairwise(scores, labels) -> float:
-    """Brute-force positive-negative pair count; the testing oracle."""
-    scores, pos = _check_binary_inputs(scores, labels)
-    p = scores[pos]
-    n = scores[~pos]
-    if p.size == 0 or n.size == 0:
-        raise UndefinedAucError("AUC undefined: labels contain a single class")
-    diff = p[:, None] - n[None, :]
-    wins = (diff > 0).sum() + 0.5 * (diff == 0).sum()
-    return float(wins) / (float(p.size) * float(n.size))
 
 
 def geometric_mean_auc(aucs: Sequence[Optional[float]]) -> Optional[float]:

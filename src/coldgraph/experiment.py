@@ -52,10 +52,8 @@ from .storage import (
 
 __all__ = [
     "MODEL_KINDS",
-    "EXPERIMENT_FORMAT_VERSION",
     "ModelConfig",
     "ExperimentConfig",
-    "TrainedModel",
     "train_model",
     "score_model",
     "check_checkpoint_params",
@@ -131,12 +129,13 @@ class ExperimentConfig(Record):
             raise ValueError(f"unsupported config version {self.version}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        for kind in self.models:
-            if kind not in MODEL_KINDS:
-                raise ValueError(f"unknown model kind {kind!r}")
-        for s in self.scenarios:
-            if s not in SCENARIOS:
-                raise ValueError(f"unknown scenario {s!r}")
+        for what, names, known in (("model kind", self.models, MODEL_KINDS),
+                                   ("scenario", self.scenarios, SCENARIOS)):
+            for i, name in enumerate(names):
+                if name not in known:
+                    raise ValueError(f"unknown {what} {name!r}")
+                if name in names[:i]:
+                    raise ValueError(f"{what} {name!r} is listed twice")
 
 
 @dataclass

@@ -48,7 +48,6 @@ from .train import TrainConfig, fit
 __all__ = [
     "naive_fill_seller_features",
     "build_listing_table",
-    "sign_features",
     "sign_listing_table",
     "ExpandedRgcnConfig",
     "init_expanded_rgcn_params",

@@ -33,7 +33,7 @@ from ..autodiff import Tensor
 from ..records import Record
 from ..storage import write_artifact
 
-__all__ = ["CheckpointError", "save_checkpoint", "load_checkpoint", "CHECKPOINT_VERSION"]
+__all__ = ["CheckpointError", "save_checkpoint", "load_checkpoint"]
 
 CHECKPOINT_VERSION = 1
 _MAGIC = b"CGCK"

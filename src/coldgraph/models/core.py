@@ -61,7 +61,6 @@ __all__ = [
     "init_edge_gnn_params",
     "cast_params",
     "init_relational_encoder",
-    "input_projections",
     "relational_encoder_forward",
     "rgcn_layer",
     "node_embedder_forward",
@@ -69,9 +68,6 @@ __all__ = [
     "edge_embedder_forward",
     "classifier_forward",
     "edge_gnn_forward",
-    "SCORE_CHUNK_BYTES",
-    "score_chunk_rows",
-    "SCORE_PART_BYTES",
     "score_part_rows",
     "edge_gnn_scores",
 ]

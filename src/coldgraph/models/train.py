@@ -51,7 +51,6 @@ __all__ = [
     "train_edge_gnn",
     "train_mlp_heads",
     "score_mlp_heads",
-    "mlp_head_forward",
 ]
 
 

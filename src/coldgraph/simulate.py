@@ -31,13 +31,10 @@ from .records import Record
 from .storage import default_column_names, seen_before, write_artifact
 
 __all__ = [
-    "MINORITY_CLASSES",
     "SCENARIOS",
     "GeneratorConfig",
     "ScenarioSpec",
-    "default_class_probs",
     "generate_synthetic_graph",
-    "sample_cold_entities",
     "make_scenario",
     "apply_scenario",
     "save_scenario",

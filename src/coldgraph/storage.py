@@ -47,7 +47,6 @@ __all__ = [
     "GraphFormatError",
     "save_graph",
     "load_graph",
-    "GRAPH_FORMAT_VERSION",
     "default_column_names",
 ]
 

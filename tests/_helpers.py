@@ -1,6 +1,7 @@
-"""Shared test helpers: the tiny experiment config, small random graphs,
-graph equality, isolated-node padding of adjacency matrices, two
-reference breadth-first searches, a reference message-flow plan with its
+"""Shared test helpers: the tiny experiment config, criterion 2's
+brute-force AUC oracle, small random graphs, graph equality,
+isolated-node padding of adjacency matrices, two reference
+breadth-first searches, a reference message-flow plan with its
 comparison, reference sibling-offer summaries that sum each call's
 owners afresh, a reference per-class MLP trainer that fits one head
 after another, a bundle feature-cell edit that keeps the checksum valid,
@@ -20,6 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from coldgraph.autodiff import Tensor, bce_loss, record
+from coldgraph.evaluate import UndefinedAucError, _check_binary_inputs
 from coldgraph.experiment import ExperimentConfig, ModelConfig
 from coldgraph.graph import N_CLASSES, HeteroGraph, NodeType, Relation
 from coldgraph.models.train import (
@@ -47,6 +49,18 @@ def tiny_config(out_dir="runs/tiny", **kw):
     )
     return ExperimentConfig(**{"seed": 3, "out_dir": out_dir, "generator": gen, "model": model,
                                **kw})
+
+
+def roc_auc_pairwise(scores, labels) -> float:
+    """Brute-force positive-negative pair count; the testing oracle."""
+    scores, pos = _check_binary_inputs(scores, labels)
+    p = scores[pos]
+    n = scores[~pos]
+    if p.size == 0 or n.size == 0:
+        raise UndefinedAucError("AUC undefined: labels contain a single class")
+    diff = p[:, None] - n[None, :]
+    wins = (diff > 0).sum() + 0.5 * (diff == 0).sum()
+    return float(wins) / (float(p.size) * float(n.size))
 
 
 def make_random_graph(

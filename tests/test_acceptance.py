@@ -14,10 +14,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _helpers import tiny_config
+from _helpers import roc_auc_pairwise, tiny_config
 from coldgraph.autodiff import bce_loss, finite_diff_check, scale
 from coldgraph.cli import main
-from coldgraph.evaluate import roc_auc, roc_auc_pairwise, scaling_benchmark
+from coldgraph.evaluate import roc_auc, scaling_benchmark
 from coldgraph.experiment import ExperimentConfig, run_repro
 from coldgraph.graph import N_CLASSES, build_expanded_graph
 from coldgraph.models import (

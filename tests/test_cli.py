@@ -103,6 +103,25 @@ def test_train_rejects_nonpositive_lr(ws, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "repro"])
+def test_diverging_training_exits_2(ws, tmp_path, capsys, command):
+    blob = ws["cfg"].to_dict()
+    blob["model"]["lr"] = 1e30
+    (tmp_path / "cfg.json").write_text(json.dumps(blob))
+    flags = (["--graph", str(ws["graph"]), "--model", "tabular", "--out", str(tmp_path / "t.ckpt")]
+             if command == "train" else ["--out", str(tmp_path / "out")])
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main([command, "--config", str(tmp_path / "cfg.json"), *flags])
+    cap = capsys.readouterr()
+    assert rc == 2 and "Traceback" not in cap.err
+    events = [json.loads(line) for line in cap.err.split("\n") if line.startswith("{")]
+    (event,) = [e for e in events if e["event"] == "error"]
+    assert event["error"].startswith("non-finite loss nan at epoch 0, batch ")
+    assert f"error: {event['error']}" in cap.err
+    assert list(tmp_path.rglob("*.ckpt")) == []
+    assert list(tmp_path.rglob("summary_*")) == []
+
+
 def test_score_rows_match_scenario_eval_set(ws, ns_scores):
     spec = load_scenario(ws["scen"] / "scenario_new_seller.json")
     ids, scores = read_scores_csv(ns_scores)
@@ -213,6 +232,8 @@ def _assert_named_error(capsys, rc, fragment):
     ({"model": {"dropout": 1.5}}, None, (), "dropout must be in [0, 1)"),
     ({}, "-1", (), "seed must be >= 0"),
     ({}, None, ("--seed", "-3"), "seed must be >= 0"),
+    ({"models": ["tabular", "tabular"]}, None, (), "model kind 'tabular' is listed twice"),
+    ({"scenarios": ["full", "full"]}, None, (), "scenario 'full' is listed twice"),
 ])
 def test_malformed_config_value_exits_2(tmp_path, monkeypatch, capsys, patch, env, flags,
                                         fragment):

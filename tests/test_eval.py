@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _helpers import roc_auc_pairwise
 from coldgraph.evaluate import (
     BenchmarkResult,
     UndefinedAucError,
@@ -10,7 +11,6 @@ from coldgraph.evaluate import (
     geometric_mean_auc,
     per_class_report,
     roc_auc,
-    roc_auc_pairwise,
     scaling_benchmark,
     write_benchmark_csv,
     write_report_csv,

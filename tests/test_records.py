@@ -127,6 +127,17 @@ def test_malformed_record_names_record_and_key(tmp_path, arch_graph, record, pat
         assert fragment in str(info.value)
 
 
+@pytest.mark.parametrize("key, names, message", [
+    ("models", ["tabular", "sign", "tabular"], "model kind 'tabular' is listed twice"),
+    ("scenarios", ["full", "new_offer", "full", "new_offer"], "scenario 'full' is listed twice"),
+])
+def test_experiment_config_names_a_repeated_kind_or_scenario(tmp_path, key, names, message):
+    file = tmp_path / "experiment.json"
+    file.write_text(json.dumps({**ExperimentConfig().to_dict(), key: names}))
+    with pytest.raises(ValueError, match=f"^ExperimentConfig: {message}$"):
+        ExperimentConfig.from_json_file(file)
+
+
 @pytest.mark.parametrize("key, value", [("layers", 0), ("layers", -1), ("hidden", 0)])
 def test_expanded_arch_rejects_width_or_depth_below_one(arch_graph, key, value):
     blob = {**BASES["rgcn_expanded"]().to_dict(), key: value}
