@@ -3,8 +3,9 @@
 Six subcommands: generate, train, score, eval, bench, repro.  Settings
 resolve as flags > config file > built-in defaults, with the ``CG_SEED``
 environment variable overriding the file's seed (an explicit ``--seed``
-flag still wins).  Logs are line-delimited JSON on stderr; stdout carries
-only machine-readable results.  Exit code 0 means every output was
+flag still wins).  Logs are line-delimited JSON on stderr, a Python
+warning (numpy's overflow, say) included as one ``warning`` event; stdout
+carries only machine-readable results.  Exit code 0 means every output was
 written; config and input errors exit nonzero with a message naming the
 offending key or path.
 """
@@ -16,6 +17,8 @@ import dataclasses
 import json
 import os
 import sys
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +53,12 @@ EPOCHS_FIELD = {"edge_gnn": "epochs", "rgcn_expanded": "expanded_epochs", "tabul
 
 def _log(event: dict) -> None:
     print(json.dumps(event, sort_keys=True), file=sys.stderr)
+
+
+def _log_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """``warnings.showwarning`` replacement: one JSON event per warning."""
+    _log({"event": "warning", "category": category.__name__, "message": str(message),
+          "file": filename, "line": lineno})
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -88,10 +97,12 @@ def _load_config(args) -> ExperimentConfig:
 def cmd_generate(args) -> int:
     config = _load_config(args)
     out = Path(args.out) if args.out else Path(config.out_dir) / "graph"
+    t0 = time.perf_counter()
     g = generate_synthetic_graph(config.generator)
     save_graph(g, out)
     _log({"event": "generated", "out": str(out), "sellers": g.n_sellers,
-          "products": g.n_products, "offers": g.n_offers, "edges": g.n_edges})
+          "products": g.n_products, "offers": g.n_offers, "edges": g.n_edges,
+          "seconds": round(time.perf_counter() - t0, 3)})
     if args.scenarios:
         for name in config.scenarios:
             spec = make_scenario(g, name, seed=config.seed)
@@ -249,12 +260,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except (ValueError, GraphFormatError, CheckpointError, OSError, TrainingDiverged) as exc:
-        _log({"event": "error", "error": str(exc)})
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():  # restores the caller's showwarning on exit
+        warnings.showwarning = _log_warning
+        try:
+            return args.func(args)
+        except (ValueError, GraphFormatError, CheckpointError, OSError, TrainingDiverged) as exc:
+            _log({"event": "error", "error": str(exc)})
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -148,11 +148,15 @@ def _community_of(n: int, n_communities: int) -> np.ndarray:
 
 def _sample_ss_edges(cfg: GeneratorConfig, comm: np.ndarray, rng) -> list:
     """Per-relation edge lists; dense Bernoulli within blocks, count-based
-    sampling across blocks (the cross-pair space is too large to enumerate)."""
+    sampling across blocks (the cross-pair space is too large to enumerate).
+    One pair index serves every block of its size in every relation."""
     n = cfg.n_sellers
     members = [np.flatnonzero(comm == c) for c in range(cfg.n_communities)]
+    pairs = {k: np.triu_indices(k, 1) for k in {len(m) for m in members} if k >= 2}
     n_intra_pairs = sum(len(m) * (len(m) - 1) // 2 for m in members)
     n_inter_pairs = n * (n - 1) // 2 - n_intra_pairs
+    comm_of = comm.tolist()
+    integers = rng.integers
     relations = []
     for r in range(_N_SS):
         edges = []
@@ -160,18 +164,18 @@ def _sample_ss_edges(cfg: GeneratorConfig, comm: np.ndarray, rng) -> list:
             k = len(m)
             if k < 2:
                 continue
-            iu, ju = np.triu_indices(k, 1)
-            hit = rng.random(iu.shape[0]) < cfg.p_intra[r]
+            iu, ju = pairs[k]
+            hit = np.flatnonzero(rng.random(iu.shape[0]) < cfg.p_intra[r])
             edges.append(np.stack([m[iu[hit]], m[ju[hit]]], axis=1))
         intra = np.concatenate(edges) if edges else np.empty((0, 2), dtype=np.int64)
         want = rng.binomial(n_inter_pairs, cfg.p_inter[r]) if n_inter_pairs else 0
         seen = set()
         inter = []
         while len(inter) < want:
-            a, b = rng.integers(0, n, size=2)
-            if a == b or comm[a] == comm[b]:
+            a, b = integers(0, n, size=2).tolist()
+            if a == b or comm_of[a] == comm_of[b]:
                 continue
-            pair = (min(a, b), max(a, b))
+            pair = (a, b) if a < b else (b, a)
             if pair in seen:
                 continue
             seen.add(pair)
@@ -184,25 +188,28 @@ def _sample_ss_edges(cfg: GeneratorConfig, comm: np.ndarray, rng) -> list:
 def _sample_offers(cfg: GeneratorConfig, seller_comm, product_comm, rng):
     """(offer_seller, offer_product): 1 + Poisson(mean-1) offers per seller,
     products drawn mostly from the seller's own community, no repeats per
-    seller."""
-    by_comm = [np.flatnonzero(product_comm == c) for c in range(cfg.n_communities)]
+    seller.  The loop runs on Python ints and lists; only its draws touch
+    the generator."""
+    by_comm = [np.flatnonzero(product_comm == c).tolist() for c in range(cfg.n_communities)]
     counts = 1 + rng.poisson(cfg.offers_per_seller - 1, size=cfg.n_sellers)
-    counts = np.minimum(counts, cfg.n_products)
+    counts = np.minimum(counts, cfg.n_products).tolist()
+    random, integers = rng.random, rng.integers
+    pref, n_products = cfg.in_community_product_pref, cfg.n_products
     offer_seller, offer_product = [], []
-    for s in range(cfg.n_sellers):
-        own = by_comm[seller_comm[s]]
+    for s, (c, want) in enumerate(zip(seller_comm.tolist(), counts)):
+        own = by_comm[c]
+        n_own = len(own)
         chosen: set = set()
-        attempts = 0
-        while len(chosen) < counts[s] and attempts < 50 * counts[s]:
+        attempts, cap = 0, 50 * want
+        while len(chosen) < want and attempts < cap:
             attempts += 1
-            if len(own) and rng.random() < cfg.in_community_product_pref:
-                p = int(own[rng.integers(len(own))])
+            if n_own and random() < pref:
+                p = own[integers(n_own)]
             else:
-                p = int(rng.integers(cfg.n_products))
+                p = int(integers(n_products))
             chosen.add(p)
-        for p in sorted(chosen):
-            offer_seller.append(s)
-            offer_product.append(p)
+        offer_seller.extend([s] * len(chosen))
+        offer_product.extend(sorted(chosen))
     return (
         np.array(offer_seller, dtype=np.int64),
         np.array(offer_product, dtype=np.int64),

@@ -4,10 +4,12 @@ isolated-node padding of adjacency matrices, two reference
 breadth-first searches, a reference message-flow plan with its
 comparison, reference sibling-offer summaries that sum each call's
 owners afresh, a reference per-class MLP trainer that fits one head
-after another, a bundle feature-cell edit that keeps the checksum valid,
-an ``os.replace`` that fails on demand, the tracemalloc peak of one call,
-and four tape ops that only tests use (``matmul``, ``mul``, ``sum_all``,
-``stack_rows``) to build losses and programs."""
+after another, the generator's seller-seller edge and offer samplers as
+they were before their loops moved onto Python ints, a bundle
+feature-cell edit that keeps the checksum valid, an ``os.replace`` that
+fails on demand, the tracemalloc peak of one call, and four tape ops
+that only tests use (``matmul``, ``mul``, ``sum_all``, ``stack_rows``)
+to build losses and programs."""
 
 import json
 import os
@@ -32,7 +34,7 @@ from coldgraph.models.train import (
     mlp_head_forward,
 )
 from coldgraph.sampling import _row_entries
-from coldgraph.simulate import GeneratorConfig
+from coldgraph.simulate import _N_SS, GeneratorConfig
 
 
 def tiny_config(out_dir="runs/tiny", **kw):
@@ -296,6 +298,69 @@ def reference_train_mlp_heads(table, labels, tc, hidden=64):
             raise TrainingDiverged(exc.loss, exc.epoch, exc.batch, k) from None
         heads.append(params)
     return heads, history
+
+
+def reference_sample_ss_edges(cfg: GeneratorConfig, comm: np.ndarray, rng) -> list:
+    """Per-relation edge lists; dense Bernoulli within blocks, count-based
+    sampling across blocks (the cross-pair space is too large to enumerate)."""
+    n = cfg.n_sellers
+    members = [np.flatnonzero(comm == c) for c in range(cfg.n_communities)]
+    n_intra_pairs = sum(len(m) * (len(m) - 1) // 2 for m in members)
+    n_inter_pairs = n * (n - 1) // 2 - n_intra_pairs
+    relations = []
+    for r in range(_N_SS):
+        edges = []
+        for m in members:
+            k = len(m)
+            if k < 2:
+                continue
+            iu, ju = np.triu_indices(k, 1)
+            hit = rng.random(iu.shape[0]) < cfg.p_intra[r]
+            edges.append(np.stack([m[iu[hit]], m[ju[hit]]], axis=1))
+        intra = np.concatenate(edges) if edges else np.empty((0, 2), dtype=np.int64)
+        want = rng.binomial(n_inter_pairs, cfg.p_inter[r]) if n_inter_pairs else 0
+        seen = set()
+        inter = []
+        while len(inter) < want:
+            a, b = rng.integers(0, n, size=2)
+            if a == b or comm[a] == comm[b]:
+                continue
+            pair = (min(a, b), max(a, b))
+            if pair in seen:
+                continue
+            seen.add(pair)
+            inter.append(pair)
+        inter_arr = np.array(inter, dtype=np.int64).reshape(-1, 2)
+        relations.append(np.concatenate([intra, inter_arr]))
+    return relations
+
+
+def reference_sample_offers(cfg: GeneratorConfig, seller_comm, product_comm, rng):
+    """(offer_seller, offer_product): 1 + Poisson(mean-1) offers per seller,
+    products drawn mostly from the seller's own community, no repeats per
+    seller."""
+    by_comm = [np.flatnonzero(product_comm == c) for c in range(cfg.n_communities)]
+    counts = 1 + rng.poisson(cfg.offers_per_seller - 1, size=cfg.n_sellers)
+    counts = np.minimum(counts, cfg.n_products)
+    offer_seller, offer_product = [], []
+    for s in range(cfg.n_sellers):
+        own = by_comm[seller_comm[s]]
+        chosen: set = set()
+        attempts = 0
+        while len(chosen) < counts[s] and attempts < 50 * counts[s]:
+            attempts += 1
+            if len(own) and rng.random() < cfg.in_community_product_pref:
+                p = int(own[rng.integers(len(own))])
+            else:
+                p = int(rng.integers(cfg.n_products))
+            chosen.add(p)
+        for p in sorted(chosen):
+            offer_seller.append(s)
+            offer_product.append(p)
+    return (
+        np.array(offer_seller, dtype=np.int64),
+        np.array(offer_product, dtype=np.int64),
+    )
 
 
 def assert_same_graph(g, h):

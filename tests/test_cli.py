@@ -76,8 +76,10 @@ def test_generate_stdout_json_and_bundle(tmp_path, capsys):
     cap = capsys.readouterr()
     assert rc == 0
     assert json.loads(cap.out) == {"graph_dir": str(tmp_path / "g")}
-    for line in cap.err.strip().split("\n"):
-        assert "event" in json.loads(line)
+    events = [json.loads(line) for line in cap.err.strip().split("\n")]
+    assert all("event" in e for e in events)
+    (generated,) = [e for e in events if e["event"] == "generated"]
+    assert isinstance(generated["seconds"], float) and generated["seconds"] >= 0
     g = load_graph(tmp_path / "g")
     assert g.n_sellers == 60
     for name in SCENARIOS:
@@ -110,14 +112,17 @@ def test_diverging_training_exits_2(ws, tmp_path, capsys, command):
     (tmp_path / "cfg.json").write_text(json.dumps(blob))
     flags = (["--graph", str(ws["graph"]), "--model", "tabular", "--out", str(tmp_path / "t.ckpt")]
              if command == "train" else ["--out", str(tmp_path / "out")])
-    with np.errstate(over="ignore", invalid="ignore"):
-        rc = main([command, "--config", str(tmp_path / "cfg.json"), *flags])
+    rc = main([command, "--config", str(tmp_path / "cfg.json"), *flags])
     cap = capsys.readouterr()
     assert rc == 2 and "Traceback" not in cap.err
-    events = [json.loads(line) for line in cap.err.split("\n") if line.startswith("{")]
+    *lines, closing = cap.err.strip().split("\n")
+    events = [json.loads(line) for line in lines]  # numpy's warnings arrive as events too
     (event,) = [e for e in events if e["event"] == "error"]
     assert event["error"].startswith("non-finite loss nan at epoch 0, batch ")
-    assert f"error: {event['error']}" in cap.err
+    assert closing == f"error: {event['error']}"
+    warned = [e for e in events if e["event"] == "warning"]
+    assert warned and all(e["category"] == "RuntimeWarning" and e["file"].endswith(".py")
+                          and e["line"] > 0 for e in warned)
     assert list(tmp_path.rglob("*.ckpt")) == []
     assert list(tmp_path.rglob("summary_*")) == []
 

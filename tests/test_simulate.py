@@ -1,15 +1,21 @@
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _helpers import reference_sample_offers, reference_sample_ss_edges
+from coldgraph.experiment import ExperimentConfig
 from coldgraph.graph import N_CLASSES, NORMAL_CLASS, HeteroGraph
 from coldgraph.simulate import (
     SCENARIOS,
     GeneratorConfig,
     ScenarioSpec,
+    _community_of,
+    _sample_offers,
+    _sample_ss_edges,
     apply_scenario,
     default_class_probs,
     generate_synthetic_graph,
@@ -19,6 +25,8 @@ from coldgraph.simulate import (
     save_scenario,
 )
 from test_graph_properties import graph_arrays
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def small_config(**kw):
@@ -102,6 +110,52 @@ def test_determinism():
     assert a.labels.tobytes() == b.labels.tobytes()
     assert a.ss_edges(0).shape == b.ss_edges(0).shape
     assert a.offer_features.tobytes() != c.offer_features.tobytes()
+
+
+# configs whose offer loop runs each branch: empty own lists (more
+# communities than products), never or always in-community, and a
+# 50-attempts-per-offer cap that binds (2 of 12 products in each
+# community, and only 1% of draws reach the other 10)
+STREAM_CONFIGS = {
+    "uneven": dict(n_sellers=103, n_communities=7),
+    "fewer_products": dict(n_products=3),
+    "pref_0": dict(in_community_product_pref=0.0),
+    "pref_1": dict(in_community_product_pref=1.0),
+    "cap_binds": dict(n_sellers=60, n_products=12, offers_per_seller=11.0,
+                      in_community_product_pref=0.99),
+}
+
+
+def stream_config(name):
+    if name in ("small", "default"):
+        return ExperimentConfig.from_json_file(CONFIGS / f"{name}.json").generator
+    return small_config(**STREAM_CONFIGS[name])
+
+
+@pytest.mark.parametrize("name", ["small", "default", *STREAM_CONFIGS])
+def test_samplers_keep_the_reference_random_stream(name):
+    """Each sampler returns its reference's arrays and leaves the generator
+    in the reference's state, so every later draw of a graph matches too."""
+    cfg = stream_config(name)
+    seller_comm = _community_of(cfg.n_sellers, cfg.n_communities)
+    product_comm = _community_of(cfg.n_products, cfg.n_communities)
+    rng, ref = np.random.default_rng(cfg.seed), np.random.default_rng(cfg.seed)
+    got = _sample_ss_edges(cfg, seller_comm, rng)
+    want = reference_sample_ss_edges(cfg, seller_comm, ref)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    got = _sample_offers(cfg, seller_comm, product_comm, rng)
+    want = reference_sample_offers(cfg, seller_comm, product_comm, ref)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    if name == "cap_binds":  # fewer offers than the Poisson counts asked for
+        counts = 1 + np.random.default_rng(0).poisson(cfg.offers_per_seller - 1, cfg.n_sellers)
+        rng = np.random.default_rng(0)
+        offer_seller, _ = _sample_offers(cfg, seller_comm, product_comm, rng)
+        assert offer_seller.size < np.minimum(counts, cfg.n_products).sum()
 
 
 def test_degenerate_class_rows_make_homogeneous_communities():
