@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .evaluate import fmt_auc, fmt_delta, per_class_report, write_report_csv, write_report_json
-from .graph import CLASS_NAMES, N_CLASSES, HeteroGraph, build_expanded_graph
+from .graph import CLASS_NAMES, N_CLASSES, HeteroGraph, build_expanded_graph, offer_id_array
 from .models import (
     EdgeGnnConfig,
     EdgeGnnModel,
@@ -241,10 +241,11 @@ def score_model(
     """Probability matrix (|eval_offers|, 9) in float64, from masked features.
 
     ``arch`` is decoded through the kind's record in ``ARCH_RECORDS``, so a
-    malformed one raises ValueError naming the record and key; an offer id
-    outside ``[0, n_offers)`` raises ValueError naming the id.
+    malformed one raises ValueError naming the record and key; offer ids
+    without an integer dtype raise ValueError naming it, and an offer id
+    outside ``[0, n_offers)`` one naming the id.
     """
-    eval_offers = np.asarray(eval_offers, dtype=np.int64)
+    eval_offers = offer_id_array(eval_offers)
     bad = eval_offers[(eval_offers < 0) | (eval_offers >= masked.n_offers)]
     if bad.size:
         raise ValueError(f"offer id {int(bad[0])} out of range [0, {masked.n_offers})")

@@ -51,6 +51,7 @@ __all__ = [
     "HeteroGraph",
     "ExpandedGraph",
     "build_expanded_graph",
+    "offer_id_array",
     "N_RELATIONS",
     "N_CLASSES",
     "CLASS_NAMES",
@@ -62,6 +63,16 @@ N_CLASSES = 9
 # eight defect classes followed by the benign class
 CLASS_NAMES = tuple(f"type{i + 1}" for i in range(8)) + ("normal",)
 NORMAL_CLASS = 8
+
+
+def offer_id_array(offers) -> np.ndarray:
+    """``offers`` as an int64 array of offer ids.  Raises ValueError naming
+    the dtype of a non-empty array without an integer dtype, which a cast
+    would truncate (0.5 would read as offer 0); no offers are always fine."""
+    ids = np.asarray(offers)
+    if ids.size and ids.dtype.kind not in "iu":
+        raise ValueError(f"offer ids must have an integer dtype, got {ids.dtype.name}")
+    return ids.astype(np.int64, copy=False)
 
 
 class NodeType(IntEnum):

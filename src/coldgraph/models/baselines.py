@@ -33,7 +33,7 @@ from ..autodiff import (
     scale,
     take_rows,
 )
-from ..graph import N_CLASSES, HeteroGraph, ExpandedGraph, Relation
+from ..graph import N_CLASSES, HeteroGraph, ExpandedGraph, Relation, offer_id_array
 from ..records import Record
 from ..sampling import EgoNetwork, ego_network
 from .core import (
@@ -209,8 +209,9 @@ def score_expanded_rgcn(
 ) -> np.ndarray:
     """Float64 probability rows of ``offers``, in any order; the plan's parts
     hold at most ``score_part_rows`` rows, as in edge classifier scoring.
-    Raises ValueError naming the first offer id outside ``[0, n_offers)``."""
-    offers = np.asarray(offers, dtype=np.int64)
+    Raises ValueError naming the dtype of offer ids without an integer one,
+    or the first offer id outside ``[0, n_offers)``."""
+    offers = offer_id_array(offers)
     bad = offers[(offers < 0) | (offers >= eg.g.n_offers)]
     if bad.size:
         raise ValueError(f"offer id {int(bad[0])} out of range [0, {eg.g.n_offers})")

@@ -9,9 +9,10 @@ The model scores offer edges.  Per batch offer it consumes
   layer l of L computes only the ego nodes within L-1-l hops of the
   endpoints, so the last layer computes the endpoints alone; each part of
   a layer aggregates its rows of every relation at once (``m = part.adj @
-  h``) and each relation transforms only its slice, adding
-  ``m[block.lo:block.hi] @ W_r`` at ``block.rows``; each layer is one tape
-  op with a hand-written backward,
+  h``, through scipy's CSR kernel on the part's plain arrays) and each
+  relation transforms only its slice, adding ``m[block.lo:block.hi] @
+  W_r`` at ``block.rows``; each layer is one tape op with a hand-written
+  backward,
 - an edge embedding built from the offer's own features concatenated with
   the mean features of its sibling offers (other offers of the same
   product, and other offers of the same seller; the offer itself is
@@ -42,6 +43,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.sparse._sparsetools import csc_matvecs, csr_matvecs
 
 from ..autodiff import (
     Tensor,
@@ -54,7 +56,7 @@ from ..autodiff import (
 )
 from ..graph import N_CLASSES, N_RELATIONS, HeteroGraph, NodeType
 from ..records import Record
-from ..sampling import TILE_ROWS, EgoNetwork, Layer, extract_ego_network
+from ..sampling import TILE_ROWS, Csr, EgoNetwork, Layer, extract_ego_network
 
 __all__ = [
     "EdgeGnnConfig",
@@ -172,6 +174,38 @@ def init_relational_encoder(
     return params
 
 
+# A plan part's products call the kernels that scipy's own ``csr_matrix @
+# x`` and ``csr_matrix.T @ x`` call for an ``x`` of several columns, on the
+# same arrays and into the same zeroed output of the same dtype, so they
+# keep its bits without building a scipy object per part, product or
+# transpose (scipy sends a one-column ``x`` through ``csr_matvec``, which
+# sums each row in the same order).  The kernels read ``x`` unchecked, so
+# its row count is checked here, as scipy's ``@`` does.
+
+
+def _csr_product(adj: Csr, x: np.ndarray) -> np.ndarray:
+    """``adj @ x`` for a 2-D ``x``."""
+    rows, cols = adj.shape
+    if x.shape[0] != cols:
+        raise ValueError(f"part of shape {adj.shape} times {x.shape}")
+    out = np.zeros((rows, x.shape[1]), dtype=np.result_type(adj.data, x))
+    csr_matvecs(rows, cols, x.shape[1], adj.indptr, adj.indices, adj.data, x.ravel(),
+                out.ravel())
+    return out
+
+
+def _csr_transposed_product(adj: Csr, m: np.ndarray) -> np.ndarray:
+    """``adj.T @ m`` for a 2-D ``m``: ``adj``'s arrays are the CSC form of
+    its transpose."""
+    rows, cols = adj.shape
+    if m.shape[0] != rows:
+        raise ValueError(f"transposed part of shape {adj.shape} times {m.shape}")
+    out = np.zeros((cols, m.shape[1]), dtype=np.result_type(adj.data, m))
+    csc_matvecs(cols, rows, m.shape[1], adj.indptr, adj.indices, adj.data, m.ravel(),
+                out.ravel())
+    return out
+
+
 def _block_product(m: np.ndarray, w: np.ndarray) -> np.ndarray:
     """``m @ w``, with a one-row ``m`` taken through a two-row product.
 
@@ -198,7 +232,7 @@ def rgcn_layer(
     Per output row: the self path ``h @ self_w + bias`` plus, for every
     relation block, the neighbour-mean of ``h`` times that relation's
     weight ``rel_ws[block.relation]``.  Each part aggregates first,
-    ``m = part.adj @ h``, and each of its blocks adds
+    ``m = part.adj @ h`` (:func:`_csr_product`), and each of its blocks adds
     ``m[lo:hi] @ W_r`` at its ``rows`` (a one-row block through
     :func:`_block_product`).  Block matrices are
     row-mean-normalized, so a relation a node does not participate in
@@ -208,9 +242,9 @@ def rgcn_layer(
     gradient it owns in place, lets go of the output, and takes the self
     weight and bias gradients first; then it recomputes each part's ``m``
     in reverse, takes ``gW_r = m[lo:hi].T @ g[rows]``, writes ``g[rows] @
-    W_r.T`` over ``m[lo:hi]`` and adds ``part.adj.T @ m`` into one input
-    gradient, dropping ``m`` before the next part; the self path's input
-    gradient comes last.
+    W_r.T`` over ``m[lo:hi]`` and adds ``part.adj.T @ m``
+    (:func:`_csr_transposed_product`) into one input gradient, dropping
+    ``m`` before the next part; the self path's input gradient comes last.
     """
     x = h.data
     ws = [rel_ws[block.relation] for part in layer.parts for block in part.blocks]
@@ -228,7 +262,7 @@ def rgcn_layer(
     pre += self_b.data
     k = 0
     for part in layer.parts:
-        m = part.adj @ x
+        m = _csr_product(part.adj, x)
         for block in part.blocks:
             add_at(pre, block.rows, _block_product(m[block.lo:block.hi], ws[k].data))
             k += 1
@@ -244,7 +278,7 @@ def rgcn_layer(
         gws = [None] * len(ws)
         k = len(ws)
         for part in reversed(layer.parts):
-            m = part.adj @ x
+            m = _csr_product(part.adj, x)
             for block in reversed(part.blocks):
                 k -= 1
                 gr = at(g, block.rows)
@@ -254,7 +288,7 @@ def rgcn_layer(
                     np.matmul(gr, ws[k].data.T, out=m[block.lo:block.hi])
                 del gr
             if needs[0]:
-                gh += part.adj.T @ m
+                gh += _csr_transposed_product(part.adj, m)
             del m
         if needs[0]:
             add_at(gh, layer.keep, g @ self_w.data.T)
@@ -358,8 +392,9 @@ def node_embedder_forward(
         )
     inputs = ego.inputs({"seller": g.seller_features, "product": g.product_features})
     h = relational_encoder_forward(inputs, ego.plan, params, cfg.dropout, rng)
-    sellers, products = np.split(ego.seed_rows(), 2)
-    return h, sellers, products
+    rows = ego.seed_rows()
+    half = rows.shape[0] // 2
+    return h, rows[:half], rows[half:]
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from ..autodiff import (
     record,
     scale,
 )
-from ..graph import N_CLASSES, HeteroGraph
+from ..graph import N_CLASSES, HeteroGraph, offer_id_array
 from .core import (
     EdgeGnnConfig,
     cast_params,
@@ -145,8 +145,9 @@ class EdgeGnnModel:
     _cast: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def score(self, g: HeteroGraph, offers: np.ndarray, dtype=np.float64) -> np.ndarray:
-        """Per-class probability matrix for the given offer ids; no offers
-        give a ``(0, 9)`` matrix.
+        """Per-class probability matrix for the given offer ids, which must
+        have an integer dtype (``graph.offer_id_array``); no offers give a
+        ``(0, 9)`` matrix.
 
         Scoring runs with 64-bit accumulation by default, or in float32;
         any other dtype raises ValueError naming it.  Parameters stay
@@ -159,6 +160,7 @@ class EdgeGnnModel:
         dtype = np.dtype(dtype)
         if dtype not in (np.float32, np.float64):
             raise ValueError(f"scoring dtype must be float32 or float64, got {dtype.name}")
+        offers = offer_id_array(offers)
         if len(offers) == 0:
             return np.zeros((0, N_CLASSES), dtype=dtype)
         if dtype not in self._cast:

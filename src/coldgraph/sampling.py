@@ -21,11 +21,15 @@ reached before its hop, and replaces each column by that node's row in the
 layer input, with plain numpy index arithmetic.  Every neighbour of an
 output is in the layer input, so its row of the cached row-normalised
 matrix is exact as is.  The gathered rows stay stacked: a layer's non-empty
-rows, relation after relation, are cut into a few parts, one CSR each, and
-each relation's block is the row slice ``lo:hi`` of its part that holds the
-outputs with a message of that relation (``rows``).  So relation r adds
-``(part @ h)[lo:hi] @ W_r`` at ``rows``: aggregate first, then transform,
-with one sparse product per part and no per-relation gather of ``h``.
+rows, relation after relation, are cut into a few parts, and each
+relation's block is the row slice ``lo:hi`` of its part that holds the
+outputs with a message of that relation (``rows``).  A part's matrix is a
+:class:`Csr`: the plain ``data``, ``indices`` and ``indptr`` arrays of a
+CSR matrix and its ``shape``, no scipy object, which the relational layer
+multiplies through scipy's own CSR kernels.  So relation r adds
+``(part.adj @ h)[lo:hi] @ W_r`` at ``rows``: aggregate first, then
+transform, with one sparse product per part and no per-relation gather of
+``h``.
 A part holds at most ``n_in`` rows (the layer-input row count), or, in a
 plan given a row bound (scoring), at most that bound, a relation's rows
 then being split across parts where they overflow one.
@@ -49,9 +53,10 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import HeteroGraph
+from .graph import HeteroGraph, offer_id_array
 
 __all__ = [
+    "Csr",
     "EgoNetwork",
     "Layer",
     "extract_ego_network",
@@ -64,6 +69,20 @@ __all__ = [
 # leftover rows with other code, so each piece's rows land in the same
 # tiles as in one product over the whole block, and round alike.
 TILE_ROWS = 16
+
+
+class Csr(NamedTuple):
+    """A CSR matrix as its plain arrays: row ``i`` holds ``data[j]`` in
+    column ``indices[j]`` for ``j`` in ``indptr[i]:indptr[i+1]``."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple
+
+    @property
+    def nnz(self) -> int:
+        return self.data.shape[0]
 
 
 class Block(NamedTuple):
@@ -79,7 +98,7 @@ class Block(NamedTuple):
 class Part(NamedTuple):
     """Consecutive relation blocks of one layer stacked in one matrix."""
 
-    adj: sp.csr_matrix  # (rows of its blocks, n_in): normalized rows, layer-input columns
+    adj: Csr  # (rows of its blocks, n_in): normalized rows, layer-input columns
     blocks: tuple
 
 
@@ -96,7 +115,7 @@ class EgoNetwork:
     caller's order, repeats allowed): ``nodes`` in ascending global id,
     ``hop`` their distances, and a ``plan`` of ``hops`` layers read at the
     seeds, whose first reads every node.  ``rel_adj`` lists the plan's
-    part matrices.
+    part matrices (:class:`Csr`).
     """
 
     seeds: np.ndarray
@@ -120,10 +139,10 @@ class EgoNetwork:
         """Each node type's rows of ``feats`` (type -> features; the types
         own consecutive id ranges in this order) at the ego's nodes: the
         input rows of the plan's first layer."""
-        ends = np.cumsum([x.shape[0] for x in feats.values()])
-        parts = np.split(self.nodes, np.searchsorted(self.nodes, ends[:-1]))
-        return {name: x[ids - (end - x.shape[0])]
-                for (name, x), ids, end in zip(feats.items(), parts, ends)}
+        ends = np.cumsum([0] + [x.shape[0] for x in feats.values()])
+        cuts = np.searchsorted(self.nodes, ends).tolist()
+        return {name: x[self.nodes[a:b] - lo]
+                for (name, x), lo, a, b in zip(feats.items(), ends, cuts, cuts[1:])}
 
     def seed_rows(self) -> np.ndarray:
         """Each seed's row in the last layer's output, which holds the
@@ -171,16 +190,17 @@ def _layer_parts(
       as in the unbounded plan.
     """
     n_out = (indptr.shape[0] - 1) // n_rel
-    # the gathered rows with entries, relation after relation, and their
-    # starts followed by the end: relation r's block owns wrote[a:b]
+    # the gathered rows with entries, relation after relation, their starts
+    # followed by the end, and their layer outputs: relation r's block owns
+    # wrote[a:b], outputs local[a:b]
     wrote = np.flatnonzero(np.diff(indptr))
     starts = indptr[np.append(wrote, indptr.shape[0] - 1)]
     cut = np.searchsorted(wrote, np.arange(0, (n_rel + 1) * n_out, n_out)).tolist()
+    local = wrote % n_out
 
     def part(a, b, blocks):  # the blocks of wrote[a:b] in one matrix
         lo, hi = starts[a], starts[b]
-        adj = sp.csr_matrix((data[lo:hi], col[lo:hi], starts[a:b + 1] - lo),
-                            shape=(b - a, n_in))
+        adj = Csr(data[lo:hi], col[lo:hi], starts[a:b + 1] - lo, (b - a, n_in))
         return Part(adj, tuple(blocks))
 
     cap = n_in if max_rows is None else max_rows
@@ -197,7 +217,7 @@ def _layer_parts(
                 parts.append(part(first, a, blocks))
                 blocks, first = [], a
                 continue
-            blocks.append(Block(r, wrote[a:end] - r * n_out, a - first, end - first))
+            blocks.append(Block(r, local[a:end], a - first, end - first))
             a = end
     if blocks:
         parts.append(part(first, cut[-1], blocks))
@@ -225,11 +245,14 @@ def ego_network(
     row is the non-empty global row of an output with each column replaced
     by that node's layer-input row; the replacement is monotone, so each
     row sums its neighbours in the same order as the global matrix.
-    Raises ValueError naming the first seed outside ``[0, n)``.
+    Raises ValueError if ``seeds`` is empty or not flat, and one naming
+    the first seed outside ``[0, n)``.
     """
     if max_rows is not None and (max_rows < 1 or max_rows % TILE_ROWS):
         raise ValueError(f"max_rows must be a positive multiple of {TILE_ROWS}, got {max_rows}")
     seeds = np.asarray(seeds, dtype=np.int64)
+    if seeds.ndim != 1 or seeds.size == 0:
+        raise ValueError("the seeds are a non-empty flat index array")
     n = stack.shape[1]
     bad = seeds[(seeds < 0) | (seeds >= n)]
     if bad.size:
@@ -259,8 +282,9 @@ def extract_ego_network(
 ) -> EgoNetwork:
     """The ego network over all nine relations seeded at the ``offers``'
     sellers, then at their products, in the order given; ``max_rows``
-    bounds its plan's parts (:func:`ego_network`)."""
-    offers = np.asarray(offers, dtype=np.int64)
+    bounds its plan's parts (:func:`ego_network`).  Offer ids without an
+    integer dtype raise ValueError naming it (``graph.offer_id_array``)."""
+    offers = offer_id_array(offers)
     if hops < 1:
         raise ValueError("hops must be at least 1")
     if offers.ndim != 1 or offers.size == 0:

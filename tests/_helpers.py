@@ -206,6 +206,12 @@ def reference_message_flow_plan(mats, nodes, hop, layers):
     return tuple(plan)
 
 
+def as_csr_matrix(adj) -> sp.csr_matrix:
+    """A plan part's matrix (a ``sampling.Csr`` of plain arrays) as a scipy
+    CSR matrix over the same arrays, to slice and compare with."""
+    return sp.csr_matrix((adj.data, adj.indices, adj.indptr), shape=adj.shape)
+
+
 def assert_plan_holds_reference(plan, reference):
     """``plan`` (an ``EgoNetwork.plan``) holds the reference's
     blocks in the same order: each block's ``rows`` are the reference's,
@@ -226,7 +232,7 @@ def assert_plan_holds_reference(plan, reference):
             assert all(b.hi - b.lo == b.rows.shape[0] for b in part.blocks)
         for (part, b), want in zip(got, ref.blocks):
             np.testing.assert_array_equal(b.rows, want.rows)
-            sub = part.adj[b.lo:b.hi]
+            sub = as_csr_matrix(part.adj)[b.lo:b.hi]
             assert np.array_equal(sub.indptr, want.adj.indptr)
             assert np.array_equal(sub.data, want.adj.data)
             assert np.array_equal(sub.indices, want.cols[want.adj.indices])

@@ -19,7 +19,15 @@ from coldgraph.experiment import (
     train_model,
     write_scores_csv,
 )
-from coldgraph.models import load_checkpoint, train_mlp_heads
+from coldgraph.graph import build_expanded_graph
+from coldgraph.models import (
+    EdgeGnnConfig,
+    EdgeGnnModel,
+    ExpandedRgcnConfig,
+    load_checkpoint,
+    score_expanded_rgcn,
+    train_mlp_heads,
+)
 from coldgraph.simulate import (
     GeneratorConfig,
     ScenarioSpec,
@@ -139,6 +147,38 @@ def test_score_rejects_out_of_range_offer_id(tiny_graph, kind):
     for bad in (-1, n):
         with pytest.raises(ValueError, match=rf"^offer id {bad} out of range \[0, {n}\)$"):
             score_model(kind, model.arch, model.param_groups, tiny_graph, np.array([0, bad]))
+
+
+def _offer_scorer(entry: str, g):
+    """A one-argument scorer of offer ids through one scoring entry point,
+    with untrained parameters."""
+    mc = dataclasses.replace(tiny_config().model, epochs=0, mlp_epochs=0, expanded_epochs=0)
+    if entry == "EdgeGnnModel.score":
+        model = train_model(g, "edge_gnn", 0, mc)
+        cfg = EdgeGnnConfig.from_dict(model.arch)
+        edge_gnn = EdgeGnnModel(cfg=cfg, param_groups=model.param_groups)
+        return lambda offers: edge_gnn.score(g, offers)
+    if entry == "score_model":
+        model = train_model(g, "tabular", 0, mc)
+        return lambda offers: score_model("tabular", model.arch, model.param_groups, g, offers)
+    model = train_model(g, "rgcn_expanded", 0, mc)
+    cfg = ExpandedRgcnConfig.from_dict(model.arch)
+    eg = build_expanded_graph(g)
+    return lambda offers: score_expanded_rgcn(eg, model.param_groups[0], cfg, offers)
+
+
+@pytest.mark.parametrize("entry", ["EdgeGnnModel.score", "score_model", "score_expanded_rgcn"])
+def test_scoring_rejects_offer_ids_without_an_integer_dtype(tiny_graph, entry):
+    """A cast to int64 would read offer 0.5 as offer 0; no offers still
+    score to an empty matrix, whatever the empty list's dtype."""
+    score = _offer_scorer(entry, tiny_graph)
+    for offers, dtype in (([0.5], "float64"), (np.array([0, 1], dtype=np.float32), "float32"),
+                          (np.array([True]), "bool")):
+        with pytest.raises(ValueError, match=f"^offer ids must have an integer dtype, got {dtype}$"):
+            score(offers)
+    assert score([]).shape == (0, 9)
+    np.testing.assert_array_equal(score(np.array([1, 0], dtype=np.uint8)),
+                                  score(np.array([1, 0])))
 
 
 def test_unknown_kind_rejected(tiny_graph):

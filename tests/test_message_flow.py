@@ -12,9 +12,11 @@ empty relations, single-offer sellers), optionally with seller 0 turned
 into a hub that is linked to every other seller and offers every product.
 """
 
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -43,7 +45,7 @@ from coldgraph.models import (
 )
 from coldgraph.models import baselines, core
 from coldgraph.models.baselines import _expanded_ego, _expanded_probs
-from coldgraph.sampling import TILE_ROWS, ego_network, extract_ego_network
+from coldgraph.sampling import TILE_ROWS, Csr, ego_network, extract_ego_network
 from test_graph_properties import graph_arrays
 
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -433,3 +435,56 @@ def test_layers_cut_into_several_parts():
         np.testing.assert_allclose(edge_gnn_forward(g, batch, params, cfg).data,
                                    dense_edge_gnn(g, batch, params, hops),
                                    rtol=1e-6, atol=1e-9)
+
+
+def test_part_products_are_scipys_products_bit_for_bit():
+    """The relational layer's two part products equal scipy's public
+    ``csr_matrix @ x`` and ``csr_matrix.T @ m`` over the same arrays, value
+    and dtype, for float32 part data against float32 and float64 inputs,
+    int32 and int64 index arrays and non-contiguous inputs."""
+    rng = np.random.default_rng(0)
+    wide = sp.random(40, 30, density=0.3, format="csr", dtype=np.float32, random_state=1)
+    holes = wide.copy()
+    holes.data[np.repeat(np.arange(40) % 3 == 0, np.diff(holes.indptr))] = 0
+    holes.eliminate_zeros()  # every third row empty
+    parts = {
+        "random": wide,
+        "one row": wide[5:6],
+        "empty rows": holes,
+        "all empty": sp.csr_matrix((7, 30), dtype=np.float32),
+    }
+    assert parts["all empty"].nnz == 0 and np.diff(parts["empty rows"].indptr).min() == 0
+    for name, mat in parts.items():
+        for index in (np.int32, np.int64):
+            adj = Csr(mat.data, mat.indices.astype(index), mat.indptr.astype(index), mat.shape)
+            assert adj.nnz == mat.nnz
+            ref = sp.csr_matrix((adj.data, adj.indices, adj.indptr), shape=adj.shape)
+            for dtype in (np.float32, np.float64):
+                for cols in (1, 5):
+                    x = rng.normal(size=(30, 2 * cols)).astype(dtype)
+                    m = rng.normal(size=(adj.shape[0], 2 * cols)).astype(dtype)
+                    for xs, ms in ((x[:, :cols].copy(), m[:, :cols].copy()),
+                                   (x[:, ::2], m[:, ::2])):
+                        for got, want in ((core._csr_product(adj, xs), ref @ xs),
+                                          (core._csr_transposed_product(adj, ms), ref.T @ ms)):
+                            assert got.dtype == want.dtype, (name, index, dtype)
+                            assert np.array_equal(got, want), (name, index, dtype, cols)
+    # the kernels read their input unchecked: a row count that does not fit raises first
+    adj = Csr(wide.data, wide.indices, wide.indptr, wide.shape)
+    with pytest.raises(ValueError, match=r"^part of shape \(40, 30\) times \(29, 2\)$"):
+        core._csr_product(adj, np.ones((29, 2)))
+    with pytest.raises(ValueError, match=r"^transposed part of shape \(40, 30\) times \(30, 2\)$"):
+        core._csr_transposed_product(adj, np.ones((30, 2)))
+
+
+def test_plan_parts_hold_plain_arrays_and_one_module_reads_the_kernels():
+    g = make_random_graph(seed=11)
+    for max_rows in (None, TILE_ROWS):
+        ego = extract_ego_network(g, np.arange(min(g.n_offers, 6)), 3, max_rows)
+        for adj in ego.rel_adj:
+            assert isinstance(adj, Csr) and not sp.issparse(adj)
+            assert all(isinstance(a, np.ndarray) for a in adj[:3])
+    src = Path(__file__).resolve().parents[1] / "src"
+    readers = [p.relative_to(src).as_posix() for p in sorted(src.rglob("*.py"))
+               if "_sparsetools" in p.read_text()]
+    assert readers == ["coldgraph/models/core.py"]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from _helpers import bfs_oracle, make_random_graph, pad_isolated, traced_peak
+from _helpers import as_csr_matrix, bfs_oracle, make_random_graph, pad_isolated, traced_peak
 from coldgraph.graph import HeteroGraph, Relation, build_expanded_graph, row_mean_normalize
 from coldgraph.sampling import ego_network, extract_ego_network
 
@@ -97,7 +97,7 @@ def test_ego_plan_blocks_are_global_normalized_rows():
                     # restricted to the layer inputs, which hold the whole row
                     np.testing.assert_array_equal(block.rows,
                                                   np.flatnonzero(full.getnnz(axis=1)))
-                    adj = part.adj[block.lo:block.hi]
+                    adj = as_csr_matrix(part.adj)[block.lo:block.hi]
                     np.testing.assert_array_equal(adj.toarray(),
                                                   full[block.rows][:, inputs].toarray())
                     np.testing.assert_array_equal(adj.getnnz(axis=1),
@@ -156,6 +156,8 @@ def test_extract_errors():
     for offers in (np.array([], dtype=np.int64), np.array([[0, 1]])):
         with pytest.raises(ValueError, match="non-empty flat index array"):
             extract_ego_network(g, offers, hops=1)
+    with pytest.raises(ValueError, match="^offer ids must have an integer dtype, got float64$"):
+        extract_ego_network(g, [0.5], hops=1)  # a cast would read offer 0
     for bound in (0, -16, 8, 40):
         with pytest.raises(ValueError, match=f"positive multiple of 16, got {bound}$"):
             extract_ego_network(g, offer_batch(g, 2, 0), hops=1, max_rows=bound)
@@ -166,6 +168,9 @@ def test_ego_network_rejects_seeds_outside_the_node_range():
     n = stack.shape[1]
     for seeds, bad in (([0, -5], -5), ([-1], -1), ([3, n, n + 1], n)):
         with pytest.raises(ValueError, match=rf"^seed {bad} out of range \[0, {n}\)$"):
+            ego_network(stack, seeds, 2)
+    for seeds in ([], np.array([], dtype=np.int64), [[0, 1]], np.zeros((2, 1), dtype=np.int64)):
+        with pytest.raises(ValueError, match="^the seeds are a non-empty flat index array$"):
             ego_network(stack, seeds, 2)
 
 
