@@ -40,6 +40,7 @@ from .experiment import (
     train_model,
     write_scores_csv,
 )
+from .graph import id_array
 from .models import CheckpointError, TrainingDiverged, load_checkpoint, save_checkpoint
 from .simulate import apply_scenario, generate_synthetic_graph, load_scenario, make_scenario, save_scenario
 from .storage import GraphFormatError, load_graph, save_graph, write_artifact
@@ -147,9 +148,7 @@ def cmd_eval(args) -> int:
     g = load_graph(args.graph)
     if g.labels is None:
         raise ValueError(f"graph at {args.graph} has no labels")
-    if ids.size and ids.max() >= g.n_offers:
-        raise ValueError(f"score file {args.scores} references unknown offers")
-    labels = g.labels[ids]
+    labels = g.labels[id_array(ids, g.n_offers, f"score file {args.scores}: offer id")]
     baseline = None
     if args.baseline:
         base_ids, base_scores = read_scores_csv(args.baseline)

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .evaluate import fmt_auc, fmt_delta, per_class_report, write_report_csv, write_report_json
-from .graph import CLASS_NAMES, N_CLASSES, HeteroGraph, build_expanded_graph, offer_id_array
+from .graph import CLASS_NAMES, N_CLASSES, HeteroGraph, build_expanded_graph, id_array
 from .models import (
     EdgeGnnConfig,
     EdgeGnnModel,
@@ -194,8 +194,7 @@ def _decode_arch(kind: str, arch: dict):
     return ARCH_RECORDS[kind].from_dict(arch)
 
 
-def _listing_table(g: HeteroGraph, kind: str, arch: TableArch,
-                   new_sellers: np.ndarray) -> np.ndarray:
+def _listing_table(g: HeteroGraph, kind: str, arch: TableArch, new_sellers) -> np.ndarray:
     """One input row per offer of ``g`` for table kind ``kind``; ``naive``
     fills the features of ``new_sellers`` from their seller neighbours."""
     if kind == "sign":
@@ -221,7 +220,7 @@ def train_model(g: HeteroGraph, kind: str, seed: int, mc: ModelConfig) -> Traine
     elif kind in ("tabular", "naive", "sign"):
         arch = (SignArch(**dims, hidden=mc.mlp_hidden, hops=mc.sign_hops) if kind == "sign"
                 else TableArch(**dims, hidden=mc.mlp_hidden))
-        table = _listing_table(g, kind, arch, np.zeros(0, dtype=np.int64))
+        table = _listing_table(g, kind, arch, ())
         groups, history = train_mlp_heads(
             table, g.labels, mc.train_config(seed, mc.mlp_epochs), hidden=arch.hidden
         )
@@ -241,14 +240,10 @@ def score_model(
     """Probability matrix (|eval_offers|, 9) in float64, from masked features.
 
     ``arch`` is decoded through the kind's record in ``ARCH_RECORDS``, so a
-    malformed one raises ValueError naming the record and key; offer ids
-    without an integer dtype raise ValueError naming it, and an offer id
-    outside ``[0, n_offers)`` one naming the id.
+    malformed one raises ValueError naming the record and key.  The
+    offers are offer ids (``graph.id_array``).
     """
-    eval_offers = offer_id_array(eval_offers)
-    bad = eval_offers[(eval_offers < 0) | (eval_offers >= masked.n_offers)]
-    if bad.size:
-        raise ValueError(f"offer id {int(bad[0])} out of range [0, {masked.n_offers})")
+    eval_offers = id_array(eval_offers, masked.n_offers, "offer id")
     cfg = _decode_arch(kind, arch)
     for name, have in (("d_s", masked.d_s), ("d_p", masked.d_p), ("d_o", masked.d_o)):
         if getattr(cfg, name) != have:
@@ -260,7 +255,7 @@ def score_model(
     if kind == "rgcn_expanded":
         return score_expanded_rgcn(build_expanded_graph(masked), param_groups[0], cfg,
                                    eval_offers)
-    new_sellers = np.asarray(spec.new_sellers if spec is not None else (), dtype=np.int64)
+    new_sellers = spec.new_sellers if spec is not None else ()
     return score_mlp_heads(param_groups,
                            _listing_table(masked, kind, cfg, new_sellers)[eval_offers])
 

@@ -51,7 +51,7 @@ __all__ = [
     "HeteroGraph",
     "ExpandedGraph",
     "build_expanded_graph",
-    "offer_id_array",
+    "id_array",
     "N_RELATIONS",
     "N_CLASSES",
     "CLASS_NAMES",
@@ -65,14 +65,21 @@ CLASS_NAMES = tuple(f"type{i + 1}" for i in range(8)) + ("normal",)
 NORMAL_CLASS = 8
 
 
-def offer_id_array(offers) -> np.ndarray:
-    """``offers`` as an int64 array of offer ids.  Raises ValueError naming
-    the dtype of a non-empty array without an integer dtype, which a cast
-    would truncate (0.5 would read as offer 0); no offers are always fine."""
-    ids = np.asarray(offers)
-    if ids.size and ids.dtype.kind not in "iu":
-        raise ValueError(f"offer ids must have an integer dtype, got {ids.dtype.name}")
-    return ids.astype(np.int64, copy=False)
+def id_array(ids, n: int, what: str) -> np.ndarray:
+    """``ids`` as a flat int64 array of ids in ``[0, n)``, without a copy if
+    it already is one; no ids, of any dtype, are fine.  A cast would
+    truncate a fractional id (0.5 would read as id 0) and index from the
+    end with a negative one, so anything else raises ValueError naming
+    ``what``: a shape that is not flat, a dtype that is not an integer one,
+    or the first id outside the range."""
+    a = np.asarray(ids)
+    if a.ndim != 1:
+        raise ValueError(f"{what}s must be a flat array, got shape {a.shape}")
+    if a.size and a.dtype.kind not in "iu":
+        raise ValueError(f"{what}s must have an integer dtype, got {a.dtype.name}")
+    if a.size and (a.min() < 0 or a.max() >= n):
+        raise ValueError(f"{what} {int(a[(a < 0) | (a >= n)][0])} out of range [0, {n})")
+    return a.astype(np.int64, copy=False)
 
 
 class NodeType(IntEnum):

@@ -33,7 +33,7 @@ from ..autodiff import (
     scale,
     take_rows,
 )
-from ..graph import N_CLASSES, HeteroGraph, ExpandedGraph, Relation, offer_id_array
+from ..graph import N_CLASSES, HeteroGraph, ExpandedGraph, Relation, id_array
 from ..records import Record
 from ..sampling import EgoNetwork, ego_network
 from .core import (
@@ -59,8 +59,9 @@ __all__ = [
 def naive_fill_seller_features(g: HeteroGraph, new_sellers: np.ndarray) -> np.ndarray:
     """Copy of the seller feature matrix with cold rows replaced by the mean
     over the union of their seller neighbors (multiplicity one per distinct
-    neighbor across all eight relations)."""
-    new_sellers = np.asarray(new_sellers, dtype=np.int64)
+    neighbor across all eight relations).  The cold rows are seller ids
+    (``graph.id_array``)."""
+    new_sellers = id_array(new_sellers, g.n_sellers, "new seller")
     filled = g.seller_features.copy()
     if new_sellers.size == 0:
         return filled
@@ -209,12 +210,8 @@ def score_expanded_rgcn(
 ) -> np.ndarray:
     """Float64 probability rows of ``offers``, in any order; the plan's parts
     hold at most ``score_part_rows`` rows, as in edge classifier scoring.
-    Raises ValueError naming the dtype of offer ids without an integer one,
-    or the first offer id outside ``[0, n_offers)``."""
-    offers = offer_id_array(offers)
-    bad = offers[(offers < 0) | (offers >= eg.g.n_offers)]
-    if bad.size:
-        raise ValueError(f"offer id {int(bad[0])} out of range [0, {eg.g.n_offers})")
+    The offers are offer ids (``graph.id_array``)."""
+    offers = id_array(offers, eg.g.n_offers, "offer id")
     if offers.size == 0:
         return np.zeros((0, N_CLASSES))
     ego = _expanded_ego(eg, offers, cfg.layers, score_part_rows(cfg.hidden, np.float64))

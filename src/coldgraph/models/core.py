@@ -54,7 +54,7 @@ from ..autodiff import (
     record,
     take_rows,
 )
-from ..graph import N_CLASSES, N_RELATIONS, HeteroGraph, NodeType
+from ..graph import N_CLASSES, N_RELATIONS, HeteroGraph, NodeType, id_array
 from ..records import Record
 from ..sampling import TILE_ROWS, Csr, EgoNetwork, Layer, extract_ego_network
 
@@ -408,14 +408,11 @@ def sibling_offer_summaries(g: HeteroGraph, offer_ids: np.ndarray) -> tuple:
     on one side gets a zero vector there.  Each mean is the owner's float64
     sum (``g.offer_sums``, built once per feature set) less the offer's own
     row, over the sibling count; a lone offer's sum is its own row, so its
-    difference is exactly zero and is divided by one.  Raises ValueError
-    for an offer id outside ``[0, n_offers)``.
+    difference is exactly zero and is divided by one.  The offer ids go
+    through ``graph.id_array``.
     """
     feats = g.offer_features
-    offer_ids = np.asarray(offer_ids, dtype=np.int64)
-    if offer_ids.size and (offer_ids.min() < 0 or offer_ids.max() >= g.n_offers):
-        raise ValueError(f"offer ids must lie in [0, {g.n_offers})")
-
+    offer_ids = id_array(offer_ids, g.n_offers, "offer id")
     offer_rows = feats[offer_ids].astype(np.float64)
     out = []
     for node_type, owner in zip(NodeType, (g.offer_seller, g.offer_product)):
@@ -527,8 +524,8 @@ def score_part_rows(hidden: int, dtype) -> int:
 def edge_gnn_scores(
     g: HeteroGraph, offers: np.ndarray, param_groups: Sequence, cfg: EdgeGnnConfig
 ) -> np.ndarray:
-    """Per-class probabilities of a non-empty batch of offer ids, one column
-    block per parameter group, in the groups' dtype.
+    """Per-class probabilities of offer ids (``graph.id_array``), one column
+    block per parameter group, in the groups' dtype; no offers give no rows.
 
     One ego network of the batch serves every group; its plan's parts hold
     at most :func:`score_part_rows` rows, so the encoder's temporaries are
@@ -545,11 +542,13 @@ def edge_gnn_scores(
     scores are those of :func:`edge_gnn_forward` over the whole batch, bit
     for bit where the BLAS rounds a row alike at every row count.
     """
-    offers = np.asarray(offers, dtype=np.int64)
-    max_rows = score_part_rows(cfg.hidden, param_groups[0]["cls1_w"].dtype)
-    ego = extract_ego_network(g, offers, cfg.gnn_layers, max_rows)
-    n, step = offers.shape[0], score_chunk_rows(cfg)
+    offers = id_array(offers, g.n_offers, "offer id")
+    dtype = param_groups[0]["cls1_w"].dtype
     ends = np.cumsum([0] + [p["cls1_w"].shape[1] for p in param_groups])
+    if offers.size == 0:
+        return np.zeros((0, ends[-1]), dtype=dtype)
+    ego = extract_ego_network(g, offers, cfg.gnn_layers, score_part_rows(cfg.hidden, dtype))
+    n, step = offers.shape[0], score_chunk_rows(cfg)
     out = None
     for i, (params, lo_col, hi_col) in enumerate(zip(param_groups, ends[:-1], ends[1:])):
         h, sellers, products = node_embedder_forward(g, ego, params, cfg)

@@ -34,7 +34,7 @@ from ..autodiff import (
     record,
     scale,
 )
-from ..graph import N_CLASSES, HeteroGraph, offer_id_array
+from ..graph import N_CLASSES, HeteroGraph
 from .core import (
     EdgeGnnConfig,
     cast_params,
@@ -72,8 +72,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ValueError("epochs must be >= 0 and batch_size >= 1")
+        for name, low in (("epochs", 0), ("batch_size", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be finite and > 0, got {self.lr!r}")
 
@@ -145,9 +146,8 @@ class EdgeGnnModel:
     _cast: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def score(self, g: HeteroGraph, offers: np.ndarray, dtype=np.float64) -> np.ndarray:
-        """Per-class probability matrix for the given offer ids, which must
-        have an integer dtype (``graph.offer_id_array``); no offers give a
-        ``(0, 9)`` matrix.
+        """Per-class probability matrix for the given offer ids
+        (``graph.id_array``); no offers give a ``(0, 9)`` matrix.
 
         Scoring runs with 64-bit accumulation by default, or in float32;
         any other dtype raises ValueError naming it.  Parameters stay
@@ -160,9 +160,6 @@ class EdgeGnnModel:
         dtype = np.dtype(dtype)
         if dtype not in (np.float32, np.float64):
             raise ValueError(f"scoring dtype must be float32 or float64, got {dtype.name}")
-        offers = offer_id_array(offers)
-        if len(offers) == 0:
-            return np.zeros((0, N_CLASSES), dtype=dtype)
         if dtype not in self._cast:
             self._cast[dtype] = [cast_params(p, dtype) for p in self.param_groups]
         return edge_gnn_scores(g, offers, self._cast[dtype], self.cfg)

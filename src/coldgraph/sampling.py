@@ -53,7 +53,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import HeteroGraph, offer_id_array
+from .graph import HeteroGraph, id_array
 
 __all__ = [
     "Csr",
@@ -245,18 +245,14 @@ def ego_network(
     row is the non-empty global row of an output with each column replaced
     by that node's layer-input row; the replacement is monotone, so each
     row sums its neighbours in the same order as the global matrix.
-    Raises ValueError if ``seeds`` is empty or not flat, and one naming
-    the first seed outside ``[0, n)``.
+    The seeds are node ids (``graph.id_array``), at least one.
     """
     if max_rows is not None and (max_rows < 1 or max_rows % TILE_ROWS):
         raise ValueError(f"max_rows must be a positive multiple of {TILE_ROWS}, got {max_rows}")
-    seeds = np.asarray(seeds, dtype=np.int64)
-    if seeds.ndim != 1 or seeds.size == 0:
-        raise ValueError("the seeds are a non-empty flat index array")
     n = stack.shape[1]
-    bad = seeds[(seeds < 0) | (seeds >= n)]
-    if bad.size:
-        raise ValueError(f"seed {int(bad[0])} out of range [0, {n})")
+    seeds = id_array(seeds, n, "seed")
+    if seeds.size == 0:
+        raise ValueError("seeds must not be empty")
     n_rel = stack.shape[0] // n
     offsets = np.arange(0, n_rel * n, n)[:, None]
     hop = np.full(n, -1, dtype=np.int32)
@@ -282,14 +278,12 @@ def extract_ego_network(
 ) -> EgoNetwork:
     """The ego network over all nine relations seeded at the ``offers``'
     sellers, then at their products, in the order given; ``max_rows``
-    bounds its plan's parts (:func:`ego_network`).  Offer ids without an
-    integer dtype raise ValueError naming it (``graph.offer_id_array``)."""
-    offers = offer_id_array(offers)
+    bounds its plan's parts (:func:`ego_network`).  The offers are offer
+    ids (``graph.id_array``), at least one."""
+    offers = id_array(offers, g.n_offers, "offer id")
+    if offers.size == 0:
+        raise ValueError("offer ids must not be empty")
     if hops < 1:
         raise ValueError("hops must be at least 1")
-    if offers.ndim != 1 or offers.size == 0:
-        raise ValueError("a batch is a non-empty flat index array")
-    if offers.min() < 0 or offers.max() >= g.n_offers:
-        raise ValueError("batch references unknown offers")
     seeds = np.concatenate([g.offer_seller[offers], g.offer_product[offers] + g.n_sellers])
     return ego_network(g.normalized_stack(), seeds, hops, max_rows)

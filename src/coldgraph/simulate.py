@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import N_CLASSES, NORMAL_CLASS, HeteroGraph, N_RELATIONS, NodeType
+from .graph import N_CLASSES, NORMAL_CLASS, HeteroGraph, N_RELATIONS, NodeType, id_array
 from .records import Record
 from .storage import default_column_names, seen_before, write_artifact
 
@@ -391,13 +391,10 @@ def _resolve_columns(names, available, kind: str) -> list:
 
 
 def _checked_ids(ids, count: int, what: str) -> np.ndarray:
-    ids = np.asarray(ids, dtype=np.int64)
-    bad = ids[(ids < 0) | (ids >= count)]
-    if bad.size:
-        raise ValueError(f"scenario {what} index {int(bad[0])} out of range [0, {count})")
+    ids = id_array(ids, count, f"scenario {what} id")
     again = ids[seen_before(ids)]
     if again.size:
-        raise ValueError(f"scenario {what} index {int(again[0])} repeats")
+        raise ValueError(f"scenario {what} id {int(again[0])} repeats")
     return ids
 
 
@@ -418,8 +415,9 @@ def apply_scenario(g: HeteroGraph, spec: ScenarioSpec):
     Every evaluation offer is treated as newly listed: its feature row is
     zeroed except the retained columns.  New sellers lose all feature
     columns; new products keep only their retained columns.  Edges and
-    labels are untouched, so cold entities stay connected.  An id that is
-    out of range or repeats within its field is rejected, naming the field.
+    labels are untouched, so cold entities stay connected.  Each id list
+    goes through ``graph.id_array`` under its field's name, and an id that
+    repeats within its field is rejected too.
     """
     column_names = default_column_names(g.d_s, g.d_p, g.d_o)
     eval_offers = _checked_ids(spec.eval_offers, g.n_offers, "eval_offers")

@@ -15,7 +15,7 @@ import pytest
 
 from _helpers import set_fbin_cell, tiny_config
 from coldgraph.cli import main
-from coldgraph.experiment import MODEL_KINDS, _decode_arch, read_scores_csv, write_scores_csv
+from coldgraph.experiment import MODEL_KINDS, _decode_arch, read_scores_csv
 from coldgraph.graph import N_CLASSES
 from coldgraph.models import (
     init_edge_gnn_params, init_expanded_rgcn_params, load_checkpoint, save_checkpoint)
@@ -181,18 +181,6 @@ def test_eval_against_self_gives_zero_deltas(ws, ns_scores, tmp_path, capsys):
             assert delta == 0.0
 
 
-def test_eval_rejects_out_of_range_offer_ids(ws, tmp_path, capsys):
-    bad = tmp_path / "bad.csv"
-    write_scores_csv(bad, np.array([10 ** 6]), np.full((1, 9), 0.5))
-    rc = main([
-        "eval", "--scores", str(bad), "--graph", str(ws["graph"]),
-        "--out-prefix", str(tmp_path / "r"),
-    ])
-    cap = capsys.readouterr()
-    assert rc == 2
-    assert "unknown offers" in cap.err
-
-
 @pytest.mark.parametrize("bad", [-1, 10 ** 6])
 def test_score_rejects_out_of_range_new_seller(ws, tabular_ckpt, tmp_path, capsys, bad):
     spec = json.loads((ws["scen"] / "scenario_new_seller.json").read_text())
@@ -206,7 +194,7 @@ def test_score_rejects_out_of_range_new_seller(ws, tabular_ckpt, tmp_path, capsy
     ])
     cap = capsys.readouterr()
     assert rc == 2
-    assert f"scenario new_sellers index {bad} out of range" in cap.err
+    assert f"scenario new_sellers id {bad} out of range" in cap.err
     assert not out.exists()
 
 
@@ -387,7 +375,7 @@ def test_score_rejects_repeated_eval_offer_for_every_kind(ws, tmp_path, capsys, 
     capsys.readouterr()
     rc = main(["score", "--checkpoint", str(ckpt), "--graph", str(ws["graph"]),
                "--scenario", str(path), "--out", str(out)])
-    _assert_named_error(capsys, rc, f"scenario eval_offers index {spec['eval_offers'][0]} repeats")
+    _assert_named_error(capsys, rc, f"scenario eval_offers id {spec['eval_offers'][0]} repeats")
     assert not out.exists()
 
 

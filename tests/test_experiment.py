@@ -169,14 +169,13 @@ def _offer_scorer(entry: str, g):
 
 @pytest.mark.parametrize("entry", ["EdgeGnnModel.score", "score_model", "score_expanded_rgcn"])
 def test_scoring_rejects_offer_ids_without_an_integer_dtype(tiny_graph, entry):
-    """A cast to int64 would read offer 0.5 as offer 0; no offers still
-    score to an empty matrix, whatever the empty list's dtype."""
+    """Whole-valued float and bool ids are refused like fractional ones
+    (``test_id_contract.py``); any integer dtype scores alike."""
     score = _offer_scorer(entry, tiny_graph)
-    for offers, dtype in (([0.5], "float64"), (np.array([0, 1], dtype=np.float32), "float32"),
+    for offers, dtype in ((np.array([0, 1], dtype=np.float32), "float32"),
                           (np.array([True]), "bool")):
         with pytest.raises(ValueError, match=f"^offer ids must have an integer dtype, got {dtype}$"):
             score(offers)
-    assert score([]).shape == (0, 9)
     np.testing.assert_array_equal(score(np.array([1, 0], dtype=np.uint8)),
                                   score(np.array([1, 0])))
 

@@ -76,6 +76,7 @@ MALFORMED = [
     ("model", "gnn_layers", 0, ["ModelConfig:", "gnn_layers must be >= 1"]),
     ("model", "sign_hops", -1, ["ModelConfig:", "sign_hops must be >= 0"]),
     ("model", "dropout", 1.5, ["ModelConfig:", "dropout must be in [0, 1)"]),
+    ("model", "batch_size", 0, ["ModelConfig: batch_size must be >= 1, got 0"]),
     ("model", "lr", None, ["ModelConfig.lr: expected a number, got null"]),
     ("scenario", "", [1], ["ScenarioSpec: expected an object, got [1]"]),
     ("scenario", "new_sellers", 5, ["ScenarioSpec.new_sellers: expected an array, got 5"]),
